@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .numerics import logsumexp
 from .weighting import Divergence
 
 __all__ = [

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import logsumexp
+
+from .numerics import logsumexp_shifted
 
 __all__ = [
     "ModelKind",
@@ -197,9 +198,14 @@ def predict(model: ModelState, inputs: np.ndarray) -> np.ndarray:
     return np.argmax(out, axis=1)
 
 
-def _ce_per_sample(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # log-sum-exp with max subtraction keeps large logits from overflowing
-    return logsumexp(z, axis=1) - z[np.arange(z.shape[0]), y]
+def _ce_per_sample(z: np.ndarray, y: np.ndarray):
+    """Cross entropy per row and the shifted exponentials exp(z - max z).
+
+    The exponentials are the softmax numerators the backward pass needs.
+    """
+    zmax = z.max(axis=1, keepdims=True)
+    e = np.exp(z - zmax)
+    return logsumexp_shifted(z, zmax, e, 1) - z[np.arange(z.shape[0]), y], e
 
 
 def per_sample_loss(model: ModelState, batch: Batch) -> np.ndarray:
@@ -208,33 +214,27 @@ def per_sample_loss(model: ModelState, batch: Batch) -> np.ndarray:
     out, _ = _forward(model, batch.inputs)
     if model.kind is ModelKind.LINEAR:
         return (out - batch.targets) ** 2
-    return _ce_per_sample(out, batch.targets)
+    return _ce_per_sample(out, batch.targets)[0]
 
 
 def mean_loss(model: ModelState, batch: Batch) -> float:
     return float(np.mean(per_sample_loss(model, batch)))
 
 
-def _stable_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def forward_losses(model: ModelState, batch: Batch):
     """Forward pass returning (losses, ctx).
 
-    ``ctx`` carries the network outputs and activations so a subsequent
+    ``ctx`` carries the network outputs (for classifiers the shifted
+    exponentials exp(z - max z)) and activations so a subsequent
     ``backward_weighted`` call reuses them instead of recomputing the
     forward pass.
     """
     _check_batch(model, batch)
     out, acts = _forward(model, batch.inputs)
     if model.kind is ModelKind.LINEAR:
-        losses = (out - batch.targets) ** 2
-    else:
-        losses = _ce_per_sample(out, batch.targets)
-    return losses, (out, acts)
+        return (out - batch.targets) ** 2, (out, acts)
+    losses, e = _ce_per_sample(out, batch.targets)
+    return losses, (e, acts)
 
 
 def backward_weighted(model: ModelState, batch: Batch, ctx, weights) -> np.ndarray:
@@ -243,13 +243,13 @@ def backward_weighted(model: ModelState, batch: Batch, ctx, weights) -> np.ndarr
     if w.shape[0] != batch.size:
         raise ValueError(f"{w.shape[0]} weights for batch of {batch.size}")
     scale = w / batch.size
-    out, acts = ctx
+    out, acts = ctx  # for classifiers out is exp(z - max z)
     x = batch.inputs
 
     if model.kind is ModelKind.LINEAR:
         return x.T @ (2.0 * scale * (out - batch.targets))
 
-    delta = _stable_softmax(out)
+    delta = out / out.sum(axis=1, keepdims=True)
     delta[np.arange(batch.size), batch.targets] -= 1.0
     delta *= scale[:, None]
 

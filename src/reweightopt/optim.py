@@ -21,9 +21,9 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .models import Batch, ModelState, backward_weighted, forward_losses
+from .numerics import logsumexp
 from .weighting import WeightingRule, batch_weights
 
 __all__ = [

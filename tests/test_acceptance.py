@@ -381,21 +381,22 @@ def test_c09_runtime_parity():
     batch = Batch(rng.standard_normal((b, d)), rng.integers(0, c, b))
     steps = 1000
 
-    def median_step_time(rule):
-        cfg = TrainConfig("sgd", rule, lr_base=0.01, steps=steps, batch_size=b)
-        state = init_state(model)
-        for _ in range(50):  # warmup
-            state, _ = rgd_step(state, batch, rule, cfg)
-        state = init_state(model)
-        times = np.empty(steps)
-        for i in range(steps):
+    rules = [WeightingRule(Divergence.NONE), WeightingRule(Divergence.KL, 1.0)]
+    cfgs = [TrainConfig("sgd", r, lr_base=0.01, steps=steps, batch_size=b) for r in rules]
+    states = [init_state(model) for _ in rules]
+    for _ in range(50):  # warmup
+        for k, rule in enumerate(rules):
+            states[k], _ = rgd_step(states[k], batch, rule, cfgs[k])
+    states = [init_state(model) for _ in rules]
+    times = np.empty((len(rules), steps))
+    # the two runs alternate step by step (in alternating order), so a change
+    # of CPU speed during the measurement reaches both medians alike
+    for i in range(steps):
+        for k in (0, 1) if i % 2 == 0 else (1, 0):
             start = time.perf_counter()
-            state, _ = rgd_step(state, batch, rule, cfg)
-            times[i] = time.perf_counter() - start
-        return float(np.median(times))
-
-    plain = median_step_time(WeightingRule(Divergence.NONE))
-    reweighted = median_step_time(WeightingRule(Divergence.KL, 1.0))
+            states[k], _ = rgd_step(states[k], batch, rules[k], cfgs[k])
+            times[k, i] = time.perf_counter() - start
+    plain, reweighted = (float(t) for t in np.median(times, axis=1))
     ratio = reweighted / plain
     ok = ratio <= 1.2
     _report(9, ok, f"median per-step: reweighted {reweighted * 1e6:.0f}us vs plain "

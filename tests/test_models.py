@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 
 from reweightopt.models import (
     Batch,
     ModelKind,
     ModelState,
+    backward_weighted,
     finite_diff_grad,
+    forward_losses,
+    logits,
     loss_and_weighted_grad,
     param_count,
     per_sample_loss,
@@ -200,3 +204,67 @@ class TestModelState:
         assert predict(lin, [[1.0, 2.0]]).shape == (1,)
         clf = zero_state(ModelKind.SOFTMAX, 2, 3)
         assert predict(clf, [[1.0, 2.0]])[0] == 0
+
+
+def _softmax_reference(z, y, w):
+    """delta = (softmax(z) - onehot(y)) * w / B, softmax from z - z.max(1)."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    delta = e / e.sum(axis=1, keepdims=True)
+    delta[np.arange(z.shape[0]), y] -= 1.0
+    return delta * (w / z.shape[0])[:, None]
+
+
+class TestClassifierContext:
+    """forward_losses carries exp(z - max z) in ctx for the backward pass."""
+
+    def _case(self, kind, scale, seed):
+        rng = np.random.default_rng(seed)
+        hidden = (32,) if kind is ModelKind.MLP else ()
+        model = random_state(kind, 20, 10, hidden, seed=seed, scale=scale)
+        batch = Batch(rng.standard_normal((64, 20)), rng.integers(0, 10, 64))
+        return model, batch, rng.uniform(0.5, 2.0, 64)
+
+    @pytest.mark.parametrize("kind", [ModelKind.SOFTMAX, ModelKind.MLP])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_backward_twice_on_one_ctx(self, kind, scale):
+        model, batch, w = self._case(kind, scale, 11)
+        losses, ctx = forward_losses(model, batch)
+        first = backward_weighted(model, batch, ctx, w)
+        second = backward_weighted(model, batch, ctx, w)
+        assert np.array_equal(first, second)
+        again, _ = forward_losses(model, batch)
+        assert np.array_equal(losses, again)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_losses_match_scipy_cross_entropy(self, scale):
+        model, batch, _ = self._case(ModelKind.SOFTMAX, scale, 12)
+        z = logits(model, batch.inputs)
+        want = scipy_logsumexp(z, axis=1) - z[np.arange(64), batch.targets]
+        assert np.array_equal(forward_losses(model, batch)[0], want)
+        assert np.array_equal(per_sample_loss(model, batch), want)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_softmax_direction_matches_inline_reference(self, scale):
+        model, batch, w = self._case(ModelKind.SOFTMAX, scale, 13)
+        x, y = batch.inputs, batch.targets
+        wt = model.theta[:200].reshape(10, 20)
+        delta = _softmax_reference(x @ wt.T + model.theta[200:], y, w)
+        want = np.concatenate([(delta.T @ x).ravel(), delta.sum(axis=0)])
+        _, ctx = forward_losses(model, batch)
+        assert np.array_equal(backward_weighted(model, batch, ctx, w), want)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_mlp_direction_matches_inline_reference(self, scale):
+        model, batch, w = self._case(ModelKind.MLP, scale, 14)
+        x, y = batch.inputs, batch.targets
+        t = model.theta
+        w1, b1 = t[:640].reshape(32, 20), t[640:672]
+        w2, b2 = t[672:992].reshape(10, 32), t[992:]
+        h = np.tanh(x @ w1.T + b1)
+        delta = _softmax_reference(h @ w2.T + b2, y, w)
+        dz = (delta @ w2) * (1.0 - h**2)
+        want = np.concatenate(
+            [(dz.T @ x).ravel(), dz.sum(axis=0), (delta.T @ h).ravel(), delta.sum(axis=0)]
+        )
+        _, ctx = forward_losses(model, batch)
+        assert np.array_equal(backward_weighted(model, batch, ctx, w), want)
