@@ -57,7 +57,6 @@ from .optim import (
     ma_exp_step,
     rgd_step,
     sgd_step,
-    term_grad,
     term_objective,
 )
 from .sweep import SweepSpec, sweep

@@ -9,6 +9,8 @@ Subcommands:
     report <trace...>        tabulate final metrics from exported traces
 
 Exit codes: 0 success, 1 verification/training failure, 2 config error.
+Any other exception is a bug in the program and propagates with its
+traceback (exit 1); it is never reported as a config error.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .experiment import ConfigError, export_trace, parse_trace, run_experiment
+from .experiment import ConfigError, _config_errors, export_trace, parse_trace, run_experiment
 from .optim import TrainingDivergenceError
 from .sweep import sweep, validate_sweep_spec
 from .verify import DUALITY_TOL, GRAD_TOL, dro_suite, gradcheck_suite
@@ -90,7 +92,7 @@ def _cmd_oracle(args) -> int:
         records = _load_json(args.instances)
         if not isinstance(records, list):
             raise ConfigError(f"{args.instances}: expected a JSON array of instances")
-        report = check_instances(records)
+        report = check_instances(records)  # malformed records raise ConfigError
         for entry in report["results"]:
             gap = f" duality_gap={entry['duality_gap']:.3e}" if "duality_gap" in entry else ""
             print(f"instance {entry['index']}: {entry['divergence']} "
@@ -99,6 +101,10 @@ def _cmd_oracle(args) -> int:
             print(f"FAIL {line}", file=sys.stderr)
         print("oracle instances: " + ("PASS" if report["passed"] else "FAIL"))
         return 0 if report["passed"] else 1
+    for flag, value, low in (("--n", args.n, 2), ("--grid", args.grid, 2),
+                             ("--trials", args.trials, 1), ("--rho-max", args.rho_max, 0.0)):
+        if not value >= low:  # also rejects nan
+            raise ConfigError(f"{flag} must be at least {low}, got {value}")
     report = dro_suite(
         trials=args.trials,
         n_max=args.n,
@@ -119,6 +125,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     report = gradcheck_suite(trials=args.trials, seed=args.seed)
     for kind, err in report["max_rel_err"].items():
         print(f"{kind:8s}: max rel err {err:.3e} (tol {GRAD_TOL:.0e})")
@@ -132,7 +140,8 @@ def _cmd_report(args) -> int:
     rows = []
     metric_names: list[str] = []
     for path in args.traces:
-        trace = parse_trace(path)
+        with _config_errors(path):
+            trace = parse_trace(path)
         for m in trace.metric_names:
             if m not in metric_names:
                 metric_names.append(m)
@@ -203,9 +212,6 @@ def cli_main(argv=None) -> int:
     except TrainingDivergenceError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

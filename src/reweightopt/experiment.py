@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -98,6 +99,19 @@ class Trace:
         return [r for r in self.records if split is None or r.split == split]
 
 
+@contextmanager
+def _config_errors(path: str):
+    """Re-raise a KeyError/TypeError/ValueError from building the input
+    section ``path`` into objects as a ConfigError naming that section."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"{path}: {detail}") from None
+
+
 def _check_keys(section: dict, path: str, required: set, optional: set = frozenset()):
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -118,6 +132,7 @@ _GENERATOR_PARAMS = {
 }
 
 
+@_config_errors("config")
 def validate_config(config: dict) -> dict:
     """Strict-schema check; returns the config with defaults filled in."""
     _check_keys(
@@ -126,10 +141,7 @@ def validate_config(config: dict) -> dict:
         {"dataset", "model", "method", "train"},
         {"eval_every", "metrics", "output"},
     )
-    try:
-        cfg = json.loads(json.dumps(config))  # deep copy, also rejects non-JSON values
-    except TypeError as exc:
-        raise ConfigError(f"config not JSON-serializable: {exc}") from None
+    cfg = json.loads(json.dumps(config))  # deep copy, also rejects non-JSON values
 
     ds = cfg["dataset"]
     _check_keys(ds, "dataset", {"generator", "params"}, {"subsample", "split", "flip_train"})
@@ -157,12 +169,10 @@ def validate_config(config: dict) -> dict:
         raise ConfigError("model.init_seed: required for mlp (no implicit entropy)")
 
     method = cfg["method"]
-    name = method.get("name")
+    name = method.get("name") if isinstance(method, dict) else None
     if name == "rgd":
         _check_keys(method, "method", {"name", "rule"})
-        _check_keys(
-            method["rule"], "method.rule", {"divergence"}, {"tau", "gamma_override"}
-        )
+        _check_keys(method["rule"], "method.rule", {"divergence"}, {"tau"})
     elif name == "term":
         _check_keys(method, "method", {"name", "t_tilt"})
     elif name == "ma":
@@ -187,17 +197,12 @@ def validate_config(config: dict) -> dict:
     return cfg
 
 
+@_config_errors("method.rule")
 def _build_rule(rule_cfg: dict) -> WeightingRule:
-    try:
-        return WeightingRule(
-            Divergence(rule_cfg["divergence"]),
-            float(rule_cfg.get("tau", 1.0)),
-            rule_cfg.get("gamma_override"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"method.rule: {exc}") from None
+    return WeightingRule(Divergence(rule_cfg["divergence"]), float(rule_cfg.get("tau", 1.0)))
 
 
+@_config_errors("dataset")
 def _build_datasets(ds_cfg: dict) -> dict:
     gen = getattr(datagen, ds_cfg["generator"])
     full = gen(**ds_cfg["params"])
@@ -226,10 +231,13 @@ def _build_datasets(ds_cfg: dict) -> dict:
     return splits
 
 
+@_config_errors("model")
 def _build_model(model_cfg: dict, dataset: Dataset) -> ModelState:
     kind = ModelKind(model_cfg["kind"])
     num_classes = dataset.num_classes if dataset.is_classification else 1
     if kind is ModelKind.LINEAR:
+        if dataset.is_classification:
+            raise ValueError("a linear model needs a regression dataset")
         return zero_state(kind, dataset.dim)
     hidden = tuple(model_cfg.get("hidden", ()))
     if kind is ModelKind.SOFTMAX:
@@ -244,24 +252,22 @@ def _build_model(model_cfg: dict, dataset: Dataset) -> ModelState:
     )
 
 
+@_config_errors("train")
 def _build_train_config(train_cfg: dict, rule: WeightingRule) -> TrainConfig:
     box = train_cfg.get("box")
-    try:
-        return TrainConfig(
-            optimizer=train_cfg["optimizer"],
-            rule=rule,
-            lr_base=float(train_cfg["lr_base"]),
-            schedule=train_cfg.get("schedule", "constant"),
-            steps=int(train_cfg["steps"]),
-            batch_size=int(train_cfg["batch_size"]),
-            seed=int(train_cfg["seed"]),
-            beta1=float(train_cfg.get("beta1", 0.9)),
-            beta2=float(train_cfg.get("beta2", 0.999)),
-            eps=float(train_cfg.get("eps", 1e-8)),
-            box=tuple(box) if box is not None else None,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"train: {exc}") from None
+    return TrainConfig(
+        optimizer=train_cfg["optimizer"],
+        rule=rule,
+        lr_base=float(train_cfg["lr_base"]),
+        schedule=train_cfg.get("schedule", "constant"),
+        steps=int(train_cfg["steps"]),
+        batch_size=int(train_cfg["batch_size"]),
+        seed=int(train_cfg["seed"]),
+        beta1=float(train_cfg.get("beta1", 0.9)),
+        beta2=float(train_cfg.get("beta2", 0.999)),
+        eps=float(train_cfg.get("eps", 1e-8)),
+        box=tuple(box) if box is not None else None,
+    )
 
 
 def minibatch_stream(n: int, batch_size: int, steps: int, seed: int):
@@ -304,10 +310,11 @@ def mse(model: ModelState, dataset: Dataset) -> float:
 
 
 def _metric_value(name: str, model: ModelState, dataset: Dataset) -> float:
-    if name == "mse":
-        return mse(model, dataset)
-    if name == "accuracy":
-        return accuracy(model, dataset)
+    if name in ("mse", "accuracy"):
+        # _build_model pairs linear models with regression data only
+        if (name == "mse") != (model.kind is ModelKind.LINEAR):
+            raise ConfigError(f"metrics: {name} does not apply to a {model.kind.value} model")
+        return mse(model, dataset) if name == "mse" else accuracy(model, dataset)
     if name in ("rare_l2", "frequent_l2"):
         key = "rare_indices" if name == "rare_l2" else "frequent_indices"
         if "theta_star" not in dataset.meta or key not in dataset.meta:
@@ -325,16 +332,15 @@ class _Method:
         if self.name == "rgd":
             self.rule = train_config.rule
         elif self.name == "term":
-            self.t_tilt = float(method_cfg["t_tilt"])
+            with _config_errors("method.t_tilt"):
+                self.t_tilt = float(method_cfg["t_tilt"])
             if self.t_tilt <= 0:
                 raise ConfigError("method.t_tilt: must be positive")
         else:
-            try:
+            with _config_errors("method"):
                 self.baseline = BaselineState(
                     float(method_cfg["lam"]), float(method_cfg["beta_ma"])
                 )
-            except ValueError as exc:
-                raise ConfigError(f"method: {exc}") from None
 
     def step(self, state, batch):
         if self.name == "rgd":
@@ -458,74 +464,49 @@ def export_trace(trace: Trace, path, fmt: str | None = None) -> None:
     if fmt is None:
         fmt = path.suffix.lstrip(".").lower() or "csv"
     if fmt not in ("csv", "json"):
-        raise ValueError(f"unsupported trace format {fmt!r}")
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
+        raise ConfigError(f"unsupported trace format {fmt!r}")
+    columns = _FIXED_COLUMNS + tuple(trace.metric_names) + _STAT_COLUMNS
+    rows = [
+        (r.step, r.split, r.objective, *(r.metrics[m] for m in trace.metric_names),
+         r.w_min, r.w_mean, r.w_max, r.w_sat_frac)
+        for r in trace.records
+    ]
+    with open(path, "w", newline="" if fmt == "csv" else None) as fh:
+        if fmt == "csv":
+            # csv writes floats with str(), which equals repr(): full precision
             writer = csv.writer(fh)
-            writer.writerow(list(_FIXED_COLUMNS) + list(trace.metric_names) + list(_STAT_COLUMNS))
-            for r in trace.records:
-                row = [r.step, r.split, repr(r.objective)]
-                row += [repr(r.metrics[m]) for m in trace.metric_names]
-                row += [repr(r.w_min), repr(r.w_mean), repr(r.w_max), repr(r.w_sat_frac)]
-                writer.writerow(row)
-        return
-    payload = []
-    for r in trace.records:
-        obj = {"step": r.step, "split": r.split, "objective": r.objective}
-        obj.update({m: r.metrics[m] for m in trace.metric_names})
-        obj.update(
-            {"w_min": r.w_min, "w_mean": r.w_mean, "w_max": r.w_max, "w_sat_frac": r.w_sat_frac}
-        )
-        payload.append(obj)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+            writer.writerow(columns)
+            writer.writerows(rows)
+        else:
+            json.dump([dict(zip(columns, row)) for row in rows], fh, indent=1)
+            fh.write("\n")
 
 
 def parse_trace(path) -> Trace:
     """Read back a trace written by :func:`export_trace`."""
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        with open(path) as fh:
-            payload = json.load(fh)
-        if not payload:
-            raise ValueError(f"empty trace file {path}")
-        keys = list(payload[0].keys())
-        metric_names = tuple(k for k in keys if k not in _FIXED_COLUMNS + _STAT_COLUMNS)
-        trace = Trace(metric_names)
-        for obj in payload:
-            trace.append(
-                TraceRecord(
-                    int(obj["step"]),
-                    obj["split"],
-                    float(obj["objective"]),
-                    {m: float(obj[m]) for m in metric_names},
-                    float(obj["w_min"]),
-                    float(obj["w_mean"]),
-                    float(obj["w_max"]),
-                    float(obj["w_sat_frac"]),
-                )
-            )
-        return trace
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header[:3]) != _FIXED_COLUMNS or tuple(header[-4:]) != _STAT_COLUMNS:
-            raise ValueError(f"unrecognized trace header in {path}")
-        metric_names = tuple(header[3:-4])
-        trace = Trace(metric_names)
-        for row in reader:
-            values = dict(zip(header, row))
-            trace.append(
-                TraceRecord(
-                    int(values["step"]),
-                    values["split"],
-                    float(values["objective"]),
-                    {m: float(values[m]) for m in metric_names},
-                    float(values["w_min"]),
-                    float(values["w_mean"]),
-                    float(values["w_max"]),
-                    float(values["w_sat_frac"]),
-                )
+        if path.suffix.lower() == ".json":
+            rows = json.load(fh)
+            if not rows:
+                raise ValueError(f"empty trace file {path}")
+            columns = tuple(rows[0])
+        else:
+            reader = csv.reader(fh)
+            columns = tuple(next(reader))
+            if columns[:3] != _FIXED_COLUMNS or columns[-4:] != _STAT_COLUMNS:
+                raise ValueError(f"unrecognized trace header in {path}")
+            rows = [dict(zip(columns, row)) for row in reader]
+    metric_names = tuple(c for c in columns if c not in _FIXED_COLUMNS + _STAT_COLUMNS)
+    trace = Trace(metric_names)
+    for row in rows:
+        trace.append(
+            TraceRecord(
+                int(row["step"]),
+                row["split"],
+                float(row["objective"]),
+                {m: float(row[m]) for m in metric_names},
+                *(float(row[c]) for c in _STAT_COLUMNS),
             )
+        )
     return trace

@@ -35,8 +35,6 @@ __all__ = [
     "forward_losses",
     "backward_weighted",
     "weighted_grad",
-    "loss_and_weighted_grad",
-    "mean_loss",
     "logits",
     "predict",
     "finite_diff_grad",
@@ -208,19 +206,6 @@ def _ce_per_sample(z: np.ndarray, y: np.ndarray):
     return logsumexp_shifted(z, zmax, e, 1) - z[np.arange(z.shape[0]), y], e
 
 
-def per_sample_loss(model: ModelState, batch: Batch) -> np.ndarray:
-    """Vector of nonnegative per-sample losses."""
-    _check_batch(model, batch)
-    out, _ = _forward(model, batch.inputs)
-    if model.kind is ModelKind.LINEAR:
-        return (out - batch.targets) ** 2
-    return _ce_per_sample(out, batch.targets)[0]
-
-
-def mean_loss(model: ModelState, batch: Batch) -> float:
-    return float(np.mean(per_sample_loss(model, batch)))
-
-
 def forward_losses(model: ModelState, batch: Batch):
     """Forward pass returning (losses, ctx).
 
@@ -272,15 +257,15 @@ def backward_weighted(model: ModelState, batch: Batch, ctx, weights) -> np.ndarr
     return np.concatenate(grads[::-1])
 
 
-def loss_and_weighted_grad(model: ModelState, batch: Batch, weights):
-    """Single forward pass plus weighted backward; returns (losses, grad)."""
-    losses, ctx = forward_losses(model, batch)
-    return losses, backward_weighted(model, batch, ctx, weights)
+def per_sample_loss(model: ModelState, batch: Batch) -> np.ndarray:
+    """Vector of nonnegative per-sample losses."""
+    return forward_losses(model, batch)[0]
 
 
 def weighted_grad(model: ModelState, batch: Batch, weights) -> np.ndarray:
     """Weighted mean of per-sample gradients, (1/B) * sum_i w_i grad_i."""
-    return loss_and_weighted_grad(model, batch, weights)[1]
+    _, ctx = forward_losses(model, batch)
+    return backward_weighted(model, batch, ctx, weights)
 
 
 def finite_diff_grad(objective, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -40,7 +40,6 @@ __all__ = [
     "rgd_step",
     "term_objective",
     "term_weights",
-    "term_grad",
     "term_step",
     "ma_exp_step",
 ]
@@ -226,8 +225,7 @@ def _checked_losses(state: OptimizerState, batch: Batch):
 
 def _finish_step(state, batch, ctx, losses, weights, config):
     direction = backward_weighted(state.model, batch, ctx, weights)
-    if not np.all(np.isfinite(direction)):
-        raise TrainingDivergenceError(state.t + 1, "non-finite direction")
+    # sgd_step/adam_step reject a non-finite direction
     new_state = _base_step(state, direction, config)
     return new_state, StepInfo(losses, weights, direction)
 
@@ -263,18 +261,11 @@ def term_weights(losses, t_tilt: float) -> np.ndarray:
     return e / e.sum()
 
 
-def term_grad(model: ModelState, batch: Batch, t_tilt: float) -> np.ndarray:
-    """Gradient of the tilted objective: sum_i p_i grad_i, p = softmax(t*l)."""
-    losses, ctx = forward_losses(model, batch)
-    p = term_weights(losses, t_tilt)
-    # backward_weighted divides by B, so feed it B * p
-    return backward_weighted(model, batch, ctx, batch.size * p)
-
-
 def term_step(state: OptimizerState, batch: Batch, t_tilt: float, config: TrainConfig):
     """Baseline step along the tilted-objective gradient."""
     losses, ctx = _checked_losses(state, batch)
     p = term_weights(losses, t_tilt)
+    # backward_weighted divides by B, so feed it B * p
     return _finish_step(state, batch, ctx, losses, batch.size * p, config)
 
 

@@ -22,6 +22,7 @@ from .dro import (
     chi2_dro_value,
     revkl_dro_value,
 )
+from .experiment import _config_errors
 from .models import Batch, ModelKind, finite_diff_grad, per_sample_loss, random_state, weighted_grad
 from .weighting import weighted_objective
 
@@ -124,7 +125,8 @@ def check_instances(records: list[dict]) -> dict:
         Divergence.REVERSE_KL: revkl_dro_value,
     }
     for i, record in enumerate(records):
-        inst = instance_from_json(record)
+        with _config_errors(f"instance {i}"):
+            inst = instance_from_json(record)
         sol = solvers[inst.divergence](inst)
         entry = {"index": i, "divergence": inst.divergence.value, "value": sol.value}
         dv = divergence_value(sol.worst_dist.probs, inst.base.probs, inst.divergence)

@@ -10,8 +10,7 @@ the update from outliers.  Three variants are provided:
     reverse_kl  g(u) = (1 - clip(u, 0, tau) / (tau + 1))**-1
 
 plus ``none`` (all weights exactly 1, plain averaging).  The scale
-1/(tau+1) inside the kl and reverse_kl forms is tied to the clip level;
-``gamma_override`` exists only for ablation sweeps.
+1/(tau+1) inside the kl and reverse_kl forms is tied to the clip level.
 
 All functions are pure and operate in float64.
 """
@@ -46,31 +45,19 @@ class Divergence(str, Enum):
 
 @dataclass(frozen=True)
 class WeightingRule:
-    """Divergence variant plus clip level; fully determines g.
-
-    ``gamma_override`` replaces the default scale 1/(tau+1) in the kl
-    exponent.  It is an ablation-only knob; leave it None for the
-    standard coupling.
-    """
+    """Divergence variant plus clip level; fully determines g."""
 
     divergence: Divergence = Divergence.NONE
     tau: float = 1.0
-    gamma_override: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "divergence", Divergence(self.divergence))
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be a positive finite real, got {self.tau}")
-        if self.gamma_override is not None and not (
-            math.isfinite(self.gamma_override) and self.gamma_override > 0
-        ):
-            raise ValueError(f"gamma_override must be positive, got {self.gamma_override}")
 
     @property
     def gamma(self) -> float:
-        """Exponent scale: 1/(tau+1) unless explicitly overridden."""
-        if self.gamma_override is not None:
-            return self.gamma_override
+        """Exponent scale 1/(tau+1) of the kl weight."""
         return 1.0 / (self.tau + 1.0)
 
 
@@ -90,36 +77,18 @@ def as_loss_vector(values) -> np.ndarray:
     return arr
 
 
-def _check_scalar(u: float) -> float:
-    u = float(u)
-    if not math.isfinite(u):
-        raise ValueError(f"loss value must be finite, got {u}")
-    return u
+def weight_kl(u: float, tau: float) -> float:
+    """Clipped exponential weight exp(clip(u, 0, tau) / (tau+1)).
 
-
-def weight_kl(u: float, tau: float, gamma: float | None = None) -> float:
-    """Clipped exponential weight exp(clip(u, 0, tau) * gamma).
-
-    gamma defaults to 1/(tau+1), so the exponent lies in [0, tau/(tau+1)]
-    and the weight in [1, e^{tau/(tau+1)}].
+    The exponent lies in [0, tau/(tau+1)] and the weight in
+    [1, e^{tau/(tau+1)}].
     """
-    u = _check_scalar(u)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    clipped = min(max(u, 0.0), tau)
-    # divide rather than multiply by a precomputed 1/(tau+1): saturation at
-    # u >= tau must equal exp(tau/(tau+1)) bit-for-bit
-    if gamma is None:
-        return math.exp(clipped / (tau + 1.0))
-    return math.exp(clipped * gamma)
+    return float(batch_weights([u], WeightingRule(Divergence.KL, tau))[0])
 
 
 def weight_chi2(u: float, tau: float) -> float:
     """Additive weight clip(u, 0, tau) + tau, bounded in [tau, 2*tau]."""
-    u = _check_scalar(u)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    return min(max(u, 0.0), tau) + tau
+    return float(batch_weights([u], WeightingRule(Divergence.CHI2, tau))[0])
 
 
 def weight_revkl(u: float, tau: float) -> float:
@@ -128,31 +97,24 @@ def weight_revkl(u: float, tau: float) -> float:
     The clamp keeps the denominator >= 1/(tau+1), so the weight is
     always finite and bounded by tau+1.
     """
-    u = _check_scalar(u)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    # min() repairs the 1-ulp overshoot of 1/(1 - tau/(tau+1)) at saturation;
-    # the exact value there is tau+1
-    return min(1.0 / (1.0 - min(max(u, 0.0), tau) / (tau + 1.0)), tau + 1.0)
+    return float(batch_weights([u], WeightingRule(Divergence.REVERSE_KL, tau))[0])
 
 
 def batch_weights(losses, rule: WeightingRule) -> np.ndarray:
-    """Apply a weighting rule element-wise to a vector of losses.
-
-    Vectorized counterpart of the scalar weight functions; arithmetic is
-    identical, so saturation values match bit-for-bit.
-    """
+    """Apply a weighting rule element-wise to a vector of losses."""
     arr = as_loss_vector(losses)
     if rule.divergence is Divergence.NONE:
         return np.ones_like(arr)
     clipped = np.clip(arr, 0.0, rule.tau)
     if rule.divergence is Divergence.KL:
-        if rule.gamma_override is None:
-            return np.exp(clipped / (rule.tau + 1.0))
-        return np.exp(clipped * rule.gamma_override)
+        # divide rather than multiply by a precomputed 1/(tau+1): saturation
+        # at u >= tau must equal exp(tau/(tau+1)) bit-for-bit
+        return np.exp(clipped / (rule.tau + 1.0))
     if rule.divergence is Divergence.CHI2:
         return clipped + rule.tau
     if rule.divergence is Divergence.REVERSE_KL:
+        # minimum() repairs the 1-ulp overshoot of 1/(1 - tau/(tau+1)) at
+        # saturation; the exact value there is tau+1
         return np.minimum(1.0 / (1.0 - clipped / (rule.tau + 1.0)), rule.tau + 1.0)
     raise ValueError(f"unknown divergence {rule.divergence!r}")
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from reweightopt import experiment
 from reweightopt.cli import cli_main
 
 
@@ -140,3 +141,68 @@ def test_sweep_bad_spec_exits_2(tmp_path):
 
 def test_missing_file_exits_2():
     assert cli_main(["train", "/nonexistent/config.json"]) == 2
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"model": {"kind": "mlp", "hidden": [], "init_seed": 0},
+      "dataset": {"generator": "gaussian_mixture_classification",
+                  "params": {"num_classes": 3, "n_per_class": 10, "dim": 4,
+                             "separation": 3.0, "seed": 0}},
+      "metrics": ["accuracy"]}, "model"),
+    ({"metrics": ["accuracy"]}, "accuracy"),
+    ({"dataset": {"generator": "gaussian_mixture_classification",
+                  "params": {"num_classes": 0, "n_per_class": 10, "dim": 4,
+                             "separation": 3.0, "seed": 0}}}, "dataset"),
+])
+def test_train_unbuildable_config_exits_2(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, **overrides)
+    assert cli_main(["train", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize("record", [
+    {"losses": [0.0, 1.0], "probs": [0.5, 0.5], "divergence": "kl"},
+    {"losses": [0.0, 1.0], "probs": [0.5], "rho": 0.1, "divergence": "kl"},
+    {"losses": [0.0, 1.0], "probs": [0.5, 0.5], "rho": 0.1, "divergence": "hellinger"},
+    {"losses": "abc", "probs": [0.5, 0.5], "rho": 0.1, "divergence": "kl"},
+    [0.0, 1.0],
+])
+def test_oracle_malformed_instance_exits_2(tmp_path, capsys, record):
+    path = tmp_path / "instances.json"
+    path.write_text(json.dumps([record]))
+    assert cli_main(["oracle", "--instances", str(path)]) == 2
+    assert "config error: instance 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--trials", "1", "--n", "1"],
+    ["oracle", "--trials", "1", "--grid", "1"],
+    ["oracle", "--trials", "1", "--grid", "0"],
+    ["oracle", "--trials", "1", "--rho-max", "-1"],
+    ["oracle", "--trials", "1", "--rho-max", "nan"],
+    ["oracle", "--trials", "0"],
+    ["gradcheck", "--trials", "-5"],
+])
+def test_suite_arguments_out_of_range_exit_2(capsys, argv):
+    assert cli_main(argv) == 2
+    assert f"config error: {argv[-2]}" in capsys.readouterr().err
+
+
+def test_report_malformed_trace_exits_2(tmp_path, capsys):
+    path = tmp_path / "notes.csv"
+    path.write_text("hello,world\n1,2\n")
+    assert cli_main(["report", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_internal_error_is_not_a_config_error(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("internal invariant broken")
+
+    # a bug inside the training loop, after the config was accepted
+    monkeypatch.setattr(experiment, "rgd_step", broken)
+    cfg = write_config(tmp_path)
+    with pytest.raises(ValueError, match="internal invariant broken"):
+        cli_main(["train", str(cfg)])
+    assert "config error" not in capsys.readouterr().err

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from reweightopt import experiment
 from reweightopt.datagen import gaussian_mixture_classification, rare_feature_regression
 from reweightopt.experiment import (
     ConfigError,
@@ -94,6 +95,12 @@ class TestConfigValidation:
         cfg = toy_config()
         cfg["method"] = {"name": "focal"}
         with pytest.raises(ConfigError, match="method"):
+            validate_config(cfg)
+
+    def test_gamma_override_is_an_unknown_key(self):
+        cfg = toy_config()
+        cfg["method"]["rule"]["gamma_override"] = 0.2
+        with pytest.raises(ConfigError, match="unknown key"):
             validate_config(cfg)
 
     def test_mlp_needs_init_seed(self):
@@ -267,3 +274,138 @@ class TestTraceExport:
         trace.append(TraceRecord(0, "test", 1.0, {}, 1.0, 1.0, 1.0, 0.0))
         with pytest.raises(ValueError):
             trace.append(TraceRecord(0, "train", 1.0, {}, 1.0, 1.0, 1.0, 0.0))
+
+
+def _golden_trace():
+    trace = Trace(("accuracy", "mse"))
+    trace.append(TraceRecord(0, "train", 0.1 + 0.2, {"accuracy": 1e-300, "mse": 123456789.125},
+                             1.0, 1.5, 2.718281828459045, 0.0))
+    trace.append(TraceRecord(0, "test", 1 / 3, {"accuracy": 0.5, "mse": -0.0},
+                             0.25, 1e16, 3.0, 0.125))
+    trace.append(TraceRecord(10, "train", 2.5e-8, {"accuracy": 0.75, "mse": 7.0},
+                             1.0, 1.0, 1.0, 1.0))
+    return trace
+
+
+GOLDEN_CSV = (
+    b"step,split,objective,accuracy,mse,w_min,w_mean,w_max,w_sat_frac\r\n"
+    b"0,train,0.30000000000000004,1e-300,123456789.125,1.0,1.5,2.718281828459045,0.0\r\n"
+    b"0,test,0.3333333333333333,0.5,-0.0,0.25,1e+16,3.0,0.125\r\n"
+    b"10,train,2.5e-08,0.75,7.0,1.0,1.0,1.0,1.0\r\n"
+)
+
+
+GOLDEN_JSON = (
+    b'[\n'
+    b' {\n'
+    b'  "step": 0,\n'
+    b'  "split": "train",\n'
+    b'  "objective": 0.30000000000000004,\n'
+    b'  "accuracy": 1e-300,\n'
+    b'  "mse": 123456789.125,\n'
+    b'  "w_min": 1.0,\n'
+    b'  "w_mean": 1.5,\n'
+    b'  "w_max": 2.718281828459045,\n'
+    b'  "w_sat_frac": 0.0\n'
+    b' },\n'
+    b' {\n'
+    b'  "step": 0,\n'
+    b'  "split": "test",\n'
+    b'  "objective": 0.3333333333333333,\n'
+    b'  "accuracy": 0.5,\n'
+    b'  "mse": -0.0,\n'
+    b'  "w_min": 0.25,\n'
+    b'  "w_mean": 1e+16,\n'
+    b'  "w_max": 3.0,\n'
+    b'  "w_sat_frac": 0.125\n'
+    b' },\n'
+    b' {\n'
+    b'  "step": 10,\n'
+    b'  "split": "train",\n'
+    b'  "objective": 2.5e-08,\n'
+    b'  "accuracy": 0.75,\n'
+    b'  "mse": 7.0,\n'
+    b'  "w_min": 1.0,\n'
+    b'  "w_mean": 1.0,\n'
+    b'  "w_max": 1.0,\n'
+    b'  "w_sat_frac": 1.0\n'
+    b' }\n'
+    b']\n'
+)
+
+
+class TestTraceGoldenBytes:
+    """Exact file bytes of a hand-built trace; the trace format must not drift."""
+
+    @pytest.mark.parametrize("fmt, golden", [("csv", GOLDEN_CSV), ("json", GOLDEN_JSON)])
+    def test_export_bytes(self, tmp_path, fmt, golden):
+        path = tmp_path / f"trace.{fmt}"
+        export_trace(_golden_trace(), path)
+        assert path.read_bytes() == golden
+
+    @pytest.mark.parametrize("fmt, golden", [("csv", GOLDEN_CSV), ("json", GOLDEN_JSON)])
+    def test_parse_golden_bytes(self, tmp_path, fmt, golden):
+        path = tmp_path / f"trace.{fmt}"
+        path.write_bytes(golden)
+        assert parse_trace(path) == _golden_trace()
+
+
+class TestConfigBoundary:
+    """Input that cannot be built into objects is a ConfigError before step 1."""
+
+    def test_mlp_without_hidden_layers(self):
+        cfg = mixture_config()
+        cfg["model"] = {"kind": "mlp", "hidden": [], "init_seed": 0}
+        with pytest.raises(ConfigError, match="model"):
+            run_experiment(cfg)
+
+    def test_bad_generator_params(self):
+        cfg = mixture_config()
+        cfg["dataset"]["params"]["num_classes"] = 1
+        with pytest.raises(ConfigError, match="dataset"):
+            run_experiment(cfg)
+
+    def test_linear_model_on_classification_data(self):
+        cfg = mixture_config()
+        cfg["model"] = {"kind": "linear"}
+        with pytest.raises(ConfigError, match="regression"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("config, metric", [(toy_config, "accuracy"),
+                                                (mixture_config, "mse")])
+    def test_metric_model_kind_mismatch(self, monkeypatch, config, metric):
+        def no_training(*args):
+            raise AssertionError("the config error must come before step 1")
+
+        monkeypatch.setattr(experiment, "rgd_step", no_training)
+        cfg = config()
+        cfg["metrics"] = [metric]
+        with pytest.raises(ConfigError, match=metric):
+            run_experiment(cfg)
+
+    def test_non_numeric_hyperparameters(self):
+        cfg = mixture_config(method={"name": "term", "t_tilt": "high"})
+        with pytest.raises(ConfigError, match="t_tilt"):
+            run_experiment(cfg)
+        cfg = mixture_config()
+        cfg["train"]["box"] = 5
+        with pytest.raises(ConfigError, match="train"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("key, value", [("metrics", 5), ("metrics", [["mse"]]),
+                                            ("output", {1, 2})])
+    def test_malformed_values(self, key, value):
+        cfg = toy_config()
+        cfg[key] = value
+        with pytest.raises(ConfigError, match="config"):
+            validate_config(cfg)
+
+    def test_method_not_an_object(self):
+        cfg = toy_config()
+        cfg["method"] = ["rgd"]
+        with pytest.raises(ConfigError, match="method"):
+            validate_config(cfg)
+
+    def test_unsupported_trace_format(self, tmp_path):
+        with pytest.raises(ConfigError, match="format"):
+            export_trace(Trace(()), tmp_path / "trace.txt")

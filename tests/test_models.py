@@ -12,7 +12,6 @@ from reweightopt.models import (
     finite_diff_grad,
     forward_losses,
     logits,
-    loss_and_weighted_grad,
     param_count,
     per_sample_loss,
     predict,
@@ -196,7 +195,8 @@ class TestModelState:
     def test_two_hidden_layer_mlp_runs(self):
         model = random_state(ModelKind.MLP, 3, 2, (4, 5), seed=1)
         batch = Batch(np.random.default_rng(7).standard_normal((6, 3)), np.ones(6, dtype=int))
-        losses, grad = loss_and_weighted_grad(model, batch, np.ones(6))
+        losses = per_sample_loss(model, batch)
+        grad = weighted_grad(model, batch, np.ones(6))
         assert losses.shape == (6,) and grad.shape == model.theta.shape
 
     def test_predict_shapes(self):

@@ -15,7 +15,6 @@ from reweightopt.optim import (
     ma_exp_step,
     rgd_step,
     sgd_step,
-    term_grad,
     term_objective,
     term_step,
     term_weights,
@@ -157,6 +156,15 @@ class TestRgdStep:
                 state, _ = rgd_step(state, batch, NONE, config)
         assert err.value.step >= 1
 
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_non_finite_direction_raises_at_its_step(self, optimizer):
+        # the loss (0 - 1)^2 = 1 is finite, the gradient 2 * 1e308 * -1 is not
+        config = TrainConfig(optimizer=optimizer, rule=KL1, lr_base=0.1, steps=5, batch_size=1)
+        state = init_state(zero_state(ModelKind.LINEAR, 1), optimizer)
+        with np.errstate(over="ignore"), pytest.raises(TrainingDivergenceError) as err:
+            rgd_step(state, Batch([[1e308]], [1.0]), KL1, config)
+        assert err.value.step == 1
+
     def test_schedule_used_by_step_counter(self):
         config = TrainConfig(
             optimizer="sgd",
@@ -175,6 +183,12 @@ class TestRgdStep:
         # first step lr=1: theta = 0 - 1*(-2) = 2; second lr=1/sqrt(2)
         assert thetas[1] == 2.0
         assert thetas[2] == pytest.approx(2.0 - (1 / math.sqrt(2)) * 2.0, abs=1e-12)
+
+
+def term_direction(model, batch, t_tilt):
+    """Direction of one term_step: the gradient of the tilted objective."""
+    config = TrainConfig(optimizer="sgd", rule=NONE, steps=1)
+    return term_step(init_state(model), batch, t_tilt, config)[1].direction
 
 
 class TestTerm:
@@ -198,7 +212,7 @@ class TestTerm:
     def test_equal_losses_give_mean_gradient(self):
         model = zero_state(ModelKind.SOFTMAX, 3, 2)
         batch = Batch(np.eye(3)[:2], [0, 1])  # uniform logits -> equal losses
-        g_term = term_grad(model, batch, 2.0)
+        g_term = term_direction(model, batch, 2.0)
         g_mean = weighted_grad(model, batch, np.ones(2))
         assert np.allclose(g_term, g_mean, atol=1e-12)
 
@@ -208,7 +222,7 @@ class TestTerm:
         batch = Batch([[1.0, 0.0], [0.0, 1.0]], [0.0, 10.0])  # losses 0 and 100
         w = term_weights(per_sample_loss(model, batch), 5.0)
         assert w[1] > 0.99
-        g = term_grad(model, batch, 5.0)
+        g = term_direction(model, batch, 5.0)
         g_sample = weighted_grad(model, Batch([[0.0, 1.0]], [10.0]), [1.0])
         assert np.allclose(g, g_sample, rtol=1e-6)
 
@@ -216,7 +230,7 @@ class TestTerm:
         rng = np.random.default_rng(13)
         model = random_state(ModelKind.SOFTMAX, 3, 3, seed=4, scale=0.5)
         batch = Batch(rng.standard_normal((5, 3)), rng.integers(0, 3, 5))
-        analytic = term_grad(model, batch, 1.5)
+        analytic = term_direction(model, batch, 1.5)
 
         def objective(theta):
             return term_objective(per_sample_loss(model.with_theta(theta), batch), 1.5)

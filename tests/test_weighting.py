@@ -128,11 +128,11 @@ class TestBatchWeights:
         with pytest.raises(ValueError):
             batch_weights([], WeightingRule(Divergence.NONE))
 
-    def test_gamma_override(self):
-        rule = WeightingRule(Divergence.KL, 1.0, gamma_override=0.2)
-        assert rule.gamma == 0.2
-        assert batch_weights([5.0], rule)[0] == math.exp(0.2)
+    def test_gamma_is_tied_to_tau(self):
         assert WeightingRule(Divergence.KL, 3.0).gamma == 0.25
+        assert WeightingRule(Divergence.KL, 1.0).gamma == 0.5
+        with pytest.raises(TypeError):
+            WeightingRule(Divergence.KL, 1.0, gamma_override=0.2)
 
 
 class TestWeightedObjective:
@@ -158,8 +158,6 @@ def test_rule_validation():
         WeightingRule(Divergence.KL, 0.0)
     with pytest.raises(ValueError):
         WeightingRule(Divergence.KL, -1.0)
-    with pytest.raises(ValueError):
-        WeightingRule(Divergence.KL, 1.0, gamma_override=-0.5)
     with pytest.raises(ValueError):
         WeightingRule("not-a-divergence", 1.0)
 
