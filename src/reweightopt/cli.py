@@ -20,7 +20,9 @@ import json
 import sys
 from pathlib import Path
 
-from .experiment import ConfigError, _config_errors, export_trace, parse_trace, run_experiment
+from .experiment import (
+    ConfigError, _config_errors, export_trace, parse_trace, run_experiment, validate_config,
+)
 from .optim import TrainingDivergenceError
 from .sweep import sweep, validate_sweep_spec
 from .verify import DUALITY_TOL, GRAD_TOL, dro_suite, gradcheck_suite
@@ -37,9 +39,9 @@ def _load_json(path: str) -> dict:
 
 
 def _cmd_train(args) -> int:
-    config = _load_json(args.config)
+    config = validate_config(_load_json(args.config))
     if args.seed is not None:
-        config.setdefault("train", {})["seed"] = args.seed
+        config["train"]["seed"] = args.seed
     trace, summary = run_experiment(config)
     output = args.output or config.get("output")
     if output:
@@ -57,9 +59,9 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"sweep file: unknown key(s) {sorted(unknown)}")
     if "base" not in payload:
         raise ConfigError("sweep file: missing 'base' experiment config")
-    base = payload["base"]
+    base = validate_config(payload["base"])
     if args.seed is not None:
-        base.setdefault("train", {})["seed"] = args.seed
+        base["train"]["seed"] = args.seed
     spec = validate_sweep_spec(
         {k: payload[k] for k in ("grid", "select") if k in payload}, base
     )

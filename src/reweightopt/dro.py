@@ -21,7 +21,9 @@ independent oracle, and the dual one-dimensional minimization
 cross-checks the kl solver through strong duality.
 
 Distributions are required to be absolutely continuous w.r.t. the base:
-mass placed where p_i = 0 makes every divergence infinite.
+mass placed where p_i = 0 makes every divergence infinite.  The solvers
+and the grid oracle alike work on the base's support and put no mass on
+its zero-mass atoms, for every divergence.
 """
 
 from __future__ import annotations
@@ -169,6 +171,35 @@ def _argmax_conditional(losses, probs):
     return lmax, mass, q
 
 
+def _bracket(candidate, rho: float, x: float, factor: float, rising: bool):
+    """Scale x by ``factor`` (2 or 1/2) until D(x) = candidate(x)[1] crosses rho.
+
+    Returns (x, True) at the first such x, or (x, False) with x scaled
+    ``_MAX_BISECT`` times.  ``rising`` says whether D increases with x.
+    """
+    # growing x on a rising D, or shrinking it on a falling one, starts below rho
+    from_below = (factor > 1.0) == rising
+    for _ in range(_MAX_BISECT):
+        d = candidate(x)[1]
+        if (d >= rho) if from_below else (d <= rho):
+            return x, True
+        x *= factor
+    return x, False
+
+
+def _bisect(candidate, rho: float, lo: float, hi: float, rising: bool, geometric=False):
+    """Shrink a bracket [lo, hi] of D(x) = rho to float resolution; its midpoint."""
+    for _ in range(_MAX_BISECT):
+        x = math.sqrt(lo * hi) if geometric else 0.5 * (lo + hi)
+        if (candidate(x)[1] > rho) != rising:  # the crossing lies above x
+            lo = x
+        else:
+            hi = x
+        if hi - lo <= 4.0 * np.finfo(float).eps * hi:
+            break
+    return math.sqrt(lo * hi) if geometric else 0.5 * (lo + hi)
+
+
 def kl_dro_primal(inst: DroInstance) -> DroSolution:
     """Bisection on beta in the tilted family q ~ p * exp(l / beta).
 
@@ -195,31 +226,14 @@ def kl_dro_primal(inst: DroInstance) -> DroSolution:
         kl = float(q @ (logq - logp))
         return q, kl
 
-    # bracket: KL(beta) is decreasing; find lo with KL >= rho, hi with KL <= rho
     beta = max(float(np.ptp(l)), 1e-6)
-    lo = hi = beta
-    for _ in range(_MAX_BISECT):
-        if tilt(lo)[1] >= inst.rho:
-            break
-        lo /= 2.0
-    else:
+    lo, found = _bracket(tilt, inst.rho, beta, 0.5, rising=False)
+    if not found:
         raise RuntimeError("kl bisection failed to bracket from below")
-    for _ in range(_MAX_BISECT):
-        if tilt(hi)[1] <= inst.rho:
-            break
-        hi *= 2.0
-    else:
+    hi, found = _bracket(tilt, inst.rho, beta, 2.0, rising=False)
+    if not found:
         raise RuntimeError("kl bisection failed to bracket from above")
-
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if tilt(mid)[1] > inst.rho:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4.0 * np.finfo(float).eps * hi:
-            break
-    beta = 0.5 * (lo + hi)
+    beta = _bisect(tilt, inst.rho, lo, hi, rising=False)
     q, kl = tilt(beta)
     if abs(kl - inst.rho) > 1e-10:
         raise RuntimeError(f"kl bisection stalled at |KL - rho| = {abs(kl - inst.rho)}")
@@ -311,23 +325,10 @@ def chi2_dro_value(inst: DroInstance) -> DroSolution:
         return q, div
 
     var = float(p @ (l - p @ l) ** 2)
-    hi = math.sqrt(inst.rho / var)
-    for _ in range(_MAX_BISECT):
-        if candidate(hi)[1] >= inst.rho:
-            break
-        hi *= 2.0
-    else:
+    hi, found = _bracket(candidate, inst.rho, math.sqrt(inst.rho / var), 2.0, rising=True)
+    if not found:
         raise RuntimeError("chi2 bisection failed to bracket")
-    lo = 0.0
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if candidate(mid)[1] > inst.rho:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 4.0 * np.finfo(float).eps * hi:
-            break
-    s = 0.5 * (lo + hi)
+    s = _bisect(candidate, inst.rho, 0.0, hi, rising=True)
     q, _ = candidate(s)
     return DroSolution(float(q @ l), _full_dist(inst.n, sup, q), float(s), False)
 
@@ -358,32 +359,14 @@ def revkl_dro_value(inst: DroInstance) -> DroSolution:
         return q, div
 
     scale = float(np.ptp(l))
-    hi = scale
-    for _ in range(_MAX_BISECT):
-        if candidate(hi)[1] <= inst.rho:
-            break
-        hi *= 2.0
-    else:
+    hi, found = _bracket(candidate, inst.rho, scale, 2.0, rising=False)
+    if not found:
         raise RuntimeError("reverse-kl bisection failed to bracket from above")
-    lo = scale
-    for _ in range(_MAX_BISECT):
-        if candidate(lo)[1] >= inst.rho:
-            break
-        lo /= 2.0
-    else:
-        # rho so large that matching it needs a gap below double resolution;
-        # the slack candidate is optimal to within ~1e-150 of max(l)
-        q, _ = candidate(lo)
-        return DroSolution(float(q @ l), _full_dist(inst.n, sup, q), float(lmax + lo), False)
-    for _ in range(_MAX_BISECT):
-        mid = math.sqrt(lo * hi)
-        if candidate(mid)[1] > inst.rho:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4.0 * np.finfo(float).eps * hi:
-            break
-    delta = math.sqrt(lo * hi)
+    delta, found = _bracket(candidate, inst.rho, scale, 0.5, rising=False)
+    if found:
+        delta = _bisect(candidate, inst.rho, delta, hi, rising=False, geometric=True)
+    # else rho is so large that matching it needs a gap below double
+    # resolution; the slack candidate is optimal to within ~1e-150 of max(l)
     q, _ = candidate(delta)
     return DroSolution(float(q @ l), _full_dist(inst.n, sup, q), float(lmax + delta), False)
 
@@ -436,34 +419,25 @@ def simplex_bruteforce(inst: DroInstance, grid_points: int = 2001, return_dist: 
     if grid_points < 2:
         raise ValueError("need at least 2 grid points per edge")
     p = inst.base.probs
-    qs, log_qs, qlogq = _grid_cache(inst.n, grid_points)
-    if np.all(p > 0):
-        # sums split against the cached grid terms; a -inf from log q = 0
-        # propagates to an infinite divergence exactly where it should
-        with np.errstate(invalid="ignore"):
-            if inst.divergence is Divergence.KL:
-                div = qlogq - qs @ np.log(p)
-            elif inst.divergence is Divergence.CHI2:
-                div = (qs * qs) @ (1.0 / p) - 1.0
-            else:
-                div = float(p @ np.log(p)) - log_qs @ p
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if inst.divergence is Divergence.KL:
-                terms = np.where(qs > 0, qs * (log_qs - np.log(p)[None, :]), 0.0)
-            elif inst.divergence is Divergence.CHI2:
-                terms = np.where(
-                    p[None, :] > 0, (qs - p) ** 2 / p[None, :], np.where(qs > 0, np.inf, 0.0)
-                )
-            else:
-                terms = np.where(p[None, :] > 0, p * (np.log(p)[None, :] - log_qs), 0.0)
-        div = terms.sum(axis=1)
+    # q must vanish where p does, so the grid spans the base's support only
+    sup, l, p_sup = _support(inst)
+    qs, log_qs, qlogq = _grid_cache(sup.size, grid_points)
+    # sums split against the cached grid terms; a -inf from log q = 0
+    # propagates to an infinite divergence exactly where it should
+    with np.errstate(invalid="ignore"):
+        if inst.divergence is Divergence.KL:
+            div = qlogq - qs @ np.log(p_sup)
+        elif inst.divergence is Divergence.CHI2:
+            div = (qs * qs) @ (1.0 / p_sup) - 1.0
+        else:
+            div = float(p_sup @ np.log(p_sup)) - log_qs @ p_sup
     feasible = div <= inst.rho + 1e-12
     base_value = float(p @ inst.losses)
-    values = np.where(feasible, qs @ inst.losses, -np.inf)
+    values = np.where(feasible, qs @ l, -np.inf)
     i = int(np.argmax(values))
     if float(values[i]) >= base_value:
-        best_value, best_dist = float(values[i]), qs[i]
+        best_value, best_dist = float(values[i]), np.zeros(inst.n)
+        best_dist[sup] = qs[i]
     else:
         best_value, best_dist = base_value, p
     if return_dist:
@@ -551,14 +525,11 @@ def random_instance(
     loss_scale: float = 5.0,
     rho_max: float = 0.5,
     divergence: Divergence = Divergence.KL,
-    uniform_base: bool | None = None,
 ) -> DroInstance:
     """Seeded random instance generator shared by tests and the CLI suite."""
     n = int(rng.integers(n_range[0], n_range[1] + 1))
     losses = rng.uniform(0.0, loss_scale, size=n)
-    if uniform_base is None:
-        uniform_base = bool(rng.integers(0, 2))
-    if uniform_base:
+    if rng.integers(0, 2):  # a fair coin picks a uniform or a Dirichlet base
         base = uniform(n)
     else:
         raw = rng.dirichlet(np.ones(n))

@@ -3,8 +3,11 @@
 Three model kinds share a flat-parameter representation:
 
     linear   squared error (x.theta - y)^2, theta of length d
-    softmax  cross entropy over C classes, params [W (C,d), b (C,)]
     mlp      tanh network with one or two hidden layers, cross entropy
+    softmax  the mlp with no hidden layer, params [W (C,d), b (C,)]
+
+Softmax runs the mlp's forward and backward code, so it takes no hidden
+widths: ``ModelState`` rejects them rather than building an mlp.
 
 Gradients are hand-derived (no autodiff).  ``weighted_grad`` computes the
 weighted mean of per-sample gradients in a single forward/backward pass;
@@ -51,8 +54,6 @@ def param_count(kind: ModelKind, input_dim: int, num_classes: int, hidden: tuple
     kind = ModelKind(kind)
     if kind is ModelKind.LINEAR:
         return input_dim
-    if kind is ModelKind.SOFTMAX:
-        return num_classes * input_dim + num_classes
     total = 0
     prev = input_dim
     for h in hidden:
@@ -84,6 +85,8 @@ class ModelState:
             raise ValueError("classifiers need num_classes >= 2")
         if self.kind is ModelKind.MLP and not 1 <= len(self.hidden) <= 2:
             raise ValueError("mlp supports one or two hidden layers")
+        if self.kind is not ModelKind.MLP and self.hidden:
+            raise ValueError(f"a {self.kind.value} model has no hidden layers")
         if any(h < 1 for h in self.hidden):
             raise ValueError("hidden widths must be >= 1")
         expected = param_count(self.kind, self.input_dim, self.num_classes, self.hidden)
@@ -167,11 +170,6 @@ def _forward(model: ModelState, x: np.ndarray):
     """Return (logits_or_preds, activations) for gradient reuse."""
     if model.kind is ModelKind.LINEAR:
         return x @ model.theta, [x]
-    if model.kind is ModelKind.SOFTMAX:
-        d, c = model.input_dim, model.num_classes
-        w = model.theta[: c * d].reshape(c, d)
-        b = model.theta[c * d :]
-        return x @ w.T + b, [x]
     layers = _unpack_mlp(model)
     acts = [x]
     a = x
@@ -238,22 +236,15 @@ def backward_weighted(model: ModelState, batch: Batch, ctx, weights) -> np.ndarr
     delta[np.arange(batch.size), batch.targets] -= 1.0
     delta *= scale[:, None]
 
-    if model.kind is ModelKind.SOFTMAX:
-        gw = delta.T @ x
-        gb = delta.sum(axis=0)
-        return np.concatenate([gw.ravel(), gb])
-
     layers = _unpack_mlp(model)
     grads: list[np.ndarray] = []
     dz = delta
-    # walk output layer back to the first hidden layer
+    # walk output layer back to the first layer, collecting (b, W) pieces in
+    # reverse; one concatenate at the end keeps softmax as cheap as the mlp
     for li in range(len(layers) - 1, -1, -1):
-        w_li, _ = layers[li]
-        gw = dz.T @ acts[li]
-        gb = dz.sum(axis=0)
-        grads.append(np.concatenate([gw.ravel(), gb]))
+        grads += [dz.sum(axis=0), (dz.T @ acts[li]).ravel()]
         if li > 0:
-            dz = (dz @ w_li) * (1.0 - acts[li] ** 2)
+            dz = (dz @ layers[li][0]) * (1.0 - acts[li] ** 2)
     return np.concatenate(grads[::-1])
 
 

@@ -171,13 +171,17 @@ def _project(theta: np.ndarray, box) -> np.ndarray:
     return np.clip(theta, box[0], box[1])
 
 
+def _updated(state: OptimizerState, theta, box, t: int, m, v) -> OptimizerState:
+    """Project and store theta; a non-finite gradient or update diverges here."""
+    if not np.all(np.isfinite(theta)):
+        raise TrainingDivergenceError(t, "non-finite parameter update")
+    return OptimizerState(state.model.with_theta(_project(theta, box)), t, m, v)
+
+
 def sgd_step(state: OptimizerState, gradient, lr: float, box=None) -> OptimizerState:
     """theta <- project(theta - lr * gradient)."""
     g = np.asarray(gradient, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(g)):
-        raise TrainingDivergenceError(state.t + 1, "non-finite gradient")
-    theta = _project(state.model.theta - lr * g, box)
-    return OptimizerState(state.model.with_theta(theta), state.t + 1, state.m, state.v)
+    return _updated(state, state.model.theta - lr * g, box, state.t + 1, state.m, state.v)
 
 
 def adam_step(
@@ -191,17 +195,17 @@ def adam_step(
 ) -> OptimizerState:
     """Standard bias-corrected Adam update."""
     g = np.asarray(gradient, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(g)):
-        raise TrainingDivergenceError(state.t + 1, "non-finite gradient")
     if state.m is None or state.v is None:
         raise ValueError("adam moments not initialized; use init_state(model, 'adam')")
     t = state.t + 1
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    theta = _project(state.model.theta - lr * m_hat / (np.sqrt(v_hat) + eps), box)
-    return OptimizerState(state.model.with_theta(theta), t, m, v)
+    # inf/nan from a non-finite gradient reach theta, where _updated reports them
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = beta1 * state.m + (1.0 - beta1) * g
+        v = beta2 * state.v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        theta = state.model.theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return _updated(state, theta, box, t, m, v)
 
 
 def _base_step(state, direction, config: TrainConfig) -> OptimizerState:
@@ -225,7 +229,7 @@ def _checked_losses(state: OptimizerState, batch: Batch):
 
 def _finish_step(state, batch, ctx, losses, weights, config):
     direction = backward_weighted(state.model, batch, ctx, weights)
-    # sgd_step/adam_step reject a non-finite direction
+    # sgd_step/adam_step reject a non-finite direction or update
     new_state = _base_step(state, direction, config)
     return new_state, StepInfo(losses, weights, direction)
 

@@ -163,7 +163,7 @@ def _random_model_and_batch(kind: ModelKind, rng: np.random.Generator):
     return model, Batch(x, y)
 
 
-def gradcheck_suite(trials: int = 50, seed: int = 0, h: float = 1e-5) -> dict:
+def gradcheck_suite(trials: int = 50, seed: int = 0) -> dict:
     """Analytic weighted gradients vs central differences, per model kind."""
     rng = np.random.default_rng(seed)
     report = {"trials": trials, "max_rel_err": {}, "failures": []}
@@ -178,7 +178,7 @@ def gradcheck_suite(trials: int = 50, seed: int = 0, h: float = 1e-5) -> dict:
                 losses = per_sample_loss(model.with_theta(theta), batch)
                 return weighted_objective(losses, weights)
 
-            numeric = finite_diff_grad(objective, model.theta, h)
+            numeric = finite_diff_grad(objective, model.theta)
             denom = max(float(np.linalg.norm(numeric)), 1e-10)
             rel = float(np.linalg.norm(analytic - numeric)) / denom
             worst = max(worst, rel)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from reweightopt import experiment
@@ -137,6 +138,35 @@ def test_sweep_bad_spec_exits_2(tmp_path):
     spec_path = tmp_path / "sweep.json"
     spec_path.write_text(json.dumps({"grid": {}}))
     assert cli_main(["sweep", str(spec_path)]) == 2
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("train", [1, 2]),
+    ("sweep", {"base": [1], "select": {"metric": "accuracy"}}),
+])
+@pytest.mark.parametrize("seed", [[], ["--seed", "1"]])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, command, payload, seed):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    assert cli_main([command, str(path), *seed]) == 2
+    assert "config error: config: expected an object" in capsys.readouterr().err
+
+
+def test_sweep_marks_an_overflowing_point_failed(tmp_path, capsys):
+    # lr_base * 1.0 makes the first update overflow; lr_base * 1e-310 trains
+    base = json.loads(write_config(tmp_path).read_text())
+    base["dataset"]["split"] = {"seed": 1, "holdout_fraction": 0.2}
+    base["train"].update(lr_base=1.7e308, batch_size=1)
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({
+        "base": base,
+        "grid": {"tau": [0.25], "lr_mult": [1e-310, 1.0]},
+        "select": {"metric": "mse"},
+    }))
+    with np.errstate(over="ignore"):
+        assert cli_main(["sweep", str(spec_path)]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:3]]
+    assert [row[2] for row in rows] == ["ok", "failed"]
 
 
 def test_missing_file_exits_2():

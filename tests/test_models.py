@@ -180,6 +180,13 @@ class TestModelState:
         with pytest.raises(ValueError):
             zero_state(ModelKind.MLP, 3, 2, (4, 4, 4))
 
+    @pytest.mark.parametrize("kind", [ModelKind.SOFTMAX, ModelKind.LINEAR])
+    def test_hidden_widths_need_an_mlp(self, kind):
+        # softmax is the mlp with no hidden layer: widths would silently make it an mlp
+        n = param_count(ModelKind.MLP, 3, 2, (4,))
+        with pytest.raises(ValueError, match="no hidden layers"):
+            ModelState(kind, np.zeros(n), 3, 2, (4,))
+
     def test_theta_immutable(self):
         model = zero_state(ModelKind.LINEAR, 2)
         with pytest.raises(ValueError):

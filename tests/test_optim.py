@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from reweightopt.optim import (
     term_step,
     term_weights,
 )
-from reweightopt.models import finite_diff_grad
+from reweightopt.models import ModelState, finite_diff_grad
 from reweightopt.weighting import Divergence, WeightingRule
 
 KL1 = WeightingRule(Divergence.KL, 1.0)
@@ -82,6 +83,25 @@ class TestBaseSteps:
         state = init_state(zero_state(ModelKind.LINEAR, 1))
         with pytest.raises(TrainingDivergenceError):
             sgd_step(state, [math.nan], 0.1)
+
+    @pytest.mark.parametrize("gradient", [math.nan, math.inf])
+    def test_adam_nonfinite_gradient_rejected_quietly(self, gradient):
+        state = init_state(zero_state(ModelKind.LINEAR, 1), "adam")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergenceError) as err:
+                adam_step(state, [gradient], 0.1)
+        assert err.value.step == 1
+
+    def test_overflowing_update_diverges_at_step_1(self):
+        # finite theta and gradient, but theta - lr * step leaves the floats
+        big = ModelState(ModelKind.LINEAR, [1e308], 1)
+        with np.errstate(over="ignore"), pytest.raises(TrainingDivergenceError) as err:
+            sgd_step(init_state(big), [-2.0], 1e308)
+        assert err.value.step == 1 and "update" in str(err.value)
+        with pytest.raises(TrainingDivergenceError) as err:
+            adam_step(init_state(big, "adam"), [-2.0], 1e308)
+        assert err.value.step == 1 and "update" in str(err.value)
 
 
 class TestRgdStep:

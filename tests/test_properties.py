@@ -1,11 +1,21 @@
-"""Property tests for the reweighted step path and the weight functions."""
+"""Property tests for the reweighted step path, the weight functions and the DRO solvers."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reweightopt.dro import (
+    DiscreteDistribution,
+    DroInstance,
+    chi2_dro_value,
+    divergence_value,
+    kl_dro_primal,
+    revkl_dro_value,
+    simplex_bruteforce,
+)
 from reweightopt.models import Batch, ModelKind, per_sample_loss, random_state, weighted_grad
 from reweightopt.optim import (
     TrainConfig,
@@ -17,6 +27,8 @@ from reweightopt.optim import (
     term_step,
     term_weights,
 )
+from reweightopt.numerics import logsumexp
+from reweightopt.verify import GRID_TOL
 from reweightopt.weighting import Divergence, WeightingRule, batch_weights
 
 NONE = WeightingRule(Divergence.NONE)
@@ -119,3 +131,84 @@ def test_weights_saturate_exactly_at_tau(divergence, tau, fracs):
         assert cap == 2.0 * tau
     else:
         assert cap <= tau + 1.0 and math.isclose(cap, tau + 1.0, rel_tol=1e-12)
+
+
+# DRO solvers: the value lies between the base mean and the max loss, grows
+# with rho, meets the constraint, and (kl) never beats a dual bound.  The
+# tolerances cover the solvers' float error, scaled by the loss range.
+BOUND_TOL = 1e-12  # value vs [E_p l, max l]
+MONO_TOL = 1e-9  # value(rho1) - value(rho2) for rho1 < rho2
+FEAS_TOL = 1e-9  # D(q || p) - rho, as check_instances uses
+DUAL_TOL = 1e-9  # primal - (beta log E_p e^(l/beta) + beta rho)
+ORACLE_TOL = 1e-9  # grid value - solver value
+SOLVERS = {
+    Divergence.KL: kl_dro_primal,
+    Divergence.CHI2: chi2_dro_value,
+    Divergence.REVERSE_KL: revkl_dro_value,
+}
+rhos = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
+
+
+def _dro_case(seed, divergence, rho, n_max=8):
+    """Losses in [0, 5] (tied on integers half the time), base with zero-mass atoms."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, n_max + 1))
+    losses = rng.uniform(0.0, 5.0, n)
+    if rng.integers(0, 2):
+        losses = np.round(losses)
+    p = rng.dirichlet(np.ones(n))
+    p[rng.random(n) < 0.3] = 0.0
+    if p.sum() == 0.0:
+        p[rng.integers(0, n)] = 1.0
+    return DroInstance(losses, DiscreteDistribution(p / p.sum()), rho, divergence)
+
+
+@settings(max_examples=150, deadline=None)
+@given(divergence=st.sampled_from(REAL), seed=seeds, rho=rhos)
+def test_dro_value_bounded_and_feasible(divergence, seed, rho):
+    inst = _dro_case(seed, divergence, rho)
+    sol = SOLVERS[divergence](inst)
+    l, p = inst.losses, inst.base.probs
+    scale = 1.0 + float(l.max())
+    assert float(p @ l) - BOUND_TOL * scale <= sol.value <= float(l.max()) + BOUND_TOL * scale
+    assert divergence_value(sol.worst_dist.probs, p, divergence) <= rho + FEAS_TOL
+    assert np.all(sol.worst_dist.probs[p == 0] == 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(divergence=st.sampled_from(REAL), seed=seeds, rhos=st.lists(rhos, min_size=2, max_size=2))
+def test_dro_value_monotone_in_rho(divergence, seed, rhos):
+    small, large = (_dro_case(seed, divergence, r) for r in sorted(rhos))
+    solve = SOLVERS[divergence]
+    scale = 1.0 + float(small.losses.max())
+    assert solve(small).value <= solve(large).value + MONO_TOL * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds, rho=rhos, beta=st.floats(1e-3, 1e3))
+def test_kl_primal_below_every_dual_bound(seed, rho, beta):
+    inst = _dro_case(seed, Divergence.KL, rho)
+    l, p = inst.losses, inst.base.probs
+    on = p > 0
+    bound = beta * logsumexp(np.log(p[on]) + l[on] / beta) + beta * rho
+    assert kl_dro_primal(inst).value <= bound + DUAL_TOL * (1.0 + abs(bound))
+
+
+@settings(max_examples=100, deadline=None)
+@given(divergence=st.sampled_from(REAL), seed=seeds, rho=rhos)
+def test_grid_oracle_never_beats_the_solver(divergence, seed, rho):
+    # every grid point the oracle accepts is feasible, so it cannot exceed the
+    # exact worst case; mass on a zero-mass atom would make it infeasible
+    inst = _dro_case(seed, divergence, rho, n_max=4)
+    value, q = simplex_bruteforce(inst, 41, return_dist=True)
+    assert np.all(q.probs[inst.base.probs == 0] == 0)
+    assert value <= SOLVERS[divergence](inst).value + ORACLE_TOL * (1.0 + float(inst.losses.max()))
+
+
+@pytest.mark.parametrize("divergence", REAL)
+def test_grid_oracle_keeps_off_zero_mass_atoms(divergence):
+    # q may put no mass where p = 0, so the grid's best point is on the support
+    inst = DroInstance([0.0, 1.0, 10.0], DiscreteDistribution([0.5, 0.5, 0.0]), 0.1, divergence)
+    value, q = simplex_bruteforce(inst, 2001, return_dist=True)
+    assert q.probs[2] == 0.0
+    assert abs(value - SOLVERS[divergence](inst).value) <= GRID_TOL
