@@ -2,17 +2,13 @@
 
 Every generator is a pure function of its arguments including the seed,
 so identical calls produce identical datasets.  Datasets carry a
-metadata dict (generator name, seed, ground-truth parameters, per-class
-counts, ...) that is serialized to a JSON sidecar next to the CSV data
-file.
+JSON-serializable metadata dict (generator name, seed, ground-truth
+parameters, per-class counts, ...).
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -24,8 +20,6 @@ __all__ = [
     "subsample_long_tailed",
     "flip_labels",
     "split",
-    "save_dataset",
-    "load_dataset",
 ]
 
 
@@ -238,39 +232,3 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
         return Dataset(dataset.inputs[idx], dataset.targets[idx], meta)
 
     return make(train_idx, "train"), make(other_idx, "other")
-
-
-def save_dataset(dataset: Dataset, path) -> None:
-    """Column-oriented CSV (x0..xd-1, target) plus a .meta.json sidecar."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(dataset.dim)] + ["target"])
-        for xi, yi in zip(dataset.inputs, dataset.targets):
-            row = [repr(float(v)) for v in xi]
-            row.append(str(int(yi)) if dataset.is_classification else repr(float(yi)))
-            writer.writerow(row)
-    meta = dict(dataset.meta)
-    meta["target_kind"] = "class" if dataset.is_classification else "real"
-    with open(path.with_suffix(path.suffix + ".meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
-
-
-def load_dataset(path) -> Dataset:
-    path = Path(path)
-    with open(path.with_suffix(path.suffix + ".meta.json")) as fh:
-        meta = json.load(fh)
-    target_kind = meta.pop("target_kind", "real")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[-1] != "target":
-            raise ValueError(f"unexpected header in {path}")
-        rows = list(reader)
-    x = np.array([[float(v) for v in row[:-1]] for row in rows])
-    if target_kind == "class":
-        y = np.array([int(row[-1]) for row in rows], dtype=np.int64)
-    else:
-        y = np.array([float(row[-1]) for row in rows])
-    return Dataset(x, y, meta)

@@ -23,23 +23,12 @@ import numpy as np
 from . import datagen
 from .datagen import Dataset
 from .models import Batch, ModelKind, ModelState, per_sample_loss, predict, random_state, zero_state
-from .optim import (
-    BaselineState,
-    TrainConfig,
-    init_state,
-    ma_exp_step,
-    rgd_step,
-    term_objective,
-    term_step,
-    term_weights,
-)
-from .weighting import (
-    Divergence,
-    WeightingRule,
-    batch_weights,
-    saturation_fraction,
-    weighted_objective,
-)
+from .optim import BaselineState, Tilt, TrainConfig, init_state, rgd_step
+from .weighting import Divergence, WeightingRule
+
+# bound here only so that the benchmark's layer_targets() can trace them
+from .optim import ma_exp_step, term_step  # noqa: F401
+from .weighting import batch_weights  # noqa: F401
 
 __all__ = [
     "ConfigError",
@@ -167,6 +156,9 @@ def validate_config(config: dict) -> dict:
         raise ConfigError(f"model.kind: {exc}") from None
     if kind is ModelKind.MLP and "init_seed" not in model:
         raise ConfigError("model.init_seed: required for mlp (no implicit entropy)")
+    mlp_only = sorted(set(model) - {"kind"})
+    if kind is not ModelKind.MLP and mlp_only:
+        raise ConfigError(f"model: key(s) {mlp_only} apply to mlp only, not {kind.value}")
 
     method = cfg["method"]
     name = method.get("name") if isinstance(method, dict) else None
@@ -195,11 +187,6 @@ def validate_config(config: dict) -> dict:
         if m not in METRIC_DIRECTIONS:
             raise ConfigError(f"metrics: unknown metric {m!r}")
     return cfg
-
-
-@_config_errors("method.rule")
-def _build_rule(rule_cfg: dict) -> WeightingRule:
-    return WeightingRule(Divergence(rule_cfg["divergence"]), float(rule_cfg.get("tau", 1.0)))
 
 
 @_config_errors("dataset")
@@ -235,29 +222,37 @@ def _build_datasets(ds_cfg: dict) -> dict:
 def _build_model(model_cfg: dict, dataset: Dataset) -> ModelState:
     kind = ModelKind(model_cfg["kind"])
     num_classes = dataset.num_classes if dataset.is_classification else 1
-    if kind is ModelKind.LINEAR:
-        if dataset.is_classification:
-            raise ValueError("a linear model needs a regression dataset")
-        return zero_state(kind, dataset.dim)
-    hidden = tuple(model_cfg.get("hidden", ()))
-    if kind is ModelKind.SOFTMAX:
-        return zero_state(kind, dataset.dim, num_classes)
-    return random_state(
-        kind,
-        dataset.dim,
-        num_classes,
-        hidden,
-        seed=model_cfg["init_seed"],
-        scale=model_cfg.get("init_scale"),
-    )
+    if kind is ModelKind.MLP:
+        return random_state(
+            kind,
+            dataset.dim,
+            num_classes,
+            tuple(model_cfg.get("hidden", ())),
+            seed=model_cfg["init_seed"],
+            scale=model_cfg.get("init_scale"),
+        )
+    if kind is ModelKind.LINEAR and dataset.is_classification:
+        raise ValueError("a linear model needs a regression dataset")
+    return zero_state(kind, dataset.dim, num_classes)
+
+
+def _build_weighter(method_cfg: dict):
+    """The method's weighter (see ``optim``); the one branch on its name."""
+    name = method_cfg["name"]
+    with _config_errors({"rgd": "method.rule", "term": "method.t_tilt"}.get(name, "method")):
+        if name == "rgd":
+            rule = method_cfg["rule"]
+            return WeightingRule(Divergence(rule["divergence"]), float(rule.get("tau", 1.0)))
+        if name == "term":
+            return Tilt(float(method_cfg["t_tilt"]))
+        return BaselineState(float(method_cfg["lam"]), float(method_cfg["beta_ma"]))
 
 
 @_config_errors("train")
-def _build_train_config(train_cfg: dict, rule: WeightingRule) -> TrainConfig:
+def _build_train_config(train_cfg: dict) -> TrainConfig:
     box = train_cfg.get("box")
     return TrainConfig(
         optimizer=train_cfg["optimizer"],
-        rule=rule,
         lr_base=float(train_cfg["lr_base"]),
         schedule=train_cfg.get("schedule", "constant"),
         steps=int(train_cfg["steps"]),
@@ -323,51 +318,6 @@ def _metric_value(name: str, model: ModelState, dataset: Dataset) -> float:
     raise ConfigError(f"metrics: unknown metric {name!r}")
 
 
-class _Method:
-    """Uniform step/report interface over the three training methods."""
-
-    def __init__(self, method_cfg: dict, train_config: TrainConfig):
-        self.name = method_cfg["name"]
-        self.config = train_config
-        if self.name == "rgd":
-            self.rule = train_config.rule
-        elif self.name == "term":
-            with _config_errors("method.t_tilt"):
-                self.t_tilt = float(method_cfg["t_tilt"])
-            if self.t_tilt <= 0:
-                raise ConfigError("method.t_tilt: must be positive")
-        else:
-            with _config_errors("method"):
-                self.baseline = BaselineState(
-                    float(method_cfg["lam"]), float(method_cfg["beta_ma"])
-                )
-
-    def step(self, state, batch):
-        if self.name == "rgd":
-            state, _ = rgd_step(state, batch, self.rule, self.config)
-        elif self.name == "term":
-            state, _ = term_step(state, batch, self.t_tilt, self.config)
-        else:
-            state, self.baseline, _ = ma_exp_step(state, self.baseline, batch, self.config)
-        return state
-
-    def report(self, losses):
-        """(objective, weights, saturated fraction) for trace rows."""
-        if self.name == "rgd":
-            w = batch_weights(losses, self.rule)
-            return weighted_objective(losses, w), w, saturation_fraction(losses, self.rule)
-        if self.name == "term":
-            return term_objective(losses, self.t_tilt), term_weights(losses, self.t_tilt), 0.0
-        with np.errstate(over="ignore"):
-            e = np.exp(self.baseline.lam * np.asarray(losses))
-        z = self.baseline.z if self.baseline.z is not None else float(np.mean(e))
-        return float(np.mean(losses)), e / z, 0.0
-
-
-def _as_batch(dataset: Dataset) -> Batch:
-    return Batch(dataset.inputs, dataset.targets)
-
-
 def run_experiment(config: dict):
     """Run one experiment; returns (trace, summary).
 
@@ -377,34 +327,29 @@ def run_experiment(config: dict):
     cfg = validate_config(config)
     splits = _build_datasets(cfg["dataset"])
     train_ds = splits["train"]
-    rule = (
-        _build_rule(cfg["method"]["rule"])
-        if cfg["method"]["name"] == "rgd"
-        else WeightingRule(Divergence.NONE)
-    )
-    train_config = _build_train_config(cfg["train"], rule)
+    weighter = _build_weighter(cfg["method"])
+    train_config = _build_train_config(cfg["train"])
     model = _build_model(cfg["model"], train_ds)
-    method = _Method(cfg["method"], train_config)
 
     state = init_state(model, train_config.optimizer)
     metric_names = tuple(cfg["metrics"])
     trace = Trace(
         metric_names,
         meta={
-            "method": method.name,
+            "method": cfg["method"]["name"],
             "batching": "epoch_shuffle_without_replacement",
             "splits": {name: ds.n for name, ds in splits.items()},
         },
     )
 
-    eval_batches = {name: _as_batch(ds) for name, ds in splits.items()}
+    eval_batches = {name: Batch(ds.inputs, ds.targets) for name, ds in splits.items()}
 
     def record(step: int):
         for name in ("train", "holdout", "test"):
             if name not in splits:
                 continue
             losses = per_sample_loss(state.model, eval_batches[name])
-            objective, w, sat = method.report(losses)
+            objective, w, sat = weighter.report(losses)
             metrics = {m: _metric_value(m, state.model, splits[name]) for m in metric_names}
             trace.append(
                 TraceRecord(
@@ -425,12 +370,16 @@ def run_experiment(config: dict):
     )
     x, y = train_ds.inputs, train_ds.targets
     for step, idx in enumerate(stream, start=1):
-        state = method.step(state, Batch(x[idx], y[idx]))
+        state, info = rgd_step(state, Batch(x[idx], y[idx]), weighter, train_config)
+        weighter = info.weighter
+        # free the step's arrays now: held into the next step they shift where numpy
+        # puts the eval temporaries, which slowed the mlp-sweep benchmark by up to 20%
+        del info
         if step % cfg["eval_every"] == 0 or step == train_config.steps:
             record(step)
 
     summary = _summarize(trace, metric_names)
-    summary["method"] = method.name
+    summary["method"] = cfg["method"]["name"]
     summary["seed"] = train_config.seed
     summary["final_theta"] = state.model.theta.tolist()
     return trace, summary

@@ -167,9 +167,10 @@ def _unpack_mlp(model: ModelState):
 
 
 def _forward(model: ModelState, x: np.ndarray):
-    """Return (logits_or_preds, activations) for gradient reuse."""
+    """Return (logits_or_preds, activations, layers) for gradient reuse;
+    ``layers`` is the (W, b) views of theta, None for linear models."""
     if model.kind is ModelKind.LINEAR:
-        return x @ model.theta, [x]
+        return x @ model.theta, [x], None
     layers = _unpack_mlp(model)
     acts = [x]
     a = x
@@ -177,7 +178,7 @@ def _forward(model: ModelState, x: np.ndarray):
         a = np.tanh(a @ w.T + b)
         acts.append(a)
     w, b = layers[-1]
-    return a @ w.T + b, acts
+    return a @ w.T + b, acts, layers
 
 
 def logits(model: ModelState, inputs: np.ndarray) -> np.ndarray:
@@ -208,16 +209,16 @@ def forward_losses(model: ModelState, batch: Batch):
     """Forward pass returning (losses, ctx).
 
     ``ctx`` carries the network outputs (for classifiers the shifted
-    exponentials exp(z - max z)) and activations so a subsequent
-    ``backward_weighted`` call reuses them instead of recomputing the
-    forward pass.
+    exponentials exp(z - max z)), activations and (W, b) layer views so
+    a subsequent ``backward_weighted`` call reuses them instead of
+    recomputing the forward pass or re-slicing theta.
     """
     _check_batch(model, batch)
-    out, acts = _forward(model, batch.inputs)
+    out, acts, layers = _forward(model, batch.inputs)
     if model.kind is ModelKind.LINEAR:
-        return (out - batch.targets) ** 2, (out, acts)
+        return (out - batch.targets) ** 2, (out, acts, layers)
     losses, e = _ce_per_sample(out, batch.targets)
-    return losses, (e, acts)
+    return losses, (e, acts, layers)
 
 
 def backward_weighted(model: ModelState, batch: Batch, ctx, weights) -> np.ndarray:
@@ -226,7 +227,7 @@ def backward_weighted(model: ModelState, batch: Batch, ctx, weights) -> np.ndarr
     if w.shape[0] != batch.size:
         raise ValueError(f"{w.shape[0]} weights for batch of {batch.size}")
     scale = w / batch.size
-    out, acts = ctx  # for classifiers out is exp(z - max z)
+    out, acts, layers = ctx  # for classifiers out is exp(z - max z)
     x = batch.inputs
 
     if model.kind is ModelKind.LINEAR:
@@ -236,7 +237,6 @@ def backward_weighted(model: ModelState, batch: Batch, ctx, weights) -> np.ndarr
     delta[np.arange(batch.size), batch.targets] -= 1.0
     delta *= scale[:, None]
 
-    layers = _unpack_mlp(model)
     grads: list[np.ndarray] = []
     dz = delta
     # walk output layer back to the first layer, collecting (b, W) pieces in

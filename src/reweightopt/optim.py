@@ -1,17 +1,20 @@
-"""Optimizers: plain SGD/Adam, the reweighted step, and tilted baselines.
+"""Optimizers: plain SGD/Adam and the one reweighted step.
 
-The reweighted step computes per-sample losses, turns them into weights
-via a :class:`~reweightopt.weighting.WeightingRule`, forms the direction
+The reweighted step computes per-sample losses, asks a *weighter* for
+weights, forms the direction
 
     v = (1/B) * sum_i w_i * grad(loss_i)
 
-and feeds v to the base optimizer in place of the gradient.  With the
-``none`` rule this is bit-identical to a plain SGD/Adam step.
-
-Two comparison baselines are included: the batch tilted objective
-(softmax-normalized weights within each batch) and a moving-average
-exponential weighting that normalizes unclipped weights by a running
-estimate of their mean.
+and feeds v to the base optimizer in place of the gradient.  A weighter
+is the method's parameter object: ``step_weights(losses, t)`` returns
+the weights of step t and the weighter for the next step, and
+``report(losses)`` returns (objective, weights, saturated fraction) for
+a trace row.  The weighters are a :class:`~reweightopt.weighting.WeightingRule`
+(with the ``none`` rule the step is bit-identical to plain SGD/Adam),
+:class:`Tilt` (the batch tilted objective) and :class:`BaselineState`
+(moving-average exponential weighting, unclipped weights normalized by
+a running estimate of their mean); ``term_step`` and ``ma_exp_step`` are
+``rgd_step`` with the last two.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import numpy as np
 
 from .models import Batch, ModelState, backward_weighted, forward_losses
 from .numerics import logsumexp
-from .weighting import WeightingRule, batch_weights
+# batch_weights is bound here only for the benchmark's layer_targets()
+from .weighting import WeightingRule, batch_weights  # noqa: F401
 
 __all__ = [
     "Schedule",
@@ -32,6 +36,7 @@ __all__ = [
     "OptimizerState",
     "BaselineState",
     "StepInfo",
+    "Tilt",
     "TrainingDivergenceError",
     "lr_at",
     "init_state",
@@ -56,7 +61,7 @@ class TrainingDivergenceError(RuntimeError):
 
     def __init__(self, step: int, detail: str, sample_indices=None):
         self.step = step
-        self.sample_indices = list(sample_indices) if sample_indices is not None else []
+        self.sample_indices = [] if sample_indices is None else [int(i) for i in sample_indices]
         suffix = f" (samples {self.sample_indices})" if self.sample_indices else ""
         super().__init__(f"training diverged at step {step}: {detail}{suffix}")
 
@@ -118,10 +123,10 @@ class OptimizerState:
 
 @dataclass(frozen=True)
 class BaselineState:
-    """State for the moving-average exponential-weighting baseline.
+    """Weighter of the moving-average exponential-weighting baseline.
 
     ``z`` is the running mean of exp(lam * loss); None until the first
-    batch initializes it.
+    batch initializes it.  Trace rows divide by the z the last step left.
     """
 
     lam: float = 1.0
@@ -136,14 +141,55 @@ class BaselineState:
         if self.z is not None and self.z <= 0:
             raise ValueError("running normalizer must be positive")
 
+    def step_weights(self, losses: np.ndarray, t: int):
+        """z <- beta * z + (1 - beta) * mean(exp(lam * loss)); w = exp(lam * loss) / z."""
+        with np.errstate(over="ignore"):
+            e = np.exp(self.lam * losses)
+        if not np.all(np.isfinite(e)):
+            bad = np.flatnonzero(~np.isfinite(e))
+            raise TrainingDivergenceError(t, "exponential weight overflow", bad)
+        batch_mean = float(np.mean(e))
+        if self.z is None:
+            z = batch_mean
+        else:
+            z = self.beta_ma * self.z + (1.0 - self.beta_ma) * batch_mean
+        if z <= 0:
+            raise TrainingDivergenceError(t, f"non-positive normalizer z={z}")
+        return e / z, replace(self, z=z)
+
+    def report(self, losses):
+        with np.errstate(over="ignore"):
+            e = np.exp(self.lam * np.asarray(losses))
+        z = self.z if self.z is not None else float(np.mean(e))
+        return float(np.mean(losses)), e / z, 0.0
+
+
+@dataclass(frozen=True)
+class Tilt:
+    """Weighter of the batch tilted objective: the step applies B * p for the
+    softmax p of t * loss (the backward divides by B); rows record p."""
+
+    t_tilt: float
+
+    def __post_init__(self):
+        if self.t_tilt <= 0:
+            raise ValueError("t_tilt must be positive")
+
+    def step_weights(self, losses: np.ndarray, t: int):
+        return losses.size * term_weights(losses, self.t_tilt), self
+
+    def report(self, losses):
+        return term_objective(losses, self.t_tilt), term_weights(losses, self.t_tilt), 0.0
+
 
 @dataclass(frozen=True)
 class StepInfo:
-    """Per-step diagnostics: losses, the weights applied, the direction."""
+    """Per-step diagnostics: losses, weights applied, direction, next weighter."""
 
     losses: np.ndarray
     weights: np.ndarray
     direction: np.ndarray
+    weighter: object
 
 
 def lr_at(schedule: Schedule, lr_base: float, t: int, total_steps: int) -> float:
@@ -217,34 +263,22 @@ def _base_step(state, direction, config: TrainConfig) -> OptimizerState:
     return sgd_step(state, direction, lr, config.box)
 
 
-def _checked_losses(state: OptimizerState, batch: Batch):
+def rgd_step(state: OptimizerState, batch: Batch, weighter, config: TrainConfig):
+    """One reweighted step; returns (new_state, StepInfo).
+
+    With the ``none`` rule as weighter the applied direction is the plain
+    mean gradient, making the trajectory identical to SGD/Adam.
+    """
     # overflow here is not an accident: it is the divergence signal
     with np.errstate(over="ignore", invalid="ignore"):
         losses, ctx = forward_losses(state.model, batch)
     if not np.all(np.isfinite(losses)):
         bad = np.flatnonzero(~np.isfinite(losses))
         raise TrainingDivergenceError(state.t + 1, "non-finite loss", bad)
-    return losses, ctx
-
-
-def _finish_step(state, batch, ctx, losses, weights, config):
+    weights, weighter = weighter.step_weights(losses, state.t + 1)
     direction = backward_weighted(state.model, batch, ctx, weights)
     # sgd_step/adam_step reject a non-finite direction or update
-    new_state = _base_step(state, direction, config)
-    return new_state, StepInfo(losses, weights, direction)
-
-
-def rgd_step(
-    state: OptimizerState, batch: Batch, rule: WeightingRule, config: TrainConfig
-):
-    """One reweighted step; returns (new_state, StepInfo).
-
-    With ``rule.divergence == none`` the applied direction is the plain
-    mean gradient, making the trajectory identical to SGD/Adam.
-    """
-    losses, ctx = _checked_losses(state, batch)
-    weights = batch_weights(losses, rule)
-    return _finish_step(state, batch, ctx, losses, weights, config)
+    return _base_step(state, direction, config), StepInfo(losses, weights, direction, weighter)
 
 
 def term_objective(losses, t_tilt: float) -> float:
@@ -267,10 +301,7 @@ def term_weights(losses, t_tilt: float) -> np.ndarray:
 
 def term_step(state: OptimizerState, batch: Batch, t_tilt: float, config: TrainConfig):
     """Baseline step along the tilted-objective gradient."""
-    losses, ctx = _checked_losses(state, batch)
-    p = term_weights(losses, t_tilt)
-    # backward_weighted divides by B, so feed it B * p
-    return _finish_step(state, batch, ctx, losses, batch.size * p, config)
+    return rgd_step(state, batch, Tilt(t_tilt), config)
 
 
 def ma_exp_step(
@@ -279,25 +310,6 @@ def ma_exp_step(
     batch: Batch,
     config: TrainConfig,
 ):
-    """Moving-average exponential weighting step (unclipped comparator).
-
-    z <- beta * z + (1 - beta) * mean(exp(lam * loss)), seeded from the
-    first batch; weights are exp(lam * loss) / z with no clipping.
-    Returns (new_state, new_baseline, StepInfo).
-    """
-    losses, ctx = _checked_losses(state, batch)
-    with np.errstate(over="ignore"):
-        e = np.exp(baseline.lam * losses)
-    if not np.all(np.isfinite(e)):
-        bad = np.flatnonzero(~np.isfinite(e))
-        raise TrainingDivergenceError(state.t + 1, "exponential weight overflow", bad)
-    batch_mean = float(np.mean(e))
-    if baseline.z is None:
-        z = batch_mean
-    else:
-        z = baseline.beta_ma * baseline.z + (1.0 - baseline.beta_ma) * batch_mean
-    if z <= 0:
-        raise TrainingDivergenceError(state.t + 1, f"non-positive normalizer z={z}")
-    weights = e / z
-    new_state, info = _finish_step(state, batch, ctx, losses, weights, config)
-    return new_state, replace(baseline, z=z), info
+    """Moving-average exponential weighting step; returns (state, baseline, info)."""
+    state, info = rgd_step(state, batch, baseline, config)
+    return state, info.weighter, info

@@ -60,6 +60,14 @@ class WeightingRule:
         """Exponent scale 1/(tau+1) of the kl weight."""
         return 1.0 / (self.tau + 1.0)
 
+    # the weighter protocol of ``optim``; a rule is its own next weighter
+    def step_weights(self, losses, t: int):
+        return batch_weights(losses, self), self
+
+    def report(self, losses):
+        w = batch_weights(losses, self)
+        return weighted_objective(losses, w), w, saturation_fraction(losses, self)
+
 
 def as_loss_vector(values) -> np.ndarray:
     """Validate and convert per-sample losses to a float64 array.

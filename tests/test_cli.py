@@ -183,6 +183,13 @@ def test_missing_file_exits_2():
     ({"dataset": {"generator": "gaussian_mixture_classification",
                   "params": {"num_classes": 0, "n_per_class": 10, "dim": 4,
                              "separation": 3.0, "seed": 0}}}, "dataset"),
+    # hidden/init_seed/init_scale are mlp-only, never silently ignored
+    ({"model": {"kind": "softmax", "hidden": [32], "init_seed": 5, "init_scale": 9.0},
+      "dataset": {"generator": "gaussian_mixture_classification",
+                  "params": {"num_classes": 3, "n_per_class": 10, "dim": 4,
+                             "separation": 3.0, "seed": 0}},
+      "metrics": ["accuracy"]}, "model:"),
+    ({"model": {"kind": "linear", "hidden": [4]}}, "model:"),
 ])
 def test_train_unbuildable_config_exits_2(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **overrides)
@@ -236,3 +243,11 @@ def test_internal_error_is_not_a_config_error(tmp_path, monkeypatch, capsys):
     with pytest.raises(ValueError, match="internal invariant broken"):
         cli_main(["train", str(cfg)])
     assert "config error" not in capsys.readouterr().err
+
+
+def test_train_divergence_lists_plain_sample_indices(tmp_path, capsys):
+    cfg = write_config(tmp_path, train={"optimizer": "sgd", "lr_base": 1e200, "steps": 3,
+                                        "batch_size": 2, "seed": 0})
+    assert cli_main(["train", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "(samples [" in err and "np.int64" not in err

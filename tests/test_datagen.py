@@ -5,10 +5,8 @@ from reweightopt.datagen import (
     Dataset,
     flip_labels,
     gaussian_mixture_classification,
-    load_dataset,
     long_tailed_counts,
     rare_feature_regression,
-    save_dataset,
     split,
     subsample_long_tailed,
 )
@@ -213,28 +211,6 @@ class TestSplit:
             split(ds, 0.99, seed=22)
         with pytest.raises(ValueError):
             split(ds, 1.0, seed=22)
-
-
-class TestSerialization:
-    def test_classification_round_trip(self, tmp_path):
-        ds = gaussian_mixture_classification(3, 15, 4, 2.0, seed=23)
-        path = tmp_path / "mix.csv"
-        save_dataset(ds, path)
-        back = load_dataset(path)
-        assert np.array_equal(back.inputs, ds.inputs)
-        assert np.array_equal(back.targets, ds.targets)
-        assert back.targets.dtype == np.int64
-        assert back.meta["class_counts"] == ds.meta["class_counts"]
-
-    def test_regression_round_trip(self, tmp_path):
-        ds = rare_feature_regression(seed=24)
-        path = tmp_path / "toy.csv"
-        save_dataset(ds, path)
-        back = load_dataset(path)
-        assert np.array_equal(back.inputs, ds.inputs)
-        assert np.array_equal(back.targets, ds.targets)
-        assert back.targets.dtype == np.float64
-        assert back.meta["theta_star"] == ds.meta["theta_star"]
 
 
 def test_dataset_validation():

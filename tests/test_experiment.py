@@ -19,8 +19,25 @@ from reweightopt.experiment import (
     run_experiment,
     validate_config,
 )
-from reweightopt.models import ModelKind, ModelState, zero_state
-from reweightopt.optim import TrainingDivergenceError
+from reweightopt.datagen import split as datagen_split
+from reweightopt.models import Batch, ModelKind, ModelState, per_sample_loss, zero_state
+from reweightopt.optim import (
+    BaselineState,
+    TrainConfig,
+    TrainingDivergenceError,
+    init_state,
+    ma_exp_step,
+    rgd_step,
+    term_objective,
+    term_step,
+    term_weights,
+)
+from reweightopt.weighting import (
+    WeightingRule,
+    batch_weights,
+    saturation_fraction,
+    weighted_objective,
+)
 
 
 def toy_config(seed=0, divergence="kl", tau=0.25, steps=60, lr=4.0):
@@ -108,6 +125,22 @@ class TestConfigValidation:
         cfg["model"] = {"kind": "mlp", "hidden": [8]}
         with pytest.raises(ConfigError, match="init_seed"):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "softmax", "hidden": [32], "init_seed": 5, "init_scale": 9.0},
+        {"kind": "linear", "hidden": [4]},
+    ])
+    def test_mlp_only_keys_rejected(self, model):
+        cfg = mixture_config() if model["kind"] == "softmax" else toy_config()
+        cfg["model"] = model
+        with pytest.raises(ConfigError, match="^model: .*mlp only"):
+            validate_config(cfg)
+
+    def test_mlp_takes_all_model_keys(self):
+        cfg = mixture_config(steps=2)
+        cfg["model"] = {"kind": "mlp", "hidden": [5], "init_seed": 1, "init_scale": 0.5}
+        _, summary = run_experiment(cfg)
+        assert len(summary["final_theta"]) == 5 * 4 + 5 + 3 * 5 + 3
 
     def test_defaults_filled(self):
         cfg = toy_config()
@@ -197,6 +230,83 @@ class TestRunExperiment:
         ):
             trace, summary = run_experiment(mixture_config(method=method, steps=40))
             assert summary["final"]["train"]["accuracy"] > 0.5
+
+
+class TestTraceReport:
+    """Each trace row holds what the method reports on that split.
+
+    The run is replayed through the public step functions: rgd rows hold
+    the rule's weights, term rows the softmax p (summing to 1, while the
+    step applies B * p), ma rows exp(lam * l) / z with the z left by the
+    last step, or the split's own mean at step 0.
+    """
+
+    STEPS, EVERY = 23, 5
+
+    def _replay(self, method):
+        cfg = mixture_config(seed=4, method=method, steps=self.STEPS)
+        cfg["eval_every"] = self.EVERY
+        ds, sp, tr = cfg["dataset"], cfg["dataset"]["split"], cfg["train"]
+        rest, test = datagen_split(gaussian_mixture_classification(**ds["params"]),
+                                   1.0 - sp["test_fraction"], sp["seed"])
+        frac = sp["holdout_fraction"] / (1.0 - sp["test_fraction"])
+        train, holdout = datagen_split(rest, 1.0 - frac, sp["seed"] + 1)
+        splits = {"train": train, "holdout": holdout, "test": test}
+        state = init_state(zero_state(ModelKind.SOFTMAX, train.dim, train.num_classes))
+        rule = WeightingRule("none")
+        if method["name"] == "rgd":
+            rule = WeightingRule(method["rule"]["divergence"], method["rule"]["tau"])
+        config = TrainConfig(tr["optimizer"], rule, lr_base=tr["lr_base"], steps=self.STEPS,
+                             batch_size=tr["batch_size"], seed=tr["seed"])
+        baseline = BaselineState(method.get("lam", 1.0), method.get("beta_ma", 0.5))
+        rows = []
+
+        def record(step):
+            for name, ds in splits.items():
+                losses = per_sample_loss(state.model, Batch(ds.inputs, ds.targets))
+                if method["name"] == "rgd":
+                    w = batch_weights(losses, rule)
+                    row = (weighted_objective(losses, w), w, saturation_fraction(losses, rule))
+                elif method["name"] == "term":
+                    w = term_weights(losses, method["t_tilt"])
+                    assert math.isclose(w.sum(), 1.0)
+                    row = (term_objective(losses, method["t_tilt"]), w, 0.0)
+                else:
+                    e = np.exp(baseline.lam * losses)
+                    z = baseline.z if baseline.z is not None else float(np.mean(e))
+                    row = (float(np.mean(losses)), e / z, 0.0)
+                objective, w, sat = row
+                stats = (float(np.min(w)), float(np.mean(w)), float(np.max(w)), float(sat))
+                rows.append((step, name, float(objective), *stats))
+
+        record(0)
+        stream = minibatch_stream(train.n, config.batch_size, self.STEPS, config.seed)
+        for step, idx in enumerate(stream, start=1):
+            batch = Batch(train.inputs[idx], train.targets[idx])
+            if method["name"] == "rgd":
+                state, _ = rgd_step(state, batch, rule, config)
+            elif method["name"] == "term":
+                state, _ = term_step(state, batch, method["t_tilt"], config)
+            else:
+                state, baseline, _ = ma_exp_step(state, baseline, batch, config)
+            if step % self.EVERY == 0 or step == self.STEPS:
+                record(step)
+        return cfg, rows
+
+    @pytest.mark.parametrize("method", [
+        {"name": "rgd", "rule": {"divergence": "kl", "tau": 0.5}},
+        {"name": "term", "t_tilt": 1.5},
+        {"name": "ma", "lam": 0.8, "beta_ma": 0.3},
+    ])
+    def test_rows_equal_the_replayed_report(self, method):
+        cfg, want = self._replay(method)
+        trace, _ = run_experiment(cfg)
+        got = [(r.step, r.split, r.objective, r.w_min, r.w_mean, r.w_max, r.w_sat_frac)
+               for r in trace.records]
+        assert [(s, n) for s, n, *_ in want] == [
+            (s, n) for s in (0, 5, 10, 15, 20, 23) for n in ("train", "holdout", "test")
+        ]
+        assert got == want
 
 
 class TestMetrics:

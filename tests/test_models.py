@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
+from reweightopt import models
 from reweightopt.models import (
     Batch,
     ModelKind,
@@ -275,3 +276,40 @@ class TestClassifierContext:
         )
         _, ctx = forward_losses(model, batch)
         assert np.array_equal(backward_weighted(model, batch, ctx, w), want)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_two_hidden_direction_matches_inline_reference(self, scale):
+        rng = np.random.default_rng(15)
+        model = random_state(ModelKind.MLP, 6, 4, (5, 3), seed=15, scale=scale)
+        batch = Batch(rng.standard_normal((16, 6)), rng.integers(0, 4, 16))
+        w = rng.uniform(0.5, 2.0, 16)
+        x, y, t = batch.inputs, batch.targets, model.theta
+        w1, b1 = t[:30].reshape(5, 6), t[30:35]
+        w2, b2 = t[35:50].reshape(3, 5), t[50:53]
+        w3, b3 = t[53:65].reshape(4, 3), t[65:]
+        h1 = np.tanh(x @ w1.T + b1)
+        h2 = np.tanh(h1 @ w2.T + b2)
+        z = h2 @ w3.T + b3
+        delta = _softmax_reference(z, y, w)
+        dz2 = (delta @ w3) * (1.0 - h2**2)
+        dz1 = (dz2 @ w2) * (1.0 - h1**2)
+        want = np.concatenate([
+            (dz1.T @ x).ravel(), dz1.sum(axis=0), (dz2.T @ h1).ravel(), dz2.sum(axis=0),
+            (delta.T @ h2).ravel(), delta.sum(axis=0),
+        ])
+        assert np.array_equal(logits(model, x), z)
+        _, ctx = forward_losses(model, batch)
+        assert np.array_equal(backward_weighted(model, batch, ctx, w), want)
+
+    @pytest.mark.parametrize("hidden", [(), (7,), (5, 3)])
+    def test_theta_is_unpacked_once_per_step(self, hidden, monkeypatch):
+        calls = []
+        unpack = models._unpack_mlp
+        monkeypatch.setattr(models, "_unpack_mlp", lambda m: calls.append(m) or unpack(m))
+        kind = ModelKind.MLP if hidden else ModelKind.SOFTMAX
+        model = random_state(kind, 6, 4, hidden, seed=16)
+        rng = np.random.default_rng(16)
+        batch = Batch(rng.standard_normal((8, 6)), rng.integers(0, 4, 8))
+        _, ctx = forward_losses(model, batch)
+        backward_weighted(model, batch, ctx, np.ones(8))
+        assert len(calls) == 1

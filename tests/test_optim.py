@@ -8,6 +8,7 @@ from reweightopt.models import Batch, ModelKind, per_sample_loss, random_state, 
 from reweightopt.optim import (
     BaselineState,
     Schedule,
+    Tilt,
     TrainConfig,
     TrainingDivergenceError,
     adam_step,
@@ -21,7 +22,7 @@ from reweightopt.optim import (
     term_weights,
 )
 from reweightopt.models import ModelState, finite_diff_grad
-from reweightopt.weighting import Divergence, WeightingRule
+from reweightopt.weighting import Divergence, WeightingRule, batch_weights, weighted_objective
 
 KL1 = WeightingRule(Divergence.KL, 1.0)
 NONE = WeightingRule(Divergence.NONE)
@@ -176,6 +177,15 @@ class TestRgdStep:
                 state, _ = rgd_step(state, batch, NONE, config)
         assert err.value.step >= 1
 
+    def test_divergence_message_lists_plain_ints(self):
+        config = TrainConfig(optimizer="sgd", rule=NONE, steps=1, batch_size=2)
+        state = init_state(ModelState(ModelKind.LINEAR, [1e200], 1))
+        batch = Batch([[1.0], [1.0]], [0.0, 0.0])  # (1e200)^2 overflows
+        with pytest.raises(TrainingDivergenceError) as err:
+            rgd_step(state, batch, NONE, config)
+        assert str(err.value) == "training diverged at step 1: non-finite loss (samples [0, 1])"
+        assert [type(i) for i in err.value.sample_indices] == [int, int]
+
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     def test_non_finite_direction_raises_at_its_step(self, optimizer):
         # the loss (0 - 1)^2 = 1 is finite, the gradient 2 * 1e308 * -1 is not
@@ -265,6 +275,59 @@ class TestTerm:
         batch = Batch([[1.0, 0.0], [0.0, 1.0]], [0, 1])
         state, info = term_step(state, batch, 1.0, config)
         assert info.weights.sum() == pytest.approx(2.0, abs=1e-12)  # B * softmax
+
+
+class TestWeighters:
+    """term_step and ma_exp_step are rgd_step with a Tilt / BaselineState."""
+
+    def _case(self):
+        config = TrainConfig(optimizer="adam", lr_base=0.05, steps=3, batch_size=4)
+        model = random_state(ModelKind.MLP, 3, 3, (4,), seed=2)
+        rng = np.random.default_rng(3)
+        batch = Batch(rng.standard_normal((4, 3)), rng.integers(0, 3, 4))
+        return config, init_state(model, "adam"), batch
+
+    def test_tilt_steps_like_term_step(self):
+        config, state, batch = self._case()
+        new, info = rgd_step(state, batch, Tilt(0.7), config)
+        ref, ref_info = term_step(state, batch, 0.7, config)
+        assert np.array_equal(new.model.theta, ref.model.theta)
+        assert np.array_equal(info.weights, ref_info.weights)
+        assert info.weighter == Tilt(0.7)
+
+    def test_baseline_weighter_carries_z(self):
+        config, state, batch = self._case()
+        baseline = BaselineState(lam=0.5, beta_ma=0.3)
+        new, info = rgd_step(state, batch, baseline, config)
+        ref, ref_baseline, ref_info = ma_exp_step(state, baseline, batch, config)
+        assert np.array_equal(new.model.theta, ref.model.theta)
+        assert info.weighter == ref_baseline and ref_baseline.z is not None
+        assert ref_info.weighter == ref_baseline
+
+    def test_rule_is_its_own_next_weighter(self):
+        config, state, batch = self._case()
+        _, info = rgd_step(state, batch, KL1, config)
+        assert info.weighter is KL1
+
+    def test_reports(self):
+        losses = np.array([0.5, 2.0, 1.0])
+        objective, w, sat = KL1.report(losses)
+        assert np.array_equal(w, batch_weights(losses, KL1))
+        assert (objective, sat) == (weighted_objective(losses, w), 2 / 3)  # tau = 1
+        objective, w, sat = Tilt(2.0).report(losses)
+        assert objective == term_objective(losses, 2.0) and sat == 0.0
+        assert np.array_equal(w, term_weights(losses, 2.0))
+        # before any step the ma weights use the split's own mean
+        objective, w, sat = BaselineState(lam=1.0).report(losses)
+        assert objective == float(np.mean(losses)) and sat == 0.0
+        assert np.array_equal(w, np.exp(losses) / float(np.mean(np.exp(losses))))
+        objective, w, _ = BaselineState(lam=1.0, z=4.0).report(losses)
+        assert np.array_equal(w, np.exp(losses) / 4.0)
+
+    @pytest.mark.parametrize("t_tilt", [0.0, -1.0])
+    def test_tilt_rejects_nonpositive(self, t_tilt):
+        with pytest.raises(ValueError, match="t_tilt"):
+            Tilt(t_tilt)
 
 
 class TestMovingAverage:
