@@ -25,7 +25,7 @@ from .experiment import (
 )
 from .optim import TrainingDivergenceError
 from .sweep import sweep, validate_sweep_spec
-from .verify import DUALITY_TOL, GRAD_TOL, dro_suite, gradcheck_suite
+from .verify import DUALITY_TOL, GRAD_TOL, check_instances, dro_suite, gradcheck_suite
 
 
 def _load_json(path: str) -> dict:
@@ -89,8 +89,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.instances:
-        from .verify import check_instances
-
         records = _load_json(args.instances)
         if not isinstance(records, list):
             raise ConfigError(f"{args.instances}: expected a JSON array of instances")

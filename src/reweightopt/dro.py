@@ -286,11 +286,11 @@ def kl_dro_dual(inst: DroInstance) -> float:
 def chi2_dro_value(inst: DroInstance) -> DroSolution:
     """Affine tilting family with nonnegativity clamping.
 
-    For slope s >= 0 the candidate is q_i = p_i * max(0, 1 + s*(l_i -
-    eta(s))) with eta(s) the exact normalizer (piecewise-linear solve).
-    The divergence grows monotonically with s; bisection matches it to
-    rho.  When rho reaches (1 - mass)/mass of the argmax set, the family
-    degenerates and the conditional point mass is returned.
+    For slope s >= 0 the candidate is q_i = p_i * max(0, 1 + s*(l_i - eta(s)))
+    with eta(s) the exact normalizer: one sort, then an O(n) scan of the top-k
+    pieces as in simplex projection.  The divergence grows with s; bisection
+    matches it to rho.  When rho reaches (1 - mass)/mass of the argmax set,
+    the family degenerates and the conditional point mass is returned.
     """
     if inst.divergence is not Divergence.CHI2:
         raise ValueError("instance divergence must be chi2")
@@ -311,13 +311,11 @@ def chi2_dro_value(inst: DroInstance) -> DroSolution:
     cum_pl = np.cumsum(ps * ls)
 
     def candidate(s):
-        # eta solves sum_i p_i * max(0, 1 + s*(l_i - eta)) = 1; the support
-        # of the max() is a top-k set of losses, so solve per piece exactly
-        # and keep the piece whose solution actually normalizes
+        # eta solves sum_i p_i * max(0, 1 + s*(l_i - eta)) = 1 on a top-k set of
+        # losses; etas[k] solves it for the top k+1, and the right piece is the
+        # last k whose atom ls[k] stays active (k = 0 always does: 1/p_1 > 0)
         etas = (cum_p + s * cum_pl - 1.0) / (s * cum_p)
-        r_all = np.maximum(0.0, 1.0 + s * (l[None, :] - etas[:, None]))
-        norms = r_all @ p
-        eta = etas[int(np.argmin(np.abs(norms - 1.0)))]
+        eta = etas[np.flatnonzero(1.0 + s * (ls - etas) > 0.0)[-1]]
         r = np.maximum(0.0, 1.0 + s * (l - eta))
         q = p * r
         q /= q.sum()

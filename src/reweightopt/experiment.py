@@ -112,6 +112,14 @@ def _check_keys(section: dict, path: str, required: set, optional: set = frozens
         raise ConfigError(f"{path}: missing required key(s) {sorted(missing)}")
 
 
+def _check_numbers(section: dict, path: str, keys: tuple, types=(int, float)):
+    """Reject a present key whose JSON value (bool, string, ...) is not of ``types``."""
+    for key in keys:
+        if key in section and type(section[key]) not in types:
+            what = "an integer" if types == (int,) else "a number"
+            raise ConfigError(f"{path}.{key}: expected {what}, got {section[key]!r}")
+
+
 _GENERATOR_PARAMS = {
     "rare_feature_regression": ({"seed"}, set()),
     "gaussian_mixture_classification": (
@@ -165,10 +173,13 @@ def validate_config(config: dict) -> dict:
     if name == "rgd":
         _check_keys(method, "method", {"name", "rule"})
         _check_keys(method["rule"], "method.rule", {"divergence"}, {"tau"})
+        _check_numbers(method["rule"], "method.rule", ("tau",))
     elif name == "term":
         _check_keys(method, "method", {"name", "t_tilt"})
+        _check_numbers(method, "method", ("t_tilt",))
     elif name == "ma":
         _check_keys(method, "method", {"name", "lam", "beta_ma"})
+        _check_numbers(method, "method", ("lam", "beta_ma"))
     else:
         raise ConfigError(f"method.name: expected rgd|term|ma, got {name!r}")
 
@@ -178,9 +189,11 @@ def validate_config(config: dict) -> dict:
         {"optimizer", "lr_base", "steps", "batch_size", "seed"},
         {"schedule", "beta1", "beta2", "eps", "box"},
     )
+    _check_numbers(cfg["train"], "train", ("steps", "batch_size", "seed"), (int,))
+    _check_numbers(cfg["train"], "train", ("lr_base", "beta1", "beta2", "eps"))
 
     cfg.setdefault("eval_every", 10)
-    if not (isinstance(cfg["eval_every"], int) and cfg["eval_every"] >= 1):
+    if not (type(cfg["eval_every"]) is int and cfg["eval_every"] >= 1):
         raise ConfigError("eval_every: must be a positive integer")
     cfg.setdefault("metrics", [])
     for m in cfg["metrics"]:

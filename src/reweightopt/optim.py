@@ -69,6 +69,7 @@ class TrainingDivergenceError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     optimizer: str = "sgd"
+    # unread (rgd_step takes the weighter); kept for positional TrainConfig("sgd", rule, ...)
     rule: WeightingRule = field(default_factory=WeightingRule)
     lr_base: float = 0.1
     schedule: Schedule = Schedule.CONSTANT
@@ -160,7 +161,10 @@ class BaselineState:
     def report(self, losses):
         with np.errstate(over="ignore"):
             e = np.exp(self.lam * np.asarray(losses))
-        z = self.z if self.z is not None else float(np.mean(e))
+            z = self.z if self.z is not None else float(np.mean(e))
+        if not np.isfinite(z):  # the batch mean overflowed: the same ratios e / z, shifted
+            e = np.exp(self.lam * (np.asarray(losses) - np.max(losses)))
+            z = float(np.mean(e))
         return float(np.mean(losses)), e / z, 0.0
 
 

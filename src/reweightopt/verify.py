@@ -3,7 +3,9 @@
 Each suite runs seeded randomized checks against the independent oracles
 (strong duality, dense simplex grid, central finite differences) and
 returns a report dict with the worst observed deviations, so callers can
-print one line per check and fail on any tolerance breach.
+print one line per check and fail on any tolerance breach.  Each DRO instance
+of ``dro_suite`` or ``check_instances`` gets one certificate: D(q || p) <= rho,
+the tilting form and, for kl, the duality gap (a bound only for feasible q).
 """
 
 from __future__ import annotations
@@ -42,6 +44,31 @@ GRID_TOL = 2e-3
 GRAD_TOL = 1e-5
 
 
+def _certify(inst, where: str):
+    """Solve ``inst`` with its divergence's solver and check D(q || p) <= rho,
+    the tilting form and, for kl, strong duality; returns (solution, kl dual
+    value or None, form deviation, failures naming ``where``)."""
+    # built per call: the benchmark traces the solvers by patching these names
+    solvers = {
+        Divergence.KL: kl_dro_primal,
+        Divergence.CHI2: chi2_dro_value,
+        Divergence.REVERSE_KL: revkl_dro_value,
+    }
+    div = inst.divergence
+    sol = solvers[div](inst)
+    failures = []
+    dv = divergence_value(sol.worst_dist.probs, inst.base.probs, div)
+    if dv > inst.rho + 1e-9:
+        failures.append(f"{where}: constraint violated ({dv:.3e} > rho)")
+    form = optimal_weight_form_check(inst, sol, FORM_TOL)
+    if not form.passed:
+        failures.append(f"{where}: {div.value} form deviation {form.max_rel_dev:.3e}")
+    dual = kl_dro_dual(inst) if div is Divergence.KL else None
+    if dual is not None and abs(sol.value - dual) > DUALITY_TOL:
+        failures.append(f"{where}: duality gap {abs(sol.value - dual):.3e}")
+    return sol, dual, form.max_rel_dev, failures
+
+
 def dro_suite(
     trials: int = 200,
     n_max: int = 10,
@@ -50,7 +77,7 @@ def dro_suite(
     grid_points: int = 2001,
     check_variants: bool = True,
 ) -> dict:
-    """Duality, tilting-form, and brute-force agreement over random instances."""
+    """Certified kl solutions over random instances, grid-checked for n <= 3."""
     rng = np.random.default_rng(seed)
     # brute-force accuracy is grid-limited; 2e-3 is calibrated at 2001 points
     grid_tol = GRID_TOL * 2000.0 / (grid_points - 1)
@@ -67,18 +94,10 @@ def dro_suite(
     }
     for trial in range(trials):
         inst = random_instance(rng, (2, n_max), 5.0, rho_max, Divergence.KL)
-        primal = kl_dro_primal(inst)
-        dual = kl_dro_dual(inst)
-        gap = abs(primal.value - dual)
-        report["max_duality_gap"] = max(report["max_duality_gap"], gap)
-        if gap > DUALITY_TOL:
-            report["failures"].append(f"trial {trial}: duality gap {gap:.3e}")
-
-        form = optimal_weight_form_check(inst, primal, FORM_TOL)
-        report["max_form_dev"] = max(report["max_form_dev"], form.max_rel_dev)
-        if not form.passed:
-            report["failures"].append(f"trial {trial}: kl form deviation {form.max_rel_dev:.3e}")
-
+        primal, dual, dev, failures = _certify(inst, f"trial {trial}")
+        report["failures"] += failures
+        report["max_duality_gap"] = max(report["max_duality_gap"], abs(primal.value - dual))
+        report["max_form_dev"] = max(report["max_form_dev"], dev)
         if inst.n <= 3:
             report["grid_checked"] += 1
             brute = simplex_bruteforce(inst, grid_points)
@@ -87,61 +106,36 @@ def dro_suite(
             if err > grid_tol:
                 report["failures"].append(f"trial {trial}: grid disagreement {err:.3e}")
             if check_variants:
-                for div, solver in (
-                    (Divergence.CHI2, chi2_dro_value),
-                    (Divergence.REVERSE_KL, revkl_dro_value),
-                ):
+                for div in (Divergence.CHI2, Divergence.REVERSE_KL):
                     vinst = type(inst)(inst.losses, inst.base, inst.rho, div)
-                    sol = solver(vinst)
+                    sol, _, vdev, failures = _certify(vinst, f"trial {trial}")
+                    report["failures"] += failures
+                    report["max_variant_form_dev"] = max(report["max_variant_form_dev"], vdev)
                     verr = abs(sol.value - simplex_bruteforce(vinst, grid_points))
                     report["max_variant_grid_err"] = max(report["max_variant_grid_err"], verr)
                     if verr > grid_tol:
                         report["failures"].append(
                             f"trial {trial}: {div.value} grid disagreement {verr:.3e}"
                         )
-                    vform = optimal_weight_form_check(vinst, sol, FORM_TOL)
-                    report["max_variant_form_dev"] = max(
-                        report["max_variant_form_dev"], vform.max_rel_dev
-                    )
-                    if not vform.passed:
-                        report["failures"].append(
-                            f"trial {trial}: {div.value} form deviation {vform.max_rel_dev:.3e}"
-                        )
     report["passed"] = not report["failures"]
     return report
 
 
 def check_instances(records: list[dict]) -> dict:
-    """Solve user-supplied JSON instance records and verify the solutions.
+    """Solve user-supplied JSON instance records and certify the solutions.
 
-    For each record: run the divergence-matched solver, confirm the
-    constraint is met and the distribution matches its tilting form; kl
-    instances additionally get the strong-duality cross-check.
+    Each record is solved and checked like a ``dro_suite`` trial: the
+    constraint, the tilting form and, for kl, strong duality.
     """
     report = {"checked": 0, "results": [], "failures": []}
-    solvers = {
-        Divergence.KL: kl_dro_primal,
-        Divergence.CHI2: chi2_dro_value,
-        Divergence.REVERSE_KL: revkl_dro_value,
-    }
     for i, record in enumerate(records):
         with _config_errors(f"instance {i}"):
             inst = instance_from_json(record)
-        sol = solvers[inst.divergence](inst)
+        sol, dual, _, failures = _certify(inst, f"instance {i}")
+        report["failures"] += failures
         entry = {"index": i, "divergence": inst.divergence.value, "value": sol.value}
-        dv = divergence_value(sol.worst_dist.probs, inst.base.probs, inst.divergence)
-        if dv > inst.rho + 1e-9:
-            report["failures"].append(f"instance {i}: constraint violated ({dv:.3e} > rho)")
-        form = optimal_weight_form_check(inst, sol, FORM_TOL)
-        if not form.passed:
-            report["failures"].append(
-                f"instance {i}: form deviation {form.max_rel_dev:.3e}"
-            )
-        if inst.divergence is Divergence.KL:
-            gap = abs(sol.value - kl_dro_dual(inst))
-            entry["duality_gap"] = gap
-            if gap > DUALITY_TOL:
-                report["failures"].append(f"instance {i}: duality gap {gap:.3e}")
+        if dual is not None:
+            entry["duality_gap"] = abs(sol.value - dual)
         report["results"].append(entry)
         report["checked"] += 1
     report["passed"] = not report["failures"]

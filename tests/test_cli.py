@@ -198,6 +198,13 @@ def test_train_unbuildable_config_exits_2(tmp_path, capsys, overrides, message):
     assert err.startswith("config error:") and message in err
 
 
+def test_train_non_integer_steps_exits_2(tmp_path, capsys):
+    train = {"optimizer": "sgd", "lr_base": 4.0, "steps": 10.9, "batch_size": 255, "seed": 0}
+    cfg = write_config(tmp_path, train=train)
+    assert cli_main(["train", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: train.steps: expected an integer")
+
+
 @pytest.mark.parametrize("record", [
     {"losses": [0.0, 1.0], "probs": [0.5, 0.5], "divergence": "kl"},
     {"losses": [0.0, 1.0], "probs": [0.5], "rho": 0.1, "divergence": "kl"},

@@ -229,6 +229,16 @@ class TestBoundaries:
         assert sol.value <= 2.0
 
 
+@pytest.mark.parametrize("div", [Divergence.CHI2, Divergence.REVERSE_KL])
+def test_large_instance_is_feasible_and_tilted(div):
+    # n = 1e5: an O(n^2) piece search would need an 80 GB n x n array here
+    inst = random_instance(np.random.default_rng(7), (100_000, 100_000), 5.0, 0.5, div)
+    inst = DroInstance(inst.losses, inst.base, 0.5, div)
+    sol = SOLVERS[div](inst)
+    assert divergence_value(sol.worst_dist.probs, inst.base.probs, div) <= 0.5 + 1e-9
+    assert optimal_weight_form_check(inst, sol).passed
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         inst = make([0.0, 1.0, 3.0], [0.2, 0.3, 0.5], 0.25, Divergence.CHI2)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,37 @@ class TestConfigValidation:
         cfg["model"] = {"kind": "mlp", "hidden": [5], "init_seed": 1, "init_scale": 0.5}
         _, summary = run_experiment(cfg)
         assert len(summary["final_theta"]) == 5 * 4 + 5 + 3 * 5 + 3
+
+    @pytest.mark.parametrize("path, value", [
+        ("train.steps", 10.9), ("train.batch_size", 2.5), ("train.seed", 1.5),
+        ("train.steps", "10"), ("train.lr_base", "0.5"), ("train.steps", True),
+        ("train.seed", False), ("train.beta1", True), ("train.beta2", "0.9"),
+        ("train.eps", None), ("method.rule.tau", True), ("method.rule.tau", "1"),
+        ("method.t_tilt", True), ("method.lam", "2"), ("method.beta_ma", False),
+        ("eval_every", True), ("eval_every", 2.0),
+    ])
+    def test_numbers_are_not_coerced(self, path, value):
+        # int()/float() would turn each of these into a number silently
+        *parents, key = path.split(".")
+        term = {"name": "term", "t_tilt": 1.0}
+        ma = {"name": "ma", "lam": 1.0, "beta_ma": 0.5}
+        cfg = mixture_config(method={"t_tilt": term, "lam": ma, "beta_ma": ma}.get(key))
+        section = cfg
+        for part in parents:
+            section = section[part]
+        section[key] = value
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: "):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("method", [
+        {"name": "rgd", "rule": {"divergence": "kl", "tau": 3}},
+        {"name": "term", "t_tilt": 1},
+        {"name": "ma", "lam": 2, "beta_ma": 0.5},
+    ])
+    def test_integer_valued_numbers_accepted(self, method):
+        cfg = mixture_config(method=method)
+        cfg["train"].update(lr_base=1, beta1=0, eps=1)
+        assert validate_config(cfg)["method"] == method
 
     def test_defaults_filled(self):
         cfg = toy_config()

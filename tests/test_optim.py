@@ -324,6 +324,14 @@ class TestWeighters:
         objective, w, _ = BaselineState(lam=1.0, z=4.0).report(losses)
         assert np.array_equal(w, np.exp(losses) / 4.0)
 
+    def test_ma_report_survives_exp_overflow(self):
+        # before any step z is the split's own mean; exp(400 * 2) overflows, and the
+        # row must keep the finite ratios e / mean(e) rather than inf / inf = nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            objective, w, _ = BaselineState(400.0, 0.5).report(np.array([0.0, 2.0]))
+        assert objective == 1.0 and np.array_equal(w, [0.0, 2.0])
+
     @pytest.mark.parametrize("t_tilt", [0.0, -1.0])
     def test_tilt_rejects_nonpositive(self, t_tilt):
         with pytest.raises(ValueError, match="t_tilt"):

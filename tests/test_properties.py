@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reweightopt import dro
 from reweightopt.dro import (
     DiscreteDistribution,
     DroInstance,
@@ -212,3 +213,44 @@ def test_grid_oracle_keeps_off_zero_mass_atoms(divergence):
     value, q = simplex_bruteforce(inst, 2001, return_dist=True)
     assert q.probs[2] == 0.0
     assert abs(value - SOLVERS[divergence](inst).value) <= GRID_TOL
+
+
+def _nearest_norm_chi2(inst):
+    """The chi2 solver with the former piece rule as reference: solve every
+    top-k piece, evaluate each normalizer on all n atoms (an n x n array) and
+    keep the eta whose normalizer is nearest 1.  Returns (s, q on the support)."""
+    _, l, p = dro._support(inst)
+    order = np.argsort(l)[::-1]
+    ls, ps = l[order], p[order]
+    cum_p, cum_pl = np.cumsum(ps), np.cumsum(ps * ls)
+
+    def candidate(s):
+        etas = (cum_p + s * cum_pl - 1.0) / (s * cum_p)
+        norms = np.maximum(0.0, 1.0 + s * (l[None, :] - etas[:, None])) @ p
+        eta = etas[int(np.argmin(np.abs(norms - 1.0)))]
+        r = np.maximum(0.0, 1.0 + s * (l - eta))
+        q = p * r
+        q /= q.sum()
+        return q, float(p @ (r - 1.0) ** 2)
+
+    var = float(p @ (l - p @ l) ** 2)
+    hi, _ = dro._bracket(candidate, inst.rho, math.sqrt(inst.rho / var), 2.0, rising=True)
+    s = dro._bisect(candidate, inst.rho, 0.0, hi, rising=True)
+    return s, candidate(s)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=seeds, rho=st.floats(1e-3, 5.0))
+def test_chi2_scan_picks_the_nearest_norm_piece(seed, rho):
+    # the O(n) scan must choose, at every slope the bisection probes, the same
+    # eta as the nearest-norm rule, so both runs end on the same bits
+    inst = _dro_case(seed, Divergence.CHI2, rho, n_max=40)
+    sol = chi2_dro_value(inst)
+    assume(not sol.boundary and sol.dual_param is not None)
+    s, q_sup = _nearest_norm_chi2(inst)
+    q = np.zeros(inst.n)
+    on = inst.base.probs > 0
+    q[on] = np.maximum(q_sup, 0.0)
+    q /= q.sum()
+    assert sol.dual_param == s
+    assert np.array_equal(sol.worst_dist.probs, q)

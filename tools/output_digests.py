@@ -7,7 +7,10 @@ Each line reads ``<name> <sha256>``.  The outputs are:
   a boxed linear model (SGD, ``inv_sqrt_step``), each under rgd with the
   kl, chi2, reverse_kl and none rules, term and ma;
 - the message of one ma run that diverges;
-- the reports of ``dro_suite(40)`` and ``gradcheck_suite(5)``.
+- the reports of ``dro_suite(40)`` and ``gradcheck_suite(5)``;
+- per exact DRO solver (kl, chi2, reverse_kl), the value, dual parameter
+  and worst-case distribution bytes of seeded instances at n = 5, 50 and
+  1000, one of each size with tied losses.
 
 The script takes no flags.  To check that a change keeps these outputs
 byte-identical, run it against both trees on the same machine and diff:
@@ -26,6 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
+from reweightopt.dro import (
+    DroInstance, chi2_dro_value, kl_dro_primal, random_instance, revkl_dro_value,
+)
 from reweightopt.experiment import export_trace, run_experiment
 from reweightopt.optim import TrainingDivergenceError
 from reweightopt.verify import dro_suite, gradcheck_suite
@@ -104,6 +110,22 @@ def divergence_digest():
     raise SystemExit("the divergent ma run did not diverge")
 
 
+def solver_digests():
+    solvers = {"kl": kl_dro_primal, "chi2": chi2_dro_value, "reverse_kl": revkl_dro_value}
+    for div, solver in solvers.items():
+        rng = np.random.default_rng(11)
+        parts = []
+        for n in (5, 50, 1000):
+            for ties in (False, False, False, True):
+                inst = random_instance(rng, (n, n), 5.0, 0.5, div)
+                if ties:
+                    inst = DroInstance(np.round(inst.losses), inst.base, inst.rho, div)
+                sol = solver(inst)
+                parts.append(_canonical([sol.value, sol.dual_param]).encode())
+                parts.append(sol.worst_dist.probs.tobytes())
+        yield f"{div}-solver/n=5,50,1000", _digest(b"".join(parts))
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name, digest in run_digests(Path(tmp)):
@@ -111,6 +133,8 @@ def main() -> None:
     print("divergent-ma/message", divergence_digest())
     print("dro_suite(40)", _digest(_canonical(dro_suite(40))))
     print("gradcheck_suite(5)", _digest(_canonical(gradcheck_suite(5))))
+    for name, digest in solver_digests():
+        print(name, digest)
 
 
 if __name__ == "__main__":
