@@ -20,13 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datagen
+from . import datagen, models
 from .datagen import Dataset
-from .models import Batch, ModelKind, ModelState, per_sample_loss, predict, random_state, zero_state
+from .models import Batch, ModelKind, ModelState, predict, random_state, zero_state
 from .optim import BaselineState, Tilt, TrainConfig, init_state, rgd_step
 from .weighting import Divergence, WeightingRule
 
 # bound here only so that the benchmark's layer_targets() can trace them
+from .models import per_sample_loss  # noqa: F401
 from .optim import ma_exp_step, term_step  # noqa: F401
 from .weighting import batch_weights  # noqa: F401
 
@@ -317,12 +318,14 @@ def mse(model: ModelState, dataset: Dataset) -> float:
     return float(np.mean((pred - dataset.targets) ** 2))
 
 
-def _metric_value(name: str, model: ModelState, dataset: Dataset) -> float:
+def _metric_value(name: str, model: ModelState, dataset: Dataset, losses, predicted) -> float:
+    """A metric of one split, from its eval pass's losses and predictions."""
     if name in ("mse", "accuracy"):
         # _build_model pairs linear models with regression data only
         if (name == "mse") != (model.kind is ModelKind.LINEAR):
             raise ConfigError(f"metrics: {name} does not apply to a {model.kind.value} model")
-        return mse(model, dataset) if name == "mse" else accuracy(model, dataset)
+        # a linear model's losses are its squared prediction errors
+        return float(np.mean(losses if name == "mse" else predicted == dataset.targets))
     if name in ("rare_l2", "frequent_l2"):
         key = "rare_indices" if name == "rare_l2" else "frequent_indices"
         if "theta_star" not in dataset.meta or key not in dataset.meta:
@@ -361,9 +364,12 @@ def run_experiment(config: dict):
         for name in ("train", "holdout", "test"):
             if name not in splits:
                 continue
-            losses = per_sample_loss(state.model, eval_batches[name])
+            losses, predicted = models._eval_pass(state.model, eval_batches[name])
             objective, w, sat = weighter.report(losses)
-            metrics = {m: _metric_value(m, state.model, splits[name]) for m in metric_names}
+            metrics = {
+                m: _metric_value(m, state.model, splits[name], losses, predicted)
+                for m in metric_names
+            }
             trace.append(
                 TraceRecord(
                     step,
@@ -381,9 +387,10 @@ def run_experiment(config: dict):
     stream = minibatch_stream(
         train_ds.n, train_config.batch_size, train_config.steps, train_config.seed
     )
-    x, y = train_ds.inputs, train_ds.targets
+    # record(0) has checked the whole train split (Batch, then _eval_pass)
+    train_batch = eval_batches["train"]
     for step, idx in enumerate(stream, start=1):
-        state, info = rgd_step(state, Batch(x[idx], y[idx]), weighter, train_config)
+        state, info = rgd_step(state, models._rows(train_batch, idx), weighter, train_config)
         weighter = info.weighter
         # free the step's arrays now: held into the next step they shift where numpy
         # puts the eval temporaries, which slowed the mlp-sweep benchmark by up to 20%

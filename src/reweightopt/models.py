@@ -96,6 +96,8 @@ class ModelState:
             raise ValueError("theta contains non-finite entries")
 
     def with_theta(self, theta: np.ndarray) -> "ModelState":
+        """This model with new parameters, checked like a new ``ModelState``;
+        optimizer steps store their already scanned theta through ``_unchecked``."""
         return ModelState(self.kind, theta, self.input_dim, self.num_classes, self.hidden)
 
 
@@ -133,6 +135,23 @@ class Batch:
     @property
     def is_classification(self) -> bool:
         return self.targets.dtype == np.int64
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as they
+    are, without ``__post_init__``: for values already converted and checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _rows(batch: Batch, idx) -> Batch:
+    """``Batch(batch.inputs[idx], batch.targets[idx])`` without re-scanning
+    rows that were checked as part of ``batch``."""
+    x, y = batch.inputs[idx], batch.targets[idx]
+    x.setflags(write=False)
+    y.setflags(write=False)
+    return _unchecked(Batch, inputs=x, targets=y)
 
 
 def _check_batch(model: ModelState, batch: Batch) -> None:
@@ -189,10 +208,12 @@ def logits(model: ModelState, inputs: np.ndarray) -> np.ndarray:
 
 def predict(model: ModelState, inputs: np.ndarray) -> np.ndarray:
     """Predicted values (linear) or argmax class labels (classifiers)."""
-    out = logits(model, inputs)
-    if model.kind is ModelKind.LINEAR:
-        return out
-    return np.argmax(out, axis=1)
+    return _predicted(model, logits(model, inputs))
+
+
+def _predicted(model: ModelState, out: np.ndarray) -> np.ndarray:
+    # the argmax of the logits: exp(z - max z) can round distinct scores to ties
+    return out if model.kind is ModelKind.LINEAR else np.argmax(out, axis=1)
 
 
 def _ce_per_sample(z: np.ndarray, y: np.ndarray):
@@ -215,10 +236,23 @@ def forward_losses(model: ModelState, batch: Batch):
     """
     _check_batch(model, batch)
     out, acts, layers = _forward(model, batch.inputs)
+    losses, kept = _losses(model, out, batch.targets)
+    return losses, (kept, acts, layers)
+
+
+def _losses(model: ModelState, out: np.ndarray, targets: np.ndarray):
+    """Per-sample losses of the network output and what the backward pass
+    keeps of it: the predictions (linear) or exp(z - max z) (classifiers)."""
     if model.kind is ModelKind.LINEAR:
-        return (out - batch.targets) ** 2, (out, acts, layers)
-    losses, e = _ce_per_sample(out, batch.targets)
-    return losses, (e, acts, layers)
+        return (out - targets) ** 2, out
+    return _ce_per_sample(out, targets)
+
+
+def _eval_pass(model: ModelState, batch: Batch):
+    """``per_sample_loss`` and ``predict`` of a batch from one forward pass."""
+    _check_batch(model, batch)
+    out = _forward(model, batch.inputs)[0]
+    return _losses(model, out, batch.targets)[0], _predicted(model, out)
 
 
 def backward_weighted(model: ModelState, batch: Batch, ctx, weights) -> np.ndarray:

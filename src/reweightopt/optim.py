@@ -15,6 +15,13 @@ a trace row.  The weighters are a :class:`~reweightopt.weighting.WeightingRule`
 (moving-average exponential weighting, unclipped weights normalized by
 a running estimate of their mean); ``term_step`` and ``ma_exp_step`` are
 ``rgd_step`` with the last two.
+
+Inputs are validated where they enter: the public constructors (``ModelState``,
+``Batch``, ``TrainConfig``, the weighters) and entry points (``lr_at``,
+``sgd_step``, ``adam_step``, ``rgd_step``).  Past them a step trusts its
+inputs: it scans its losses and its new theta once each for non-finite
+entries (the divergence signals), checks the gradient's length and stores
+the new state without converting or scanning it again.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .models import Batch, ModelState, backward_weighted, forward_losses
+from .models import Batch, ModelState, _unchecked, backward_weighted, forward_losses
 from .numerics import logsumexp
 # batch_weights is bound here only for the benchmark's layer_targets()
 from .weighting import WeightingRule, batch_weights  # noqa: F401
@@ -159,13 +166,18 @@ class BaselineState:
         return e / z, replace(self, z=z)
 
     def report(self, losses):
+        losses = np.asarray(losses, dtype=np.float64)
         with np.errstate(over="ignore"):
-            e = np.exp(self.lam * np.asarray(losses))
+            e = np.exp(self.lam * losses)
             z = self.z if self.z is not None else float(np.mean(e))
         if not np.isfinite(z):  # the batch mean overflowed: the same ratios e / z, shifted
-            e = np.exp(self.lam * (np.asarray(losses) - np.max(losses)))
+            e = np.exp(self.lam * (losses - np.max(losses)))
             z = float(np.mean(e))
-        return float(np.mean(losses)), e / z, 0.0
+        w = e / z
+        over = np.isinf(e)  # exp(lam * loss) overflowed, the running z did not
+        with np.errstate(over="ignore"):
+            w[over] = np.exp(self.lam * losses[over] - math.log(z))
+        return float(np.mean(losses)), w, 0.0
 
 
 @dataclass(frozen=True)
@@ -198,7 +210,7 @@ class StepInfo:
 
 def lr_at(schedule: Schedule, lr_base: float, t: int, total_steps: int) -> float:
     """Learning rate at 1-based step t of a run with the given horizon."""
-    schedule = Schedule(schedule)
+    schedule = schedule if isinstance(schedule, Schedule) else Schedule(schedule)
     if not 1 <= t <= total_steps:
         raise ValueError(f"step {t} outside [1, {total_steps}]")
     if schedule is Schedule.CONSTANT:
@@ -218,19 +230,35 @@ def init_state(model: ModelState, optimizer: str = "sgd") -> OptimizerState:
 def _project(theta: np.ndarray, box) -> np.ndarray:
     if box is None:
         return theta
-    return np.clip(theta, box[0], box[1])
+    return theta.clip(box[0], box[1])
+
+
+def _gradient(state: OptimizerState, gradient) -> np.ndarray:
+    g = np.asarray(gradient, dtype=np.float64).reshape(-1)
+    if g.size != state.model.theta.size:
+        raise ValueError(f"gradient has {g.size} entries, theta {state.model.theta.size}")
+    return g
 
 
 def _updated(state: OptimizerState, theta, box, t: int, m, v) -> OptimizerState:
-    """Project and store theta; a non-finite gradient or update diverges here."""
-    if not np.all(np.isfinite(theta)):
+    """Project and store theta; a non-finite gradient or update diverges here.
+
+    This is the step's one scan of theta.  theta and new Adam moments are
+    fresh float64 arrays of theta's length: set read-only, stored unchecked.
+    """
+    if not np.isfinite(theta).all():
         raise TrainingDivergenceError(t, "non-finite parameter update")
-    return OptimizerState(state.model.with_theta(_project(theta, box)), t, m, v)
+    theta = _project(theta, box)
+    for arr in (theta, m, v):
+        if arr is not None:
+            arr.setflags(write=False)
+    model = _unchecked(ModelState, **{**state.model.__dict__, "theta": theta})
+    return _unchecked(OptimizerState, model=model, t=t, m=m, v=v)
 
 
 def sgd_step(state: OptimizerState, gradient, lr: float, box=None) -> OptimizerState:
     """theta <- project(theta - lr * gradient)."""
-    g = np.asarray(gradient, dtype=np.float64).reshape(-1)
+    g = _gradient(state, gradient)
     return _updated(state, state.model.theta - lr * g, box, state.t + 1, state.m, state.v)
 
 
@@ -244,7 +272,7 @@ def adam_step(
     box=None,
 ) -> OptimizerState:
     """Standard bias-corrected Adam update."""
-    g = np.asarray(gradient, dtype=np.float64).reshape(-1)
+    g = _gradient(state, gradient)
     if state.m is None or state.v is None:
         raise ValueError("adam moments not initialized; use init_state(model, 'adam')")
     t = state.t + 1
@@ -276,7 +304,7 @@ def rgd_step(state: OptimizerState, batch: Batch, weighter, config: TrainConfig)
     # overflow here is not an accident: it is the divergence signal
     with np.errstate(over="ignore", invalid="ignore"):
         losses, ctx = forward_losses(state.model, batch)
-    if not np.all(np.isfinite(losses)):
+    if not np.isfinite(losses).all():
         bad = np.flatnonzero(~np.isfinite(losses))
         raise TrainingDivergenceError(state.t + 1, "non-finite loss", bad)
     weights, weighter = weighter.step_weights(losses, state.t + 1)

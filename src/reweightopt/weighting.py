@@ -62,7 +62,8 @@ class WeightingRule:
 
     # the weighter protocol of ``optim``; a rule is its own next weighter
     def step_weights(self, losses, t: int):
-        return batch_weights(losses, self), self
+        # rgd_step has checked the losses: no as_loss_vector scan
+        return _apply(losses, self), self
 
     def report(self, losses):
         w = batch_weights(losses, self)
@@ -110,10 +111,13 @@ def weight_revkl(u: float, tau: float) -> float:
 
 def batch_weights(losses, rule: WeightingRule) -> np.ndarray:
     """Apply a weighting rule element-wise to a vector of losses."""
-    arr = as_loss_vector(losses)
+    return _apply(as_loss_vector(losses), rule)
+
+
+def _apply(arr: np.ndarray, rule: WeightingRule) -> np.ndarray:
     if rule.divergence is Divergence.NONE:
         return np.ones_like(arr)
-    clipped = np.clip(arr, 0.0, rule.tau)
+    clipped = arr.clip(0.0, rule.tau)
     if rule.divergence is Divergence.KL:
         # divide rather than multiply by a precomputed 1/(tau+1): saturation
         # at u >= tau must equal exp(tau/(tau+1)) bit-for-bit

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from reweightopt import experiment
+from reweightopt import experiment, models
 from reweightopt.datagen import gaussian_mixture_classification, rare_feature_regression
 from reweightopt.experiment import (
     ConfigError,
@@ -242,6 +242,15 @@ class TestRunExperiment:
         assert splits == {"train", "holdout", "test"}
         assert set(summary["final"]) == {"train", "holdout", "test"}
         assert "accuracy" in summary["holdout_best"]
+
+    def test_one_forward_pass_per_step_and_eval_split(self, monkeypatch):
+        # an eval split's losses and accuracy share one forward pass
+        calls = []
+        forward = models._forward
+        monkeypatch.setattr(models, "_forward", lambda *args: calls.append(1) or forward(*args))
+        trace, _ = run_experiment(mixture_config(steps=60))  # evals at 0, 25, 50, 60
+        evals = sorted({r.step for r in trace.records})
+        assert evals == [0, 25, 50, 60] and len(calls) == 60 + len(evals) * 3
 
     def test_flip_applies_to_train_only(self):
         cfg = mixture_config()

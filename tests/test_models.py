@@ -172,10 +172,14 @@ class TestModelState:
     def test_theta_length_checked(self):
         with pytest.raises(ValueError):
             ModelState(ModelKind.LINEAR, np.zeros(3), 4)
+        with pytest.raises(ValueError, match="3 entries"):
+            zero_state(ModelKind.LINEAR, 4).with_theta(np.zeros(3))
 
     def test_nonfinite_theta_rejected(self):
         with pytest.raises(ValueError):
             ModelState(ModelKind.LINEAR, np.array([1.0, math.nan]), 2)
+        with pytest.raises(ValueError, match="non-finite"):
+            zero_state(ModelKind.LINEAR, 2).with_theta(np.array([1.0, math.inf]))
 
     def test_mlp_layer_limits(self):
         with pytest.raises(ValueError):

@@ -80,6 +80,15 @@ class TestBaseSteps:
         with pytest.raises(ValueError):
             adam_step(state, [1.0], 0.1)
 
+    @pytest.mark.parametrize("box", [None, (-1.0, 1.0)])
+    @pytest.mark.parametrize("dim, gradient", [(1, [1.0, 2.0, 3.0]), (2, [1.0])])
+    def test_gradient_length_checked(self, box, dim, gradient):
+        # theta - lr * g would broadcast a gradient of the wrong length
+        for optimizer, step in (("sgd", sgd_step), ("adam", adam_step)):
+            state = init_state(zero_state(ModelKind.LINEAR, dim), optimizer)
+            with pytest.raises(ValueError):
+                step(state, gradient, 0.1, box=box)
+
     def test_nonfinite_gradient_rejected(self):
         state = init_state(zero_state(ModelKind.LINEAR, 1))
         with pytest.raises(TrainingDivergenceError):
@@ -331,6 +340,17 @@ class TestWeighters:
             warnings.simplefilter("error")
             objective, w, _ = BaselineState(400.0, 0.5).report(np.array([0.0, 2.0]))
         assert objective == 1.0 and np.array_equal(w, [0.0, 2.0])
+
+    def test_ma_report_survives_exp_overflow_against_running_z(self):
+        # after a step z is finite while exp(400 * 2) overflows: that entry is
+        # exp(800 - 600), not inf, and the finite entries keep their bits
+        z = float(np.exp(600.0))
+        losses = np.array([0.0, 1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, w, _ = BaselineState(400.0, 0.5, z=z).report(losses)
+        assert np.array_equal(w[:2], np.exp(400.0 * losses[:2]) / z)
+        assert w[2] == pytest.approx(math.exp(200.0), rel=1e-12)
 
     @pytest.mark.parametrize("t_tilt", [0.0, -1.0])
     def test_tilt_rejects_nonpositive(self, t_tilt):

@@ -6,7 +6,9 @@ Each line reads ``<name> <sha256>``.  The outputs are:
   ``run_experiment`` for a softmax (SGD), a 2-hidden-layer MLP (Adam) and
   a boxed linear model (SGD, ``inv_sqrt_step``), each under rgd with the
   kl, chi2, reverse_kl and none rules, term and ma;
-- the message of one ma run that diverges;
+- the messages of three runs that diverge: ma weights that overflow, an
+  rgd loss that overflows on some samples (the message lists them) and an
+  rgd parameter update that overflows;
 - the reports of ``dro_suite(40)`` and ``gradcheck_suite(5)``;
 - per exact DRO solver (kl, chi2, reverse_kl), the value, dual parameter
   and worst-case distribution bytes of seeded instances at n = 5, 50 and
@@ -99,15 +101,26 @@ def run_digests(tmp: Path):
             yield f"{name}/final_theta", _digest(theta.tobytes())
 
 
-def divergence_digest():
-    base = MODELS["linear"]
-    train = {k: v for k, v in base["train"].items() if k != "box"}
-    cfg = {**base, "train": {**train, "lr_base": 1e200}, "method": METHODS["ma"]}
-    try:
-        run_experiment(cfg)
-    except TrainingDivergenceError as exc:
-        return _digest(str(exc))
-    raise SystemExit("the divergent ma run did not diverge")
+# name: (model, method, lr_base), each run without a box
+DIVERGENT = {
+    "ma": ("linear", "ma", 1e200),
+    "rgd-loss": ("softmax", "rgd-kl", 1e308),  # step 2, samples [3, 8, 13]
+    "rgd-update": ("linear", "rgd-reverse_kl", 1e308),  # step 1
+}
+
+
+def divergence_digests():
+    for name, (model, method, lr_base) in DIVERGENT.items():
+        base = MODELS[model]
+        train = {k: v for k, v in base["train"].items() if k != "box"}
+        cfg = {**base, "train": {**train, "lr_base": lr_base}, "method": METHODS[method]}
+        try:
+            with np.errstate(over="ignore"):
+                run_experiment(cfg)
+        except TrainingDivergenceError as exc:
+            yield f"divergent-{name}/message", _digest(str(exc))
+        else:
+            raise SystemExit(f"the divergent {name} run did not diverge")
 
 
 def solver_digests():
@@ -130,7 +143,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name, digest in run_digests(Path(tmp)):
             print(name, digest)
-    print("divergent-ma/message", divergence_digest())
+    for name, digest in divergence_digests():
+        print(name, digest)
     print("dro_suite(40)", _digest(_canonical(dro_suite(40))))
     print("gradcheck_suite(5)", _digest(_canonical(gradcheck_suite(5))))
     for name, digest in solver_digests():
