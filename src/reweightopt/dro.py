@@ -16,9 +16,15 @@ and the solver matches the constraint D(q || p) = rho by a monotone
 one-dimensional search.  A dense simplex grid search provides the
 independent oracle, and the dual one-dimensional minimization
 
-    inf_{beta > 0}  beta * log E_p[exp(l / beta)] + beta * rho
+    inf_{beta > 0}  g(beta) = beta * log E_p[exp(l / beta)] + beta * rho
 
-cross-checks the kl solver through strong duality.
+cross-checks the kl solver through strong duality (Hu & Hong 2013).  g
+is convex with closed-form g'(beta) = log E_p[exp(l / beta)] + rho -
+E_q[l] / beta and g''(beta) = Var_q(l) / beta^3 under the tilt q above,
+so a safeguarded Newton iteration minimizes it in O(n) memory; when rho
+>= -log(mass of the argmax set), g is increasing and the dual value is
+its limit max(l) as beta -> 0.  The grid oracle scans its cached grid in
+fixed row blocks.
 
 Distributions are required to be absolutely continuous w.r.t. the base:
 mass placed where p_i = 0 makes every divergence infinite.  The solvers
@@ -56,6 +62,7 @@ __all__ = [
 ]
 
 _MAX_BISECT = 500
+_GRID_BLOCK = 2**15  # grid rows per block in simplex_bruteforce
 
 
 @dataclass(frozen=True)
@@ -241,7 +248,24 @@ def kl_dro_primal(inst: DroInstance) -> DroSolution:
 
 
 def kl_dro_dual(inst: DroInstance) -> float:
-    """Scalar dual value inf_beta beta * log E_p[exp(l/beta)] + beta * rho."""
+    """Scalar dual value inf_beta g(beta), g(beta) = beta * log E_p[exp(l/beta)] + beta * rho.
+
+    g is convex in beta.  With the tilt q ~ p * exp(l / beta), both of its
+    derivatives have a closed form:
+
+        g'(beta)  = log E_p[exp(l/beta)] + rho - E_q[l] / beta
+        g''(beta) = Var_q(l) / beta^3
+
+    and a safeguarded Newton iteration finds the root of g': a Newton step
+    that leaves the sign bracket [lo, hi] of g' is replaced by the bracket's
+    midpoint, or by doubling beta while hi is unbounded.  Every beta bounds
+    the primal from above (weak duality), so the smallest g seen is
+    returned and an early stop can only overstate the duality gap.  Work
+    and memory are O(n) per iteration.
+
+    When rho >= -log(mass of the argmax set), g' > 0 for every beta and the
+    infimum is the limit beta -> 0: max(l) over the base's support.
+    """
     if inst.divergence is not Divergence.KL:
         raise ValueError("instance divergence must be kl")
     _, l, p = _support(inst)
@@ -249,38 +273,38 @@ def kl_dro_dual(inst: DroInstance) -> float:
         return float(p @ l)
     if np.ptp(l) == 0.0:
         return float(l[0])
+    lmax, mass, _ = _argmax_conditional(l, p)
+    if inst.rho >= -math.log(mass):
+        return float(lmax)
 
-    logp = np.log(p)
-    rho = inst.rho
-
-    def g(beta):
-        return float(beta * logsumexp(logp + l / beta) + beta * rho)
-
-    # coarse log-grid, then golden-section between the bracketing neighbors
-    grid = np.logspace(-13.0, 13.0, 521)
-    vals = grid * logsumexp(logp[None, :] + l[None, :] / grid[:, None], axis=1) + grid * rho
-    i = int(np.argmin(vals))
-    best = float(vals[i])
-    x_lo = math.log(grid[max(i - 1, 0)])
-    x_hi = math.log(grid[min(i + 1, grid.size - 1)])
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = x_lo, x_hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = g(math.exp(c)), g(math.exp(d))
-    for _ in range(300):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = g(math.exp(c))
+    gaps, rho = l - lmax, inst.rho
+    beta, lo, hi = float(np.ptp(l)), 0.0, math.inf
+    best = math.inf
+    # in d = (l - max l) / beta <= 0 nothing overflows, and with lse = log E_p[e^d]
+    # g = max l + beta * (lse + rho), g' = lse + rho - E_q[d], g'' = Var_q(d) / beta
+    for _ in range(_MAX_BISECT):
+        d = gaps / beta
+        e = np.exp(d)
+        total = float(p @ e)
+        # a sum near 1 (large beta) loses its small deviation to rounding, and
+        # g multiplies that by beta; summing p * expm1(d) keeps it
+        lse = math.log(total) if total < 0.5 else math.log1p(float(p @ np.expm1(d)))
+        q = p * e / total
+        mean = float(q @ d)
+        var = float(q @ (d - mean) ** 2)
+        slope = lse + rho - mean
+        best = min(best, float(lmax + beta * (lse + rho)))
+        if slope > 0.0:
+            hi = beta
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = g(math.exp(d))
-        if b - a < 1e-14:
+            lo = beta
+        step = beta * (1.0 - slope / var) if var > 0.0 else math.nan
+        if not lo < step < hi:  # also a nan step
+            step = 2.0 * beta if hi == math.inf else 0.5 * (lo + hi)
+        if abs(step - beta) <= 1e-15 * beta:
             break
-    return min(best, fc, fd)
+        beta = step
+    return best
 
 
 def chi2_dro_value(inst: DroInstance) -> DroSolution:
@@ -420,22 +444,29 @@ def simplex_bruteforce(inst: DroInstance, grid_points: int = 2001, return_dist: 
     # q must vanish where p does, so the grid spans the base's support only
     sup, l, p_sup = _support(inst)
     qs, log_qs, qlogq = _grid_cache(sup.size, grid_points)
-    # sums split against the cached grid terms; a -inf from log q = 0
-    # propagates to an infinite divergence exactly where it should
-    with np.errstate(invalid="ignore"):
-        if inst.divergence is Divergence.KL:
-            div = qlogq - qs @ np.log(p_sup)
-        elif inst.divergence is Divergence.CHI2:
-            div = (qs * qs) @ (1.0 / p_sup) - 1.0
-        else:
-            div = float(p_sup @ np.log(p_sup)) - log_qs @ p_sup
-    feasible = div <= inst.rho + 1e-12
+    # row blocks keep the temporaries in cache; the strict > keeps the first
+    # maximum across blocks, as one argmax over all rows would
+    best, best_i = -np.inf, 0
+    for start in range(0, qs.shape[0], _GRID_BLOCK):
+        rows = slice(start, start + _GRID_BLOCK)
+        q = qs[rows]
+        # sums split against the cached grid terms; a -inf from log q = 0
+        # propagates to an infinite divergence exactly where it should
+        with np.errstate(invalid="ignore"):
+            if inst.divergence is Divergence.KL:
+                div = qlogq[rows] - q @ np.log(p_sup)
+            elif inst.divergence is Divergence.CHI2:
+                div = (q * q) @ (1.0 / p_sup) - 1.0
+            else:
+                div = float(p_sup @ np.log(p_sup)) - log_qs[rows] @ p_sup
+        values = np.where(div <= inst.rho + 1e-12, q @ l, -np.inf)
+        i = int(np.argmax(values))
+        if values[i] > best:
+            best, best_i = float(values[i]), start + i
     base_value = float(p @ inst.losses)
-    values = np.where(feasible, qs @ l, -np.inf)
-    i = int(np.argmax(values))
-    if float(values[i]) >= base_value:
-        best_value, best_dist = float(values[i]), np.zeros(inst.n)
-        best_dist[sup] = qs[i]
+    if best >= base_value:
+        best_value, best_dist = best, np.zeros(inst.n)
+        best_dist[sup] = qs[best_i]
     else:
         best_value, best_dist = base_value, p
     if return_dist:

@@ -301,16 +301,17 @@ def rgd_step(state: OptimizerState, batch: Batch, weighter, config: TrainConfig)
     With the ``none`` rule as weighter the applied direction is the plain
     mean gradient, making the trajectory identical to SGD/Adam.
     """
-    # overflow here is not an accident: it is the divergence signal
+    # overflow here is not an accident: it is the divergence signal, which
+    # the loss check below and _updated report as TrainingDivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
         losses, ctx = forward_losses(state.model, batch)
-    if not np.isfinite(losses).all():
-        bad = np.flatnonzero(~np.isfinite(losses))
-        raise TrainingDivergenceError(state.t + 1, "non-finite loss", bad)
-    weights, weighter = weighter.step_weights(losses, state.t + 1)
-    direction = backward_weighted(state.model, batch, ctx, weights)
-    # sgd_step/adam_step reject a non-finite direction or update
-    return _base_step(state, direction, config), StepInfo(losses, weights, direction, weighter)
+        if not np.isfinite(losses).all():
+            bad = np.flatnonzero(~np.isfinite(losses))
+            raise TrainingDivergenceError(state.t + 1, "non-finite loss", bad)
+        weights, weighter = weighter.step_weights(losses, state.t + 1)
+        direction = backward_weighted(state.model, batch, ctx, weights)
+        state = _base_step(state, direction, config)
+    return state, StepInfo(losses, weights, direction, weighter)
 
 
 def term_objective(losses, t_tilt: float) -> float:

@@ -229,14 +229,17 @@ class TestBoundaries:
         assert sol.value <= 2.0
 
 
-@pytest.mark.parametrize("div", [Divergence.CHI2, Divergence.REVERSE_KL])
+@pytest.mark.parametrize("div", [Divergence.KL, Divergence.CHI2, Divergence.REVERSE_KL])
 def test_large_instance_is_feasible_and_tilted(div):
-    # n = 1e5: an O(n^2) piece search would need an 80 GB n x n array here
+    # n = 1e5: solvers and the kl dual must stay O(n) in memory; an n x n
+    # piece search would need 80 GB here
     inst = random_instance(np.random.default_rng(7), (100_000, 100_000), 5.0, 0.5, div)
     inst = DroInstance(inst.losses, inst.base, 0.5, div)
     sol = SOLVERS[div](inst)
     assert divergence_value(sol.worst_dist.probs, inst.base.probs, div) <= 0.5 + 1e-9
     assert optimal_weight_form_check(inst, sol).passed
+    if div is Divergence.KL:
+        assert abs(sol.value - kl_dro_dual(inst)) <= 1e-8
 
 
 class TestSerialization:

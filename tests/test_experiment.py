@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,15 @@ class TestRunExperiment:
         with pytest.raises(TrainingDivergenceError) as err:
             run_experiment(cfg)
         assert 1 <= err.value.step <= 10
+
+    def test_overflowing_sgd_update_diverges_without_a_warning(self):
+        # theta - lr * g overflows at step 1: the error reports it, numpy stays quiet
+        cfg = toy_config(seed=2, divergence="reverse_kl", tau=2.0, lr=1e308, steps=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergenceError, match="parameter update") as err:
+                run_experiment(cfg)
+        assert err.value.step == 1
 
     def test_term_and_ma_methods_run(self):
         for method in (

@@ -13,6 +13,7 @@ from reweightopt.dro import (
     DroInstance,
     chi2_dro_value,
     divergence_value,
+    kl_dro_dual,
     kl_dro_primal,
     revkl_dro_value,
     simplex_bruteforce,
@@ -254,3 +255,120 @@ def test_chi2_scan_picks_the_nearest_norm_piece(seed, rho):
     q /= q.sum()
     assert sol.dual_param == s
     assert np.array_equal(sol.worst_dist.probs, q)
+
+
+def _kl_feasible_value(inst):
+    """E_q[l] of a q inside the kl ball, built from kl_dro_primal's beta.
+
+    This lower bound on the worst case is what the dual must not undercut.
+    The tilt q ~ p * exp(d), d = (l - max l) / beta, is evaluated as
+    max l + beta * E_q[d], which keeps its value to a few ulps where the
+    solver's log q = log p + l / beta - logsumexp loses about 1e-12 at
+    small beta.  The solver meets rho only to 1e-10, so q may lie just
+    outside the ball; KL is convex, so the mixture (1 - t) p + t q with
+    t = min(1, rho / KL(q || p)) lies inside it.
+    """
+    sol = kl_dro_primal(inst)
+    if sol.dual_param is None:  # the mean at rho = 0 or max l at the boundary: exact
+        return sol.value
+    _, l, p = dro._support(inst)
+    d = (l - l.max()) / sol.dual_param
+    w = p * np.exp(d)
+    total = w.sum()
+    # near 1 the sum of p * expm1(d) keeps the digits that 1 + ... would lose
+    log_mean_exp = math.log(total) if total < 0.5 else math.log1p(p @ np.expm1(d))
+    mean_d = (w @ d) / total
+    kl = mean_d - log_mean_exp
+    t = min(1.0, inst.rho / kl) if kl > 0.0 else 1.0
+    mean = float(p @ l)
+    return mean + t * (float(l.max() + sol.dual_param * mean_d) - mean)
+
+
+def _check_kl_dual(inst):
+    dual = kl_dro_dual(inst)
+    assert dual >= _kl_feasible_value(inst) - 1e-12  # weak duality
+    assert abs(dual - kl_dro_primal(inst).value) <= 1e-8
+    _, l, p = dro._support(inst)
+    if inst.rho >= -math.log(p[l == l.max()].sum()):
+        assert dual == l.max()
+
+
+# below about 1e-6 kl_dro_primal's own value drifts (1e-8 off at rho = 1e-15)
+# and below about 1e-16 it fails to bracket; the small-radius test covers there
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds, rho=st.floats(1e-6, 3.0))
+def test_kl_dual_matches_the_primal(seed, rho):
+    _check_kl_dual(_dro_case(seed, Divergence.KL, rho))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds, offset=st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(-0.5, 1.0)))
+def test_kl_dual_near_the_boundary(seed, offset):
+    # rho around -log(mass of the argmax set), where the dual's beta -> 0;
+    # tied maxima and zero-mass atoms come from _dro_case
+    inst = _dro_case(seed, Divergence.KL, 1.0)
+    _, l, p = dro._support(inst)
+    rho = -math.log(p[l == l.max()].sum()) + offset
+    assume(1e-6 <= rho <= 3.0)
+    _check_kl_dual(DroInstance(inst.losses, inst.base, rho, Divergence.KL))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds, rho=st.floats(0.0, 1e-6, exclude_min=True))
+def test_kl_dual_at_small_radius(seed, rho):
+    # p is feasible, and Hoeffding's lemma with Donsker-Varadhan bounds the
+    # worst case by E_p[l] + ptp(l) * sqrt(rho / 2)
+    inst = _dro_case(seed, Divergence.KL, rho)
+    _, l, p = dro._support(inst)
+    dual = kl_dro_dual(inst)
+    assert float(p @ l) - 1e-12 <= dual <= float(p @ l) + np.ptp(l) * math.sqrt(rho / 2.0) + 1e-12
+
+
+def _single_pass_grid(inst, grid_points):
+    """simplex_bruteforce's body as one pass over all grid rows, the reference
+    for the blocked loop: (value, distribution)."""
+    p = inst.base.probs
+    sup, l, p_sup = dro._support(inst)
+    qs, log_qs, qlogq = dro._grid_cache(sup.size, grid_points)
+    with np.errstate(invalid="ignore"):
+        if inst.divergence is Divergence.KL:
+            div = qlogq - qs @ np.log(p_sup)
+        elif inst.divergence is Divergence.CHI2:
+            div = (qs * qs) @ (1.0 / p_sup) - 1.0
+        else:
+            div = float(p_sup @ np.log(p_sup)) - log_qs @ p_sup
+    values = np.where(div <= inst.rho + 1e-12, qs @ l, -np.inf)
+    i = int(np.argmax(values))
+    if float(values[i]) < float(p @ inst.losses):
+        return float(p @ inst.losses), p
+    q = np.zeros(inst.n)
+    q[sup] = qs[i]
+    return float(values[i]), q
+
+
+# grid points per edge that keep the grid of n atoms under about 2e5 rows
+_GRID_POINTS_MAX = {1: 2, 2: 200_000, 3: 600, 4: 100}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    divergence=st.sampled_from(REAL),
+    seed=seeds,
+    rho=rhos,
+    ties=st.booleans(),
+    data=st.data(),
+)
+def test_blocked_grid_matches_one_pass(divergence, seed, rho, ties, data):
+    # row counts below one block, at it and past it (not a multiple); tied
+    # integer losses put equal maxima in different blocks, where the first
+    # one must win as it does in one argmax
+    inst = _dro_case(seed, divergence, rho, n_max=4)
+    if ties:
+        losses = np.minimum(np.round(inst.losses), 2.0)
+        inst = DroInstance(losses, inst.base, rho, divergence)
+    support = int(np.count_nonzero(inst.base.probs))
+    grid_points = data.draw(st.integers(2, _GRID_POINTS_MAX[support]), label="grid_points")
+    value, q = simplex_bruteforce(inst, grid_points, return_dist=True)
+    want_value, want_q = _single_pass_grid(inst, grid_points)
+    assert value == want_value
+    assert q.probs.tobytes() == np.asarray(want_q, dtype=np.float64).tobytes()

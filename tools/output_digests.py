@@ -12,7 +12,8 @@ Each line reads ``<name> <sha256>``.  The outputs are:
 - the reports of ``dro_suite(40)`` and ``gradcheck_suite(5)``;
 - per exact DRO solver (kl, chi2, reverse_kl), the value, dual parameter
   and worst-case distribution bytes of seeded instances at n = 5, 50 and
-  1000, one of each size with tied losses.
+  1000, one of each size with tied losses, and the ``kl_dro_dual`` values
+  of the kl instances.
 
 The script takes no flags.  To check that a change keeps these outputs
 byte-identical, run it against both trees on the same machine and diff:
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from reweightopt.dro import (
-    DroInstance, chi2_dro_value, kl_dro_primal, random_instance, revkl_dro_value,
+    DroInstance, chi2_dro_value, kl_dro_dual, kl_dro_primal, random_instance, revkl_dro_value,
 )
 from reweightopt.experiment import export_trace, run_experiment
 from reweightopt.optim import TrainingDivergenceError
@@ -115,28 +116,33 @@ def divergence_digests():
         train = {k: v for k, v in base["train"].items() if k != "box"}
         cfg = {**base, "train": {**train, "lr_base": lr_base}, "method": METHODS[method]}
         try:
-            with np.errstate(over="ignore"):
-                run_experiment(cfg)
+            run_experiment(cfg)
         except TrainingDivergenceError as exc:
             yield f"divergent-{name}/message", _digest(str(exc))
         else:
             raise SystemExit(f"the divergent {name} run did not diverge")
 
 
+def _solver_instances(div):
+    """Seeded instances at n = 5, 50 and 1000, the last of each size with tied losses."""
+    rng = np.random.default_rng(11)
+    for n in (5, 50, 1000):
+        for ties in (False, False, False, True):
+            inst = random_instance(rng, (n, n), 5.0, 0.5, div)
+            yield DroInstance(np.round(inst.losses), inst.base, inst.rho, div) if ties else inst
+
+
 def solver_digests():
     solvers = {"kl": kl_dro_primal, "chi2": chi2_dro_value, "reverse_kl": revkl_dro_value}
     for div, solver in solvers.items():
-        rng = np.random.default_rng(11)
         parts = []
-        for n in (5, 50, 1000):
-            for ties in (False, False, False, True):
-                inst = random_instance(rng, (n, n), 5.0, 0.5, div)
-                if ties:
-                    inst = DroInstance(np.round(inst.losses), inst.base, inst.rho, div)
-                sol = solver(inst)
-                parts.append(_canonical([sol.value, sol.dual_param]).encode())
-                parts.append(sol.worst_dist.probs.tobytes())
+        for inst in _solver_instances(div):
+            sol = solver(inst)
+            parts.append(_canonical([sol.value, sol.dual_param]).encode())
+            parts.append(sol.worst_dist.probs.tobytes())
         yield f"{div}-solver/n=5,50,1000", _digest(b"".join(parts))
+    duals = [kl_dro_dual(inst) for inst in _solver_instances("kl")]
+    yield "kl-dual/n=5,50,1000", _digest(_canonical(duals))
 
 
 def main() -> None:
