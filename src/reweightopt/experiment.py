@@ -334,6 +334,46 @@ def _metric_value(name: str, model: ModelState, dataset: Dataset, losses, predic
     raise ConfigError(f"metrics: unknown metric {name!r}")
 
 
+_SPLITS = ("train", "holdout", "test")  # the order of a trace's rows per eval step
+
+
+@dataclass(frozen=True)
+class _Built:
+    """What ``_build`` makes of a config, shared read-only by every run
+    ``_train`` makes from it: the splits, their eval batches and the
+    initial optimizer state, plus the step-0 eval pass (losses,
+    predictions) of each split.  The batches and passes are in trace order."""
+
+    splits: dict
+    eval_batches: dict
+    state: OptimizerState
+    step0: dict
+
+
+def _build(cfg: dict) -> _Built:
+    """Build a validated config's data, initial state and step-0 eval pass.
+
+    The result depends on neither ``method`` nor ``train.lr_base``, so
+    one build serves every config that differs from ``cfg`` only there.
+    """
+    splits = _build_datasets(cfg["dataset"])
+    # built (and dropped) here so that a config with several faults reports
+    # the first in the order dataset, method, train, model; _train builds its own
+    _build_weighter(cfg["method"])
+    _build_train_config(cfg["train"])
+    model = _build_model(cfg["model"], splits["train"])
+    eval_batches = {
+        name: Batch(splits[name].inputs, splits[name].targets) for name in _SPLITS if name in splits
+    }
+    step0 = {}
+    for name, batch in eval_batches.items():
+        step0[name] = models._eval_pass(model, batch)
+        for arr in step0[name]:
+            arr.setflags(write=False)
+    # init_state stores theta and the Adam moments read-only
+    return _Built(splits, eval_batches, init_state(model, cfg["train"]["optimizer"]), step0)
+
+
 def run_experiment(config: dict):
     """Run one experiment; returns (trace, summary).
 
@@ -341,33 +381,32 @@ def run_experiment(config: dict):
     offending step index.
     """
     cfg = validate_config(config)
-    splits = _build_datasets(cfg["dataset"])
-    train_ds = splits["train"]
+    return _train(cfg, _build(cfg))
+
+
+def _train(cfg: dict, built: _Built):
+    """Train a validated config from ``built``, which ``_build`` made from a
+    config differing from ``cfg`` at most in ``method`` and ``train.lr_base``;
+    returns (trace, summary) as ``run_experiment`` does."""
     weighter = _build_weighter(cfg["method"])
     train_config = _build_train_config(cfg["train"])
-    model = _build_model(cfg["model"], train_ds)
-
-    state = init_state(model, train_config.optimizer)
+    state = built.state
     metric_names = tuple(cfg["metrics"])
     trace = Trace(
         metric_names,
         meta={
             "method": cfg["method"]["name"],
             "batching": "epoch_shuffle_without_replacement",
-            "splits": {name: ds.n for name, ds in splits.items()},
+            "splits": {name: ds.n for name, ds in built.splits.items()},
         },
     )
 
-    eval_batches = {name: Batch(ds.inputs, ds.targets) for name, ds in splits.items()}
-
-    def record(step: int):
-        for name in ("train", "holdout", "test"):
-            if name not in splits:
-                continue
-            losses, predicted = models._eval_pass(state.model, eval_batches[name])
+    def record(step: int, passes):
+        """Append the rows of one eval step; ``passes`` yields (split, (losses, predicted))."""
+        for name, (losses, predicted) in passes:
             objective, w, sat = weighter.report(losses)
             metrics = {
-                m: _metric_value(m, state.model, splits[name], losses, predicted)
+                m: _metric_value(m, state.model, built.splits[name], losses, predicted)
                 for m in metric_names
             }
             trace.append(
@@ -383,12 +422,13 @@ def run_experiment(config: dict):
                 )
             )
 
-    record(0)
+    record(0, built.step0.items())
+    train_ds = built.splits["train"]
     stream = minibatch_stream(
         train_ds.n, train_config.batch_size, train_config.steps, train_config.seed
     )
-    # record(0) has checked the whole train split (Batch, then _eval_pass)
-    train_batch = eval_batches["train"]
+    # _build has checked the whole train split (Batch, then _eval_pass)
+    train_batch = built.eval_batches["train"]
     for step, idx in enumerate(stream, start=1):
         state, info = rgd_step(state, models._rows(train_batch, idx), weighter, train_config)
         weighter = info.weighter
@@ -396,7 +436,10 @@ def run_experiment(config: dict):
         # puts the eval temporaries, which slowed the mlp-sweep benchmark by up to 20%
         del info
         if step % cfg["eval_every"] == 0 or step == train_config.steps:
-            record(step)
+            record(step, (
+                (name, models._eval_pass(state.model, batch))
+                for name, batch in built.eval_batches.items()
+            ))
 
     summary = _summarize(trace, metric_names)
     summary["method"] = cfg["method"]["name"]
@@ -407,7 +450,7 @@ def run_experiment(config: dict):
 
 def _summarize(trace: Trace, metric_names) -> dict:
     summary = {"final": {}, "holdout_best": {}}
-    for split in ("train", "holdout", "test"):
+    for split in _SPLITS:
         rows = trace.rows(split)
         if not rows:
             continue

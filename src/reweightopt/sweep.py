@@ -7,15 +7,23 @@ learning-rate multiplier.  Grid points run independently (a diverging
 point is recorded, not fatal) and selection breaks ties toward the
 lexicographically smallest hyperparameter tuple, so re-running a sweep
 reproduces the same choice.
+
+No axis changes the data or the initial model, so a sweep builds the
+datasets, the initial state and the step-0 eval pass once and trains
+every point from them; each point's results equal its own
+``run_experiment``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
-from .experiment import METRIC_DIRECTIONS, ConfigError, run_experiment, validate_config
+from .experiment import METRIC_DIRECTIONS, ConfigError, _build, _train, validate_config
+# bound here only for the benchmark, which reads and patches sweep.run_experiment
+from .experiment import run_experiment  # noqa: F401
 from .optim import TrainingDivergenceError
 
 __all__ = ["SweepSpec", "GridResult", "sweep", "validate_sweep_spec"]
@@ -46,6 +54,11 @@ class SweepSpec:
     def __post_init__(self):
         if not self.axes or any(len(v) == 0 for v in self.axes.values()):
             raise ConfigError("sweep grid must be nonempty on every axis")
+        for name, values in self.axes.items():
+            # bools are ints to Python but not numbers to JSON; nan has no sort order
+            bad = [v for v in values if type(v) not in (int, float) or not math.isfinite(v)]
+            if bad:
+                raise ConfigError(f"sweep.grid.{name}: expected finite numbers, got {bad[0]!r}")
         if self.select_metric not in METRIC_DIRECTIONS:
             raise ConfigError(f"unknown selection metric {self.select_metric!r}")
 
@@ -72,6 +85,9 @@ def validate_sweep_spec(spec: dict, base_config: dict) -> SweepSpec:
     bad = set(grid_cfg) - set(axis_names)
     if bad:
         raise ConfigError(f"sweep.grid: axes {sorted(bad)} not valid for method {method!r}")
+    for name, values in grid_cfg.items():
+        if not isinstance(values, list):
+            raise ConfigError(f"sweep.grid.{name}: expected a list of numbers, got {values!r}")
     axes = {name: list(grid_cfg.get(name, _DEFAULT_GRIDS[name])) for name in axis_names}
     select = spec.get("select", {})
     unknown = set(select) - {"metric", "split"}
@@ -106,13 +122,15 @@ def sweep(spec: SweepSpec, base_config: dict):
             f"selection metric {spec.select_metric!r} missing from config metrics"
         )
     axis_names = tuple(spec.axes.keys())
+    points = list(itertools.product(*(sorted(spec.axes[a]) for a in axis_names)))
+    configs = [validate_config(_apply_point(base, axis_names, p)) for p in points]
+    built = _build(configs[0])  # the points differ in method and train.lr_base only
     sign = METRIC_DIRECTIONS[spec.select_metric]
     results: list[GridResult] = []
     best = None  # (sign * value, params, config)
-    for point in itertools.product(*(sorted(spec.axes[a]) for a in axis_names)):
-        cfg = _apply_point(base, axis_names, point)
+    for point, cfg in zip(points, configs):
         try:
-            _, summary = run_experiment(cfg)
+            _, summary = _train(cfg, built)
         except TrainingDivergenceError as exc:
             results.append(GridResult(point, "failed", None, str(exc)))
             continue

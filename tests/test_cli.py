@@ -140,6 +140,19 @@ def test_sweep_bad_spec_exits_2(tmp_path):
     assert cli_main(["sweep", str(spec_path)]) == 2
 
 
+@pytest.mark.parametrize("lr_mult", [["2"], [True], ["a", 1.0]])
+def test_sweep_non_numeric_grid_value_exits_2(tmp_path, capsys, lr_mult):
+    base = json.loads(write_config(tmp_path).read_text())
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({
+        "base": base, "grid": {"lr_mult": lr_mult}, "select": {"metric": "mse"},
+    }))
+    assert cli_main(["sweep", str(spec_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: sweep.grid.lr_mult: ")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command, payload", [
     ("train", [1, 2]),
     ("sweep", {"base": [1], "select": {"metric": "accuracy"}}),

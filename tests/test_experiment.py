@@ -253,6 +253,18 @@ class TestRunExperiment:
         evals = sorted({r.step for r in trace.records})
         assert evals == [0, 25, 50, 60] and len(calls) == 60 + len(evals) * 3
 
+    def test_build_is_read_only(self):
+        # every point of a sweep trains from one build, so nothing may write to it
+        cfg = mixture_config()
+        cfg["model"] = {"kind": "mlp", "hidden": [5], "init_seed": 1}
+        cfg["train"]["optimizer"] = "adam"
+        built = experiment._build(validate_config(cfg))
+        assert list(built.eval_batches) == list(built.step0) == ["train", "holdout", "test"]
+        arrays = [built.state.model.theta, built.state.m, built.state.v]
+        arrays += [arr for passed in built.step0.values() for arr in passed]
+        arrays += [ds.inputs for ds in built.splits.values()]
+        assert not any(arr.flags.writeable for arr in arrays)
+
     def test_flip_applies_to_train_only(self):
         cfg = mixture_config()
         cfg["dataset"]["flip_train"] = {"fraction": 0.5, "seed": 9}
@@ -530,6 +542,13 @@ class TestConfigBoundary:
         cfg = mixture_config()
         cfg["model"] = {"kind": "linear"}
         with pytest.raises(ConfigError, match="regression"):
+            run_experiment(cfg)
+
+    def test_method_fault_reported_before_model_fault(self):
+        # the order is dataset, method, train, model, as one build after another
+        cfg = mixture_config(method={"name": "rgd", "rule": {"divergence": "hellinger"}})
+        cfg["model"] = {"kind": "linear"}
+        with pytest.raises(ConfigError, match=r"^method\.rule: "):
             run_experiment(cfg)
 
     @pytest.mark.parametrize("config, metric", [(toy_config, "accuracy"),

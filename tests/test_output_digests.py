@@ -22,5 +22,5 @@ def test_digests_repeat_exactly():
     assert first == second
     lines = first.splitlines()
     names = [line.split()[0] for line in lines]
-    assert len(lines) == 3 * 6 * 4 + 9 and len(set(names)) == len(names)
+    assert len(lines) == 3 * 6 * 4 + 12 and len(set(names)) == len(names)
     assert all(len(line.split()[1]) == 64 for line in lines)

@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
-from reweightopt.experiment import ConfigError
+from reweightopt import datagen
+from reweightopt.experiment import ConfigError, run_experiment
+from reweightopt.optim import TrainingDivergenceError
 from reweightopt.sweep import GridResult, SweepSpec, sweep, validate_sweep_spec
 
 
@@ -29,10 +33,8 @@ def test_single_point_grid_selected():
     assert best["method"]["rule"]["tau"] == 3.0
 
 
-def test_divergent_point_survives_sweep():
-    # squared losses overflow under an absurd learning rate; the sweep
-    # must log the failure and still select the survivor
-    cfg = {
+def divergent_config():
+    return {
         "dataset": {
             "generator": "rare_feature_regression",
             "params": {"seed": 0},
@@ -45,8 +47,13 @@ def test_divergent_point_survives_sweep():
         "metrics": ["mse"],
         "eval_every": 20,
     }
+
+
+def test_divergent_point_survives_sweep():
+    # squared losses overflow under an absurd learning rate; the sweep
+    # must log the failure and still select the survivor
     spec = SweepSpec({"tau": [0.25], "lr_mult": [1.0, 1e200]}, "mse")
-    best, results = sweep(spec, cfg)
+    best, results = sweep(spec, divergent_config())
     statuses = {r.params: r.status for r in results}
     assert statuses[(0.25, 1.0)] == "ok"
     assert statuses[(0.25, 1e200)] == "failed"
@@ -139,3 +146,69 @@ def test_term_axes():
     best, results = sweep(spec, cfg)
     assert len(results) == 2
     assert best["method"]["t_tilt"] in (0.5, 1.0)
+
+
+def point_config(base, params):
+    """The config of one grid point, built without the sweep module."""
+    cfg = json.loads(json.dumps(base))
+    method = cfg["method"]
+    if method["name"] == "rgd":
+        method["rule"]["tau"], lr_mult = params
+    else:
+        method["t_tilt"], lr_mult = params
+    cfg["train"]["lr_base"] *= lr_mult
+    return cfg
+
+
+def term_config():
+    cfg = base_config()
+    cfg["method"] = {"name": "term", "t_tilt": 1.0}
+    cfg["dataset"]["split"]["test_fraction"] = 0.2
+    return cfg
+
+
+@pytest.mark.parametrize("base, axes, metric", [
+    (divergent_config(), {"tau": [0.5, 0.25], "lr_mult": [1.0, 1e200, 0.5]}, "mse"),
+    (term_config(), {"t_tilt": [0.5, 2.0], "lr_mult": [1.0, 1.5]}, "accuracy"),
+])
+def test_each_point_equals_its_own_run(base, axes, metric):
+    _, results = sweep(SweepSpec(axes, metric), base)
+    assert len(results) == np.prod([len(v) for v in axes.values()])
+    statuses = set()
+    for r in results:
+        statuses.add(r.status)
+        try:
+            _, summary = run_experiment(point_config(base, r.params))
+        except TrainingDivergenceError as exc:
+            assert r.status == "failed" and r.summary is None and r.detail == str(exc)
+        else:
+            assert r.status == "ok" and r.metric == summary["final"]["holdout"][metric]
+            assert json.dumps(r.summary) == json.dumps(summary)
+    assert statuses == ({"ok", "failed"} if metric == "mse" else {"ok"})
+
+
+def test_sweep_builds_its_datasets_once(monkeypatch):
+    calls = []
+    generate = datagen.gaussian_mixture_classification
+    monkeypatch.setattr(datagen, "gaussian_mixture_classification",
+                        lambda **kw: calls.append(kw) or generate(**kw))
+    spec = SweepSpec({"tau": [1.0, 3.0], "lr_mult": [0.5, 1.0]}, "accuracy")
+    _, results = sweep(spec, base_config())
+    assert len(results) == 4 and all(r.status == "ok" for r in results)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("values", [["2"], [True], ["a", 1.0], [1.0, None], [float("nan")]])
+def test_grid_values_must_be_finite_numbers(values):
+    spec = {"grid": {"lr_mult": values}, "select": {"metric": "accuracy"}}
+    with pytest.raises(ConfigError, match=r"^sweep\.grid\.lr_mult: "):
+        validate_sweep_spec(spec, base_config())
+    with pytest.raises(ConfigError, match=r"^sweep\.grid\.lr_mult: "):
+        SweepSpec({"tau": [1.0], "lr_mult": values}, "accuracy")
+
+
+@pytest.mark.parametrize("values", [2.0, "2", {"a": 1}])
+def test_grid_axis_must_be_a_list(values):
+    spec = {"grid": {"tau": values}, "select": {"metric": "accuracy"}}
+    with pytest.raises(ConfigError, match=r"^sweep\.grid\.tau: expected a list"):
+        validate_sweep_spec(spec, base_config())

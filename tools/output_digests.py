@@ -9,6 +9,10 @@ Each line reads ``<name> <sha256>``.  The outputs are:
 - the messages of three runs that diverge: ma weights that overflow, an
   rgd loss that overflows on some samples (the message lists them) and an
   rgd parameter update that overflows;
+- for an rgd sweep of the softmax run with one diverging point, the
+  ``(params, status, metric, detail, summary)`` of every point, the
+  selected config and the standard output of the ``sweep`` command on
+  the same spec;
 - the reports of ``dro_suite(40)`` and ``gradcheck_suite(5)``;
 - per exact DRO solver (kl, chi2, reverse_kl), the value, dual parameter
   and worst-case distribution bytes of seeded instances at n = 5, 50 and
@@ -25,18 +29,22 @@ byte-identical, run it against both trees on the same machine and diff:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from reweightopt.cli import cli_main
 from reweightopt.dro import (
     DroInstance, chi2_dro_value, kl_dro_dual, kl_dro_primal, random_instance, revkl_dro_value,
 )
 from reweightopt.experiment import export_trace, run_experiment
 from reweightopt.optim import TrainingDivergenceError
+from reweightopt.sweep import sweep, validate_sweep_spec
 from reweightopt.verify import dro_suite, gradcheck_suite
 
 METHODS = {
@@ -123,6 +131,28 @@ def divergence_digests():
             raise SystemExit(f"the divergent {name} run did not diverge")
 
 
+# lr_mult 1e308 makes the softmax run diverge; the other points train
+SWEEP = {
+    "base": {**MODELS["softmax"], "method": METHODS["rgd-kl"], "eval_every": 7},
+    "grid": {"tau": [0.5, 2.0], "lr_mult": [0.5, 1.0, 1e308]},
+    "select": {"metric": "accuracy"},
+}
+
+
+def sweep_digests(tmp: Path):
+    spec = validate_sweep_spec({k: SWEEP[k] for k in ("grid", "select")}, SWEEP["base"])
+    best, results = sweep(spec, SWEEP["base"])
+    rows = [[r.params, r.status, r.metric, r.detail, r.summary] for r in results]
+    yield "sweep/results", _digest(_canonical(rows))
+    yield "sweep/best_config", _digest(_canonical(best))
+    path = tmp / "sweep.json"
+    path.write_text(json.dumps(SWEEP))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(["sweep", str(path)])
+    yield "sweep/cli-stdout", _digest(f"exit {code}\n{out.getvalue()}")
+
+
 def _solver_instances(div):
     """Seeded instances at n = 5, 50 and 1000, the last of each size with tied losses."""
     rng = np.random.default_rng(11)
@@ -148,6 +178,8 @@ def solver_digests():
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name, digest in run_digests(Path(tmp)):
+            print(name, digest)
+        for name, digest in sweep_digests(Path(tmp)):
             print(name, digest)
     for name, digest in divergence_digests():
         print(name, digest)
