@@ -94,9 +94,8 @@ def _cmd_oracle(args) -> int:
             raise ConfigError(f"{args.instances}: expected a JSON array of instances")
         report = check_instances(records)  # malformed records raise ConfigError
         for entry in report["results"]:
-            gap = f" duality_gap={entry['duality_gap']:.3e}" if "duality_gap" in entry else ""
             print(f"instance {entry['index']}: {entry['divergence']} "
-                  f"value={entry['value']:.12g}{gap}")
+                  f"value={entry['value']:.12g} duality_gap={entry['duality_gap']:.3e}")
         for line in report["failures"]:
             print(f"FAIL {line}", file=sys.stderr)
         print("oracle instances: " + ("PASS" if report["passed"] else "FAIL"))
@@ -114,6 +113,7 @@ def _cmd_oracle(args) -> int:
     )
     print(f"instances           : {report['trials']}")
     print(f"max duality gap     : {report['max_duality_gap']:.3e} (tol {DUALITY_TOL:.0e})")
+    print(f"max variant gap     : {report['max_variant_duality_gap']:.3e}")
     print(f"max tilt-form dev   : {report['max_form_dev']:.3e}")
     print(f"grid cross-checks   : {report['grid_checked']}")
     print(f"max grid error      : {report['max_grid_err']:.3e}")

@@ -5,26 +5,32 @@ f-divergence D, these solvers compute
 
     sup { sum_i q_i l_i :  D(q || p) <= rho,  q in simplex }
 
-exactly (to numerical tolerance), along with the maximizing distribution.
-Each divergence admits a one-parameter family of candidate optimizers:
+exactly (to numerical tolerance), along with the maximizing distribution
+and a dual bound that certifies it.  With gap_i = max(l) - l_i >= 0, each
+divergence's worst case lies in a family indexed by a scale x > 0 in
+which no tilt cancels:
 
-    kl          q_i  proportional to  p_i * exp(l_i / beta)
-    chi2        q_i = p_i * max(0, 1 + s * (l_i - eta(s)))
-    reverse_kl  q_i  proportional to  p_i / (eta - l_i),  eta > max(l)
+    kl          q ~ p * exp(-x gap)            beta = 1/x
+    chi2        q ~ p * max(0, 1 - x gap)      eta = max(l) - 1/x
+    reverse_kl  q ~ p / (1 + x gap)            eta = max(l) + 1/x
 
-and the solver matches the constraint D(q || p) = rho by a monotone
-one-dimensional search.  A dense simplex grid search provides the
-independent oracle, and the dual one-dimensional minimization
+D(q_x || p) grows with x, and one safeguarded Newton iteration finds the
+root of D(x) = rho from D and D' in closed form.  The value E_q[l] and the
+closed-form dual bound g are read off its final iterate:
 
-    inf_{beta > 0}  g(beta) = beta * log E_p[exp(l / beta)] + beta * rho
+    kl          g(beta) = beta log E_p[exp(l / beta)] + beta rho     (Hu & Hong 2013)
+    chi2        g(eta) = eta + sqrt(1 + rho) sqrt(E_p[(l - eta)_+^2])
+    reverse_kl  g(eta) = eta - e^-rho exp(E_p[log(eta - l)]),  eta > max(l)
 
-cross-checks the kl solver through strong duality (Hu & Hong 2013).  g
-is convex with closed-form g'(beta) = log E_p[exp(l / beta)] + rho -
-E_q[l] / beta and g''(beta) = Var_q(l) / beta^3 under the tilt q above,
-so a safeguarded Newton iteration minimizes it in O(n) memory; when rho
->= -log(mass of the argmax set), g is increasing and the dual value is
-its limit max(l) as beta -> 0.  The grid oracle scans its cached grid in
-fixed row blocks.
+The chi2 dual is that of Duchi & Namkoong (2021, Ann. Statist.) for
+D = E_p[(q/p - 1)^2], hence sqrt(1 + rho).  By weak duality g bounds the
+worst case from above at any parameter, and E_q[l] bounds it from below
+when q meets the constraint, so their gap certifies a solution whose
+feasibility is checked separately.  Past the boundary radius (kl:
+-log(mass of the argmax set), chi2: (1 - mass)/mass) the worst case is
+the base conditioned on the argmax set, and the dual's infimum is max(l).
+A dense simplex grid search is the independent oracle; it scans its
+cached grid in fixed row blocks.
 
 Distributions are required to be absolutely continuous w.r.t. the base:
 mass placed where p_i = 0 makes every divergence infinite.  The solvers
@@ -40,8 +46,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import logsumexp
 from .weighting import Divergence
+
+# bound here only so that the benchmark's layer_targets() can count its calls
+from .numerics import logsumexp  # noqa: F401
 
 __all__ = [
     "DiscreteDistribution",
@@ -61,7 +69,11 @@ __all__ = [
     "random_instance",
 ]
 
-_MAX_BISECT = 500
+_EPS = float(np.finfo(float).eps)
+_MAX_NEWTON = 200  # iterations of _newton
+# largest x * ptp(l): reverse-KL's eta - max(l) stays >= ptp(l) * 2^-500, which
+# binds only at a huge rho, where the value is within ~1e-150 of max(l)
+_X_MAX = 2.0**500
 _GRID_BLOCK = 2**15  # grid rows per block in simplex_bruteforce
 
 
@@ -119,16 +131,20 @@ class DroInstance:
 
 @dataclass(frozen=True)
 class DroSolution:
-    """Worst-case value, the achieving distribution, and the dual parameter.
+    """Worst-case value, the achieving distribution, and its dual certificate.
 
-    ``boundary`` certifies that rho was large enough to reach the
+    ``value`` is E_q[l] for ``worst_dist`` q, and ``dual_value`` the dual
+    bound at the solver's final parameter, an upper bound on the worst case
+    by weak duality; their difference is the duality gap.  ``dual_param`` is
+    beta for kl and eta for chi2 and reverse-KL, None when no dual parameter
+    is finite.  ``boundary`` certifies that rho was large enough to reach the
     maximal-loss distribution (conditional of the base on the argmax set),
-    where the tilting family degenerates and no finite dual parameter
-    matches the constraint.
+    where the tilting family degenerates.
     """
 
     value: float
     worst_dist: DiscreteDistribution
+    dual_value: float
     dual_param: float | None = None
     boundary: bool = False
 
@@ -165,11 +181,6 @@ def _full_dist(n: int, sup: np.ndarray, q_sup: np.ndarray) -> DiscreteDistributi
     return DiscreteDistribution(q)
 
 
-def _trivial(inst: DroInstance) -> DroSolution:
-    value = float(inst.base.probs @ inst.losses)
-    return DroSolution(value, inst.base, None, False)
-
-
 def _argmax_conditional(losses, probs):
     lmax = losses.max()
     mask = losses == lmax
@@ -178,219 +189,163 @@ def _argmax_conditional(losses, probs):
     return lmax, mass, q
 
 
-def _bracket(candidate, rho: float, x: float, factor: float, rising: bool):
-    """Scale x by ``factor`` (2 or 1/2) until D(x) = candidate(x)[1] crosses rho.
+def _kl_state(x, gap, p, rho):
+    # q ~ p * e^(-x gap); with Z = E_p[e^(-x gap)], D = -x E_q[gap] - log Z,
+    # D' = x Var_q(gap) and beta = 1/x gives g = max l + (log Z + rho) / x
+    e = np.exp(-x * gap)
+    total = float(p @ e)
+    # a sum near 1 (small x) loses its small deviation to rounding, and the
+    # dual divides it by x; summing p * expm1 keeps it
+    log_z = math.log(total) if total < 0.5 else math.log1p(float(p @ np.expm1(-x * gap)))
+    q = p * e / total
+    mean = float(q @ gap)
+    var = float(q @ (gap - mean) ** 2)
+    return -x * mean - log_z, x * var, mean, (log_z + rho) / x, q
 
-    Returns (x, True) at the first such x, or (x, False) with x scaled
-    ``_MAX_BISECT`` times.  ``rising`` says whether D increases with x.
+
+def _chi2_state(x, gap, p, rho):
+    # q ~ p * u, u = (1 - m), m = min(x gap, 1); with A1 = E_p[u] and
+    # A2 = E_p[u^2], D = Var_p(m) / A1^2 and eta = max l - 1/x gives
+    # g = max l + (sqrt((1 + rho) A2) - 1) / x, here without its cancellation
+    m = np.minimum(x * gap, 1.0)
+    u = 1.0 - m
+    a1, a2 = float(p @ u), float(p @ u**2)
+    c = float(p @ m) - m  # u - A1, without the cancellation of 1 - m
+    var = float(p @ c**2)
+    h = np.where(m < 1.0, gap, 0.0)  # dm/dx
+    slope = 2.0 * (var * float(p @ h) - a1 * float(p @ (c * h))) / a1**3
+    num = rho * a2 - float(p @ (m * (1.0 + u)))
+    dual = num / (x * (math.sqrt((1.0 + rho) * a2) + 1.0))
+    q = p * u / a1
+    return var / a1**2, slope, float(q @ gap), dual, q
+
+
+def _revkl_state(x, gap, p, rho):
+    # q ~ p * w, w = 1 / (1 + x gap); with W = E_p[w] and L = E_p[log(1 + x gap)],
+    # D = log W + L and eta = max l + 1/x gives g = max l + (1 - e^(L - rho)) / x
+    xg = x * gap
+    w = 1.0 / (1.0 + xg)
+    v = xg * w  # 1 - w, without its cancellation
+    v_mean = float(p @ v)
+    big_w = float(p @ w)
+    log_w = math.log1p(-v_mean) if v_mean < 0.5 else math.log(big_w)
+    log_mean = float(p @ np.log1p(xg))
+    slope = float(p @ (w * gap * (v - v_mean))) / big_w
+    q = p * w / big_w
+    return log_w + log_mean, slope, float(q @ gap), -math.expm1(log_mean - rho) / x, q
+
+
+def _newton(state, rho: float, x: float, tight: float):
+    """Safeguarded Newton for the root of D(x) = rho on (0, _X_MAX].
+
+    ``state(x)`` returns (D, D', E_q[gap], g - max l, q) with D increasing
+    in x.  The steps are Newton steps in log x, where D is linear both as
+    x -> 0 (D ~ x^2) and for reverse-KL as x -> inf (D ~ log x).  The sign
+    of D - rho keeps a bracket [lo, hi] of the root; a step that leaves it
+    is replaced by the bracket's midpoint in log x (in x while lo = 0).  The
+    loop stops once D meets rho and the duality gap closes to ``tight``,
+    their relative rounding level (at small x, D is a difference of terms of
+    order x whose rounding can hide the root), or on a step or bracket below
+    float resolution, where it returns the x with D <= rho.  Returns the
+    final x and its state.
     """
-    # growing x on a rising D, or shrinking it on a falling one, starts below rho
-    from_below = (factor > 1.0) == rising
-    for _ in range(_MAX_BISECT):
-        d = candidate(x)[1]
-        if (d >= rho) if from_below else (d <= rho):
-            return x, True
-        x *= factor
-    return x, False
-
-
-def _bisect(candidate, rho: float, lo: float, hi: float, rising: bool, geometric=False):
-    """Shrink a bracket [lo, hi] of D(x) = rho to float resolution; its midpoint."""
-    for _ in range(_MAX_BISECT):
-        x = math.sqrt(lo * hi) if geometric else 0.5 * (lo + hi)
-        if (candidate(x)[1] > rho) != rising:  # the crossing lies above x
-            lo = x
-        else:
+    lo, hi, s_lo = 0.0, _X_MAX, None
+    for _ in range(_MAX_NEWTON):
+        s = state(x)
+        d, slope, mean_gap, dual = s[:4]
+        if abs(d - rho) <= tight * (1.0 + rho) and abs(dual + mean_gap) <= tight * mean_gap:
+            return x, s
+        if d > rho:
             hi = x
-        if hi - lo <= 4.0 * np.finfo(float).eps * hi:
+        else:
+            lo, s_lo = x, s
+        if hi - lo <= 4.0 * _EPS * hi:
             break
-    return math.sqrt(lo * hi) if geometric else 0.5 * (lo + hi)
+        den = x * slope  # dD / dlog x
+        step = min(x * math.exp(min((rho - d) / den, 700.0)), _X_MAX) if den > 0.0 else math.nan
+        if abs(step - x) <= 4.0 * _EPS * x:
+            if d <= rho:
+                return x, s
+            # where D is steeper than the spacing of floats, the root can lie
+            # between two of them: end on its feasible side
+            step = x * (1.0 - 2.0 * _EPS)
+        elif not lo < step <= hi:  # also a nan step
+            step = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
+        x = step
+    return (lo, s_lo) if d > rho and s_lo is not None else (x, s)
+
+
+# per divergence: its state; the cap, the boundary radius D at the argmax
+# conditional of base mass m less a rounding slack; the dual parameter at x;
+# and k with D ~ k x^2 Var_p(l) as x -> 0
+_FAMILIES = {
+    Divergence.KL: (_kl_state, lambda m: -math.log(m) - 1e-15, lambda lmax, x: 1 / x, 0.5),
+    Divergence.CHI2: (_chi2_state, lambda m: (1 - m) / m - 1e-12, lambda lmax, x: lmax - 1 / x, 1),
+    Divergence.REVERSE_KL: (_revkl_state, lambda m: math.inf, lambda lmax, x: lmax + 1 / x, 0.5),
+}
+
+
+def _solve(inst: DroInstance, divergence: Divergence) -> DroSolution:
+    """The worst case of ``inst`` read off its family at the root of D(x) = rho."""
+    if inst.divergence is not divergence:
+        raise ValueError(f"instance divergence must be {divergence.value}")
+    sup, l, p = _support(inst)
+    spread = float(np.ptp(l))
+    if inst.rho == 0.0 or spread == 0.0:  # the base mean, exact for constant losses
+        value = float(inst.base.probs @ inst.losses) if spread else float(l[0])
+        return DroSolution(value, inst.base, value)
+    state, cap, param, k = _FAMILIES[divergence]
+    lmax, mass, q_cond = _argmax_conditional(l, p)
+    if inst.rho >= cap(mass):
+        return DroSolution(float(lmax), _full_dist(inst.n, sup, q_cond), float(lmax), None, True)
+    # D depends on x * gap alone, so the solve runs on gaps in [0, 1], where
+    # nothing overflows at any loss scale: x there is x * ptp(l)
+    gap, rho = (lmax - l) / spread, inst.rho
+    var = float(p @ (gap - p @ gap) ** 2)
+    x = min(math.sqrt(rho) / math.sqrt(k * var), _X_MAX) if var > 0.0 else _X_MAX
+    # n-term sums round to about sqrt(n) ulps
+    tight = 16.0 * _EPS * math.sqrt(p.size)
+    x, (_, _, mean_gap, dual, q) = _newton(lambda x: state(x, gap, p, rho), rho, x, tight)
+    value, dual = lmax - spread * mean_gap, lmax + spread * dual
+    q = _full_dist(inst.n, sup, q)
+    return DroSolution(float(value), q, float(dual), float(param(lmax, x / spread)))
 
 
 def kl_dro_primal(inst: DroInstance) -> DroSolution:
-    """Bisection on beta in the tilted family q ~ p * exp(l / beta).
+    """Worst case in the tilted family q ~ p * exp(l / beta), beta = 1/x.
 
-    The divergence KL(q_beta || p) decreases continuously from -log(mass
-    of the argmax set) to 0 as beta grows, so matching it to rho is a
-    plain sign bisection.
+    KL(q || p) grows with x from 0 to -log(mass of the argmax set); past that
+    radius the argmax conditional is returned as a boundary solution.
     """
-    if inst.divergence is not Divergence.KL:
-        raise ValueError("instance divergence must be kl")
-    sup, l, p = _support(inst)
-    if inst.rho == 0.0 or np.ptp(l) == 0.0:
-        return _trivial(inst)
-
-    lmax, mass, q_cond = _argmax_conditional(l, p)
-    if inst.rho >= -math.log(mass) - 1e-15:
-        return DroSolution(float(lmax), _full_dist(inst.n, sup, q_cond), None, True)
-
-    logp = np.log(p)
-
-    def tilt(beta):
-        logq = logp + l / beta
-        logq -= logsumexp(logq)
-        q = np.exp(logq)
-        kl = float(q @ (logq - logp))
-        return q, kl
-
-    beta = max(float(np.ptp(l)), 1e-6)
-    lo, found = _bracket(tilt, inst.rho, beta, 0.5, rising=False)
-    if not found:
-        raise RuntimeError("kl bisection failed to bracket from below")
-    hi, found = _bracket(tilt, inst.rho, beta, 2.0, rising=False)
-    if not found:
-        raise RuntimeError("kl bisection failed to bracket from above")
-    beta = _bisect(tilt, inst.rho, lo, hi, rising=False)
-    q, kl = tilt(beta)
-    if abs(kl - inst.rho) > 1e-10:
-        raise RuntimeError(f"kl bisection stalled at |KL - rho| = {abs(kl - inst.rho)}")
-    return DroSolution(float(q @ l), _full_dist(inst.n, sup, q), float(beta), False)
+    return _solve(inst, Divergence.KL)
 
 
 def kl_dro_dual(inst: DroInstance) -> float:
-    """Scalar dual value inf_beta g(beta), g(beta) = beta * log E_p[exp(l/beta)] + beta * rho.
+    """Dual value inf_beta beta * log E_p[exp(l / beta)] + beta * rho (Hu & Hong 2013).
 
-    g is convex in beta.  With the tilt q ~ p * exp(l / beta), both of its
-    derivatives have a closed form:
-
-        g'(beta)  = log E_p[exp(l/beta)] + rho - E_q[l] / beta
-        g''(beta) = Var_q(l) / beta^3
-
-    and a safeguarded Newton iteration finds the root of g': a Newton step
-    that leaves the sign bracket [lo, hi] of g' is replaced by the bracket's
-    midpoint, or by doubling beta while hi is unbounded.  Every beta bounds
-    the primal from above (weak duality), so the smallest g seen is
-    returned and an early stop can only overstate the duality gap.  Work
-    and memory are O(n) per iteration.
-
-    When rho >= -log(mass of the argmax set), g' > 0 for every beta and the
-    infimum is the limit beta -> 0: max(l) over the base's support.
+    It is the kl solve's ``dual_value``: the dual at the solve's final beta,
+    or max(l) over the base's support in the boundary regime.
     """
-    if inst.divergence is not Divergence.KL:
-        raise ValueError("instance divergence must be kl")
-    _, l, p = _support(inst)
-    if inst.rho == 0.0:
-        return float(p @ l)
-    if np.ptp(l) == 0.0:
-        return float(l[0])
-    lmax, mass, _ = _argmax_conditional(l, p)
-    if inst.rho >= -math.log(mass):
-        return float(lmax)
-
-    gaps, rho = l - lmax, inst.rho
-    beta, lo, hi = float(np.ptp(l)), 0.0, math.inf
-    best = math.inf
-    # in d = (l - max l) / beta <= 0 nothing overflows, and with lse = log E_p[e^d]
-    # g = max l + beta * (lse + rho), g' = lse + rho - E_q[d], g'' = Var_q(d) / beta
-    for _ in range(_MAX_BISECT):
-        d = gaps / beta
-        e = np.exp(d)
-        total = float(p @ e)
-        # a sum near 1 (large beta) loses its small deviation to rounding, and
-        # g multiplies that by beta; summing p * expm1(d) keeps it
-        lse = math.log(total) if total < 0.5 else math.log1p(float(p @ np.expm1(d)))
-        q = p * e / total
-        mean = float(q @ d)
-        var = float(q @ (d - mean) ** 2)
-        slope = lse + rho - mean
-        best = min(best, float(lmax + beta * (lse + rho)))
-        if slope > 0.0:
-            hi = beta
-        else:
-            lo = beta
-        step = beta * (1.0 - slope / var) if var > 0.0 else math.nan
-        if not lo < step < hi:  # also a nan step
-            step = 2.0 * beta if hi == math.inf else 0.5 * (lo + hi)
-        if abs(step - beta) <= 1e-15 * beta:
-            break
-        beta = step
-    return best
+    return kl_dro_primal(inst).dual_value
 
 
 def chi2_dro_value(inst: DroInstance) -> DroSolution:
-    """Affine tilting family with nonnegativity clamping.
+    """Worst case in the clamped affine family q ~ p * max(0, l - eta), eta = max l - 1/x.
 
-    For slope s >= 0 the candidate is q_i = p_i * max(0, 1 + s*(l_i - eta(s)))
-    with eta(s) the exact normalizer: one sort, then an O(n) scan of the top-k
-    pieces as in simplex projection.  The divergence grows with s; bisection
-    matches it to rho.  When rho reaches (1 - mass)/mass of the argmax set,
-    the family degenerates and the conditional point mass is returned.
+    D(q || p) grows with x from 0 to (1 - mass)/mass of the argmax set; past
+    that radius the argmax conditional is returned as a boundary solution.
+    Any finite losses are accepted.
     """
-    if inst.divergence is not Divergence.CHI2:
-        raise ValueError("instance divergence must be chi2")
-    sup, l, p = _support(inst)
-    if np.any(l < 0):
-        raise ValueError("chi2 solver expects nonnegative losses")
-    if inst.rho == 0.0 or np.ptp(l) == 0.0:
-        return _trivial(inst)
-
-    lmax, mass, q_cond = _argmax_conditional(l, p)
-    cap = (1.0 - mass) / mass
-    if inst.rho >= cap - 1e-12:
-        return DroSolution(float(lmax), _full_dist(inst.n, sup, q_cond), None, True)
-
-    order = np.argsort(l)[::-1]
-    ls, ps = l[order], p[order]
-    cum_p = np.cumsum(ps)
-    cum_pl = np.cumsum(ps * ls)
-
-    def candidate(s):
-        # eta solves sum_i p_i * max(0, 1 + s*(l_i - eta)) = 1 on a top-k set of
-        # losses; etas[k] solves it for the top k+1, and the right piece is the
-        # last k whose atom ls[k] stays active (k = 0 always does: 1/p_1 > 0)
-        etas = (cum_p + s * cum_pl - 1.0) / (s * cum_p)
-        eta = etas[np.flatnonzero(1.0 + s * (ls - etas) > 0.0)[-1]]
-        r = np.maximum(0.0, 1.0 + s * (l - eta))
-        q = p * r
-        q /= q.sum()
-        div = float(p @ (r - 1.0) ** 2)
-        return q, div
-
-    var = float(p @ (l - p @ l) ** 2)
-    hi, found = _bracket(candidate, inst.rho, math.sqrt(inst.rho / var), 2.0, rising=True)
-    if not found:
-        raise RuntimeError("chi2 bisection failed to bracket")
-    s = _bisect(candidate, inst.rho, 0.0, hi, rising=True)
-    q, _ = candidate(s)
-    return DroSolution(float(q @ l), _full_dist(inst.n, sup, q), float(s), False)
+    return _solve(inst, Divergence.CHI2)
 
 
 def revkl_dro_value(inst: DroInstance) -> DroSolution:
-    """Inverse-gap family q ~ p / (eta - l) with eta > max(l).
+    """Worst case in the inverse-gap family q ~ p / (eta - l), eta = max l + 1/x.
 
-    E_p[log(p/q)] decreases monotonically from +inf (eta -> max l) to 0
-    (eta -> inf); geometric bisection on the gap eta - max(l) matches it
-    to rho.  The worst case always keeps full support, so there is no
-    boundary regime for finite rho.
+    E_p[log(p/q)] grows with x from 0 without bound, so there is no boundary
+    regime for finite rho; the worst case keeps full support.
     """
-    if inst.divergence is not Divergence.REVERSE_KL:
-        raise ValueError("instance divergence must be reverse_kl")
-    sup, l, p = _support(inst)
-    if inst.rho == 0.0 or np.ptp(l) == 0.0:
-        return _trivial(inst)
-
-    lmax = l.max()
-    gap0 = lmax - l  # exact per-atom gap; adding delta keeps argmax atoms > 0
-
-    def candidate(delta):
-        g = gap0 + delta
-        w = p / g
-        z = w.sum()
-        q = w / z
-        div = float(p @ np.log(g) + math.log(z))
-        return q, div
-
-    scale = float(np.ptp(l))
-    hi, found = _bracket(candidate, inst.rho, scale, 2.0, rising=False)
-    if not found:
-        raise RuntimeError("reverse-kl bisection failed to bracket from above")
-    delta, found = _bracket(candidate, inst.rho, scale, 0.5, rising=False)
-    if found:
-        delta = _bisect(candidate, inst.rho, delta, hi, rising=False, geometric=True)
-    # else rho is so large that matching it needs a gap below double
-    # resolution; the slack candidate is optimal to within ~1e-150 of max(l)
-    q, _ = candidate(delta)
-    return DroSolution(float(q @ l), _full_dist(inst.n, sup, q), float(lmax + delta), False)
+    return _solve(inst, Divergence.REVERSE_KL)
 
 
 @lru_cache(maxsize=8)
@@ -510,7 +465,7 @@ def optimal_weight_form_check(
     elif inst.divergence is Divergence.CHI2:
         slope, intercept = np.polyfit(l, qs / ps, 1)
         fitted = ps * (slope * l + intercept)
-        param = slope
+        param = -intercept / slope if slope != 0 else -math.inf  # eta of q ~ p * (l - eta)
     else:
         # fit p/q against the exact gaps max(l) - l; regressing on l itself
         # cancels catastrophically when eta - max(l) is below float resolution.

@@ -135,13 +135,20 @@ def weighted_objective(losses, weights) -> float:
     """Mean of weight*loss with the weights held constant.
 
     This is the reported training objective; its gradient with frozen
-    weights equals the weighted mean of per-sample gradients.
+    weights equals the weighted mean of per-sample gradients.  When finite
+    losses overflow the plain sum, the mean is taken of the losses scaled
+    by max |loss|; it stays finite unless the mean itself overflows.
     """
     ell = as_loss_vector(losses)
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     if w.shape != ell.shape:
         raise ValueError(f"length mismatch: {ell.size} losses vs {w.size} weights")
-    return float(np.mean(w * ell))
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(w * ell))
+    if not math.isfinite(mean):
+        scale = float(np.max(np.abs(ell)))
+        mean = float(np.mean(w * (ell / scale))) * scale
+    return mean
 
 
 def saturation_fraction(losses, rule: WeightingRule) -> float:

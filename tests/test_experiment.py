@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +42,8 @@ from reweightopt.weighting import (
     saturation_fraction,
     weighted_objective,
 )
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 def toy_config(seed=0, divergence="kl", tau=0.25, steps=60, lr=4.0):
@@ -285,6 +289,26 @@ class TestRunExperiment:
             with pytest.raises(TrainingDivergenceError, match="parameter update") as err:
                 run_experiment(cfg)
         assert err.value.step == 1
+
+    def test_overflowing_eval_sum_keeps_the_summary_finite_and_quiet(self):
+        # the digest tool's softmax run under rgd kl at lr_base 3e306: its eval
+        # losses stay finite but their sum overflows; the objective takes the
+        # scaled mean, so the summary is strict JSON and numpy stays quiet
+        spec = importlib.util.spec_from_file_location("output_digests", TOOLS / "output_digests.py")
+        digests = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digests)
+        base = digests.MODELS["softmax"]
+        cfg = {
+            **base,
+            "train": {**base["train"], "lr_base": 3e306},
+            "method": {"name": "rgd", "rule": {"divergence": "kl", "tau": 0.5}},
+            "eval_every": 7,
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, summary = run_experiment(cfg)
+        assert 1e306 < summary["final"]["train"]["objective"] < math.inf
+        json.dumps(summary, allow_nan=False)
 
     def test_term_and_ma_methods_run(self):
         for method in (

@@ -216,89 +216,42 @@ def test_grid_oracle_keeps_off_zero_mass_atoms(divergence):
     assert abs(value - SOLVERS[divergence](inst).value) <= GRID_TOL
 
 
-def _nearest_norm_chi2(inst):
-    """The chi2 solver with the former piece rule as reference: solve every
-    top-k piece, evaluate each normalizer on all n atoms (an n x n array) and
-    keep the eta whose normalizer is nearest 1.  Returns (s, q on the support)."""
-    _, l, p = dro._support(inst)
-    order = np.argsort(l)[::-1]
-    ls, ps = l[order], p[order]
-    cum_p, cum_pl = np.cumsum(ps), np.cumsum(ps * ls)
-
-    def candidate(s):
-        etas = (cum_p + s * cum_pl - 1.0) / (s * cum_p)
-        norms = np.maximum(0.0, 1.0 + s * (l[None, :] - etas[:, None])) @ p
-        eta = etas[int(np.argmin(np.abs(norms - 1.0)))]
-        r = np.maximum(0.0, 1.0 + s * (l - eta))
-        q = p * r
-        q /= q.sum()
-        return q, float(p @ (r - 1.0) ** 2)
-
-    var = float(p @ (l - p @ l) ** 2)
-    hi, _ = dro._bracket(candidate, inst.rho, math.sqrt(inst.rho / var), 2.0, rising=True)
-    s = dro._bisect(candidate, inst.rho, 0.0, hi, rising=True)
-    return s, candidate(s)[0]
-
-
-@settings(max_examples=300, deadline=None)
-@given(seed=seeds, rho=st.floats(1e-3, 5.0))
-def test_chi2_scan_picks_the_nearest_norm_piece(seed, rho):
-    # the O(n) scan must choose, at every slope the bisection probes, the same
-    # eta as the nearest-norm rule, so both runs end on the same bits
-    inst = _dro_case(seed, Divergence.CHI2, rho, n_max=40)
-    sol = chi2_dro_value(inst)
-    assume(not sol.boundary and sol.dual_param is not None)
-    s, q_sup = _nearest_norm_chi2(inst)
-    q = np.zeros(inst.n)
-    on = inst.base.probs > 0
-    q[on] = np.maximum(q_sup, 0.0)
-    q /= q.sum()
-    assert sol.dual_param == s
-    assert np.array_equal(sol.worst_dist.probs, q)
-
-
-def _kl_feasible_value(inst):
-    """E_q[l] of a q inside the kl ball, built from kl_dro_primal's beta.
+def _feasible_value(inst, sol):
+    """E_q'[l] of a q' inside the ball, built from the solution's own q.
 
     This lower bound on the worst case is what the dual must not undercut.
-    The tilt q ~ p * exp(d), d = (l - max l) / beta, is evaluated as
-    max l + beta * E_q[d], which keeps its value to a few ulps where the
-    solver's log q = log p + l / beta - logsumexp loses about 1e-12 at
-    small beta.  The solver meets rho only to 1e-10, so q may lie just
-    outside the ball; KL is convex, so the mixture (1 - t) p + t q with
-    t = min(1, rho / KL(q || p)) lies inside it.
+    The solver meets rho only to rounding, so q may lie just outside the
+    ball; every divergence is convex in q, so the mixture q' = (1 - t) p + t q
+    with t = min(1, rho / D(q || p)) lies inside it.
     """
-    sol = kl_dro_primal(inst)
-    if sol.dual_param is None:  # the mean at rho = 0 or max l at the boundary: exact
-        return sol.value
-    _, l, p = dro._support(inst)
-    d = (l - l.max()) / sol.dual_param
-    w = p * np.exp(d)
-    total = w.sum()
-    # near 1 the sum of p * expm1(d) keeps the digits that 1 + ... would lose
-    log_mean_exp = math.log(total) if total < 0.5 else math.log1p(p @ np.expm1(d))
-    mean_d = (w @ d) / total
-    kl = mean_d - log_mean_exp
-    t = min(1.0, inst.rho / kl) if kl > 0.0 else 1.0
+    p, l, q = inst.base.probs, inst.losses, sol.worst_dist.probs
+    d = divergence_value(q, p, inst.divergence)
+    t = min(1.0, inst.rho / d) if d > 0.0 else 1.0
     mean = float(p @ l)
-    return mean + t * (float(l.max() + sol.dual_param * mean_d) - mean)
+    return mean + t * (float(q @ l) - mean)
 
 
-def _check_kl_dual(inst):
-    dual = kl_dro_dual(inst)
-    assert dual >= _kl_feasible_value(inst) - 1e-12  # weak duality
-    assert abs(dual - kl_dro_primal(inst).value) <= 1e-8
+def _check_dual(inst):
+    sol = SOLVERS[inst.divergence](inst)
+    assert sol.dual_value >= _feasible_value(inst, sol) - 1e-12  # weak duality
+    assert abs(sol.dual_value - sol.value) <= 1e-8
     _, l, p = dro._support(inst)
-    if inst.rho >= -math.log(p[l == l.max()].sum()):
-        assert dual == l.max()
+    if inst.divergence is Divergence.KL:
+        assert kl_dro_dual(inst) == sol.dual_value
+        if inst.rho >= -math.log(p[l == l.max()].sum()):
+            assert sol.dual_value == l.max()
 
 
-# below about 1e-6 kl_dro_primal's own value drifts (1e-8 off at rho = 1e-15)
-# and below about 1e-16 it fails to bracket; the small-radius test covers there
-@settings(max_examples=200, deadline=None)
-@given(seed=seeds, rho=st.floats(1e-6, 3.0))
-def test_kl_dual_matches_the_primal(seed, rho):
-    _check_kl_dual(_dro_case(seed, Divergence.KL, rho))
+# every divergence, from radii where D at the root is below the rounding of
+# its own terms (about 1e-32 and less) up to 3
+@settings(max_examples=300, deadline=None)
+@given(
+    divergence=st.sampled_from(REAL),
+    seed=seeds,
+    rho=st.one_of(st.floats(1e-40, 1e-6), st.floats(1e-6, 3.0)),
+)
+def test_kl_dual_matches_the_primal(divergence, seed, rho):
+    _check_dual(_dro_case(seed, divergence, rho))
 
 
 @settings(max_examples=200, deadline=None)
@@ -310,7 +263,7 @@ def test_kl_dual_near_the_boundary(seed, offset):
     _, l, p = dro._support(inst)
     rho = -math.log(p[l == l.max()].sum()) + offset
     assume(1e-6 <= rho <= 3.0)
-    _check_kl_dual(DroInstance(inst.losses, inst.base, rho, Divergence.KL))
+    _check_dual(DroInstance(inst.losses, inst.base, rho, Divergence.KL))
 
 
 @settings(max_examples=100, deadline=None)
@@ -322,6 +275,99 @@ def test_kl_dual_at_small_radius(seed, rho):
     _, l, p = dro._support(inst)
     dual = kl_dro_dual(inst)
     assert float(p @ l) - 1e-12 <= dual <= float(p @ l) + np.ptp(l) * math.sqrt(rho / 2.0) + 1e-12
+
+
+def test_tiny_radii_never_raise_and_certify():
+    # rho in [1e-40, 1e-16]: a bracket on D(x) = rho can fail to form here, as
+    # D's rounding exceeds rho
+    rng = np.random.default_rng(20261018)
+    for _ in range(2000):
+        seed, rho = int(rng.integers(2**32)), float(10.0 ** rng.uniform(-40.0, -16.0))
+        for divergence in REAL:
+            sol = SOLVERS[divergence](_dro_case(seed, divergence, rho))
+            assert abs(sol.value - sol.dual_value) <= 1e-8, (divergence, seed, rho)
+
+
+@settings(max_examples=150, deadline=None)
+@given(divergence=st.sampled_from(REAL), seed=seeds, rho=rhos, shift=st.floats(-100.0, 100.0))
+def test_dro_value_is_translation_equivariant(divergence, seed, rho, shift):
+    # the solvers see only the gaps max l - l, so shifting the losses (to any
+    # sign) shifts the value and its dual bound
+    inst = _dro_case(seed, divergence, rho)
+    moved = DroInstance(inst.losses + shift, inst.base, rho, divergence)
+    sol, moved_sol = SOLVERS[divergence](inst), SOLVERS[divergence](moved)
+    scale = 1.0 + abs(shift) + float(inst.losses.max())
+    assert abs(moved_sol.value - (sol.value + shift)) <= 1e-12 * scale
+    assert abs(moved_sol.dual_value - (sol.dual_value + shift)) <= 1e-12 * scale
+
+
+def _reference_value(inst):
+    """The worst case of ``inst`` to about 40 digits, from its textbook dual in
+    60-digit mpmath: kl at beta = 1/x, chi2 at eta = max l - 1/x and reverse-KL
+    at eta = max l + 1/x, minimized by golden-section search over log x in
+    [-92, 92] (the dual is convex in beta or eta, so unimodal in log x).
+
+    The base is renormalized in 60 digits: float probabilities sum to 1 only
+    within about 1e-16, which the kl dual multiplies by beta."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        on = inst.base.probs > 0
+        l = [mp.mpf(float(v)) for v in inst.losses[on]]
+        total = mp.fsum(mp.mpf(float(v)) for v in inst.base.probs[on])
+        p = [mp.mpf(float(v)) / total for v in inst.base.probs[on]]
+        rho, top = mp.mpf(inst.rho), max(l)
+
+        def dual(t):
+            x = mp.exp(t)
+            if inst.divergence is Divergence.KL:
+                tilt = mp.fsum(pi * mp.exp((li - top) * x) for li, pi in zip(l, p))
+                return top + (mp.log(tilt) + rho) / x
+            if inst.divergence is Divergence.CHI2:
+                eta = top - 1 / x
+                tail = mp.fsum(pi * max(li - eta, 0) ** 2 for li, pi in zip(l, p))
+                return eta + mp.sqrt(1 + rho) * mp.sqrt(tail)
+            eta = top + 1 / x
+            return eta - mp.exp(mp.fsum(pi * mp.log(eta - li) for li, pi in zip(l, p)) - rho)
+
+        golden = (mp.sqrt(5) - 1) / 2
+        a, b = mp.mpf(-92), mp.mpf(92)
+        c, d = b - golden * (b - a), a + golden * (b - a)
+        fc, fd = dual(c), dual(d)
+        for _ in range(260):
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - golden * (b - a)
+                fc = dual(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + golden * (b - a)
+                fd = dual(d)
+        return min(fc, fd)
+
+
+@pytest.mark.parametrize("divergence", REAL)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("rho", [1e-40, 1e-12, 1e-3, 0.3, 2.0])
+def test_solvers_match_the_60_digit_dual(divergence, seed, rho):
+    inst = _dro_case(seed, divergence, rho)
+    ref = _reference_value(inst)
+    sol = SOLVERS[divergence](inst)
+    tol = 1e-13 * (1.0 + float(inst.losses.max()))
+    assert abs(sol.value - ref) <= tol and abs(sol.dual_value - ref) <= tol
+
+
+@pytest.mark.parametrize(
+    "seed, rho",
+    # a bisection on the tilt log p + l / beta was 3.2e-10 high, 1.1e-8 low
+    # and 2.8e-12 high at these instances
+    [(4048106433, 1e-12), (2216742906, 1e-15), (2591582385, 0.626)],
+)
+def test_kl_regression_seeds_match_the_60_digit_dual(seed, rho):
+    inst = _dro_case(seed, Divergence.KL, rho)
+    ref = _reference_value(inst)
+    sol = kl_dro_primal(inst)
+    tol = 1e-14 * (1.0 + float(inst.losses.max()))
+    assert abs(sol.value - ref) <= tol and abs(sol.dual_value - ref) <= tol
 
 
 def _single_pass_grid(inst, grid_points):

@@ -1,5 +1,7 @@
 """The one DRO certificate behind dro_suite and check_instances."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from reweightopt import verify
@@ -23,7 +25,8 @@ def test_dro_suite_reports_an_infeasible_solution(monkeypatch):
     def point_mass(inst):
         q = np.zeros(inst.n)
         q[np.argmax(inst.losses)] = 1.0
-        return DroSolution(float(inst.losses.max()), DiscreteDistribution(q))
+        top = float(inst.losses.max())
+        return DroSolution(top, DiscreteDistribution(q), top)
 
     monkeypatch.setattr(verify, "chi2_dro_value", point_mass)
     report = verify.dro_suite(trials=4, n_max=3, seed=1, grid_points=101)
@@ -53,8 +56,26 @@ def test_both_suites_call_the_patched_solvers(monkeypatch):
 def test_check_instances_names_the_divergence_of_a_bad_form(monkeypatch):
     def spread(inst):
         q = np.linspace(1.0, 2.0, inst.n) ** 3
-        return DroSolution(0.0, DiscreteDistribution(q / q.sum()))
+        return DroSolution(0.0, DiscreteDistribution(q / q.sum()), 0.0)
 
     monkeypatch.setattr(verify, "revkl_dro_value", spread)
     report = verify.check_instances(_records())
     assert any(f.startswith("instance 2: reverse_kl form deviation") for f in report["failures"])
+
+
+def test_every_divergence_gets_a_duality_certificate(monkeypatch):
+    report = verify.check_instances(_records())
+    assert [e["divergence"] for e in report["results"]] == ["kl", "chi2", "reverse_kl"]
+    assert all(e["duality_gap"] <= verify.DUALITY_TOL for e in report["results"])
+    suite = verify.dro_suite(trials=4, n_max=3, seed=1, grid_points=101)
+    assert suite["passed"] and suite["max_variant_duality_gap"] <= verify.DUALITY_TOL
+
+    exact = verify.revkl_dro_value
+
+    def loose(inst):  # the exact worst case with a dual bound 1e-6 too high
+        sol = exact(inst)
+        return replace(sol, dual_value=sol.dual_value + 1e-6)
+
+    monkeypatch.setattr(verify, "revkl_dro_value", loose)
+    report = verify.check_instances(_records())
+    assert report["failures"] == ["instance 2: reverse_kl duality gap 1.000e-06"]

@@ -148,6 +148,12 @@ class TestWeightedObjective:
         ones = batch_weights(losses, WeightingRule(Divergence.NONE))
         assert weighted_objective(losses, ones) == float(np.mean(losses))
 
+    def test_overflowing_sum_takes_the_scaled_mean(self):
+        # finite losses whose sum overflows: the mean of the scaled losses, quietly
+        losses = np.full(4, 1e308)
+        with np.errstate(all="raise"):
+            assert weighted_objective(losses, [2.0, 1.0, 1.0, 0.0]) == 1e308
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             weighted_objective([1.0, 2.0], [1.0])

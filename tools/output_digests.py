@@ -16,8 +16,8 @@ Each line reads ``<name> <sha256>``.  The outputs are:
 - the reports of ``dro_suite(40)`` and ``gradcheck_suite(5)``;
 - per exact DRO solver (kl, chi2, reverse_kl), the value, dual parameter
   and worst-case distribution bytes of seeded instances at n = 5, 50 and
-  1000, one of each size with tied losses, and the ``kl_dro_dual`` values
-  of the kl instances.
+  1000, one of each size with tied losses, and the dual values of all
+  three solvers on those instances.
 
 The script takes no flags.  To check that a change keeps these outputs
 byte-identical, run it against both trees on the same machine and diff:
@@ -40,7 +40,7 @@ import numpy as np
 
 from reweightopt.cli import cli_main
 from reweightopt.dro import (
-    DroInstance, chi2_dro_value, kl_dro_dual, kl_dro_primal, random_instance, revkl_dro_value,
+    DroInstance, chi2_dro_value, kl_dro_primal, random_instance, revkl_dro_value,
 )
 from reweightopt.experiment import export_trace, run_experiment
 from reweightopt.optim import TrainingDivergenceError
@@ -164,15 +164,16 @@ def _solver_instances(div):
 
 def solver_digests():
     solvers = {"kl": kl_dro_primal, "chi2": chi2_dro_value, "reverse_kl": revkl_dro_value}
+    duals = []
     for div, solver in solvers.items():
         parts = []
         for inst in _solver_instances(div):
             sol = solver(inst)
             parts.append(_canonical([sol.value, sol.dual_param]).encode())
             parts.append(sol.worst_dist.probs.tobytes())
+            duals.append(sol.dual_value)
         yield f"{div}-solver/n=5,50,1000", _digest(b"".join(parts))
-    duals = [kl_dro_dual(inst) for inst in _solver_instances("kl")]
-    yield "kl-dual/n=5,50,1000", _digest(_canonical(duals))
+    yield "duals/n=5,50,1000", _digest(_canonical(duals))
 
 
 def main() -> None:
