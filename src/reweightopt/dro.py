@@ -29,8 +29,8 @@ when q meets the constraint, so their gap certifies a solution whose
 feasibility is checked separately.  Past the boundary radius (kl:
 -log(mass of the argmax set), chi2: (1 - mass)/mass) the worst case is
 the base conditioned on the argmax set, and the dual's infimum is max(l).
-A dense simplex grid search is the independent oracle; it scans its
-cached grid in fixed row blocks.
+The independent oracle is the best point of a dense simplex lattice,
+found at the feasible ends of its lines without building the lattice.
 
 Distributions are required to be absolutely continuous w.r.t. the base:
 mass placed where p_i = 0 makes every divergence infinite.  The solvers
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -74,7 +73,6 @@ _MAX_NEWTON = 200  # iterations of _newton
 # largest x * ptp(l): reverse-KL's eta - max(l) stays >= ptp(l) * 2^-500, which
 # binds only at a huge rho, where the value is within ~1e-150 of max(l)
 _X_MAX = 2.0**500
-_GRID_BLOCK = 2**15  # grid rows per block in simplex_bruteforce
 
 
 @dataclass(frozen=True)
@@ -119,8 +117,10 @@ class DroInstance:
             raise ValueError("instance needs a real divergence, not 'none'")
         if losses.size != self.base.n:
             raise ValueError("losses and base distribution disagree on n")
-        if not np.all(np.isfinite(losses)):
-            raise ValueError("losses must be finite")
+        # the solvers scale by the range, which finite losses can overflow;
+        # a finite range also rules out an infinite or nan loss
+        if not math.isfinite(float(losses.max()) - float(losses.min())):
+            raise ValueError("losses must be finite, and so must their range")
         if not (math.isfinite(self.rho) and self.rho >= 0):
             raise ValueError("rho must be a nonnegative real")
 
@@ -348,85 +348,83 @@ def revkl_dro_value(inst: DroInstance) -> DroSolution:
     return _solve(inst, Divergence.REVERSE_KL)
 
 
-@lru_cache(maxsize=8)
-def _simplex_grid(n: int, grid_points: int) -> np.ndarray:
-    """All compositions of grid_points-1 into n parts, as (m, n) fractions."""
-    g = grid_points - 1
-    if n == 1:
-        return np.ones((1, 1))
-    if n == 2:
-        i = np.arange(g + 1)
-        return np.stack([i, g - i], axis=1) / g
-    if n == 3:
-        i, j = np.meshgrid(np.arange(g + 1), np.arange(g + 1), indexing="ij")
-        i, j = i.ravel(), j.ravel()
-        keep = i + j <= g
-        i, j = i[keep], j[keep]
-        return np.stack([i, j, g - i - j], axis=1) / g
-    if n == 4:
-        rows = []
-        for i in range(g + 1):
-            sub = _simplex_grid(3, g - i + 1) * (g - i) / g if g - i > 0 else np.zeros((1, 3))
-            rows.append(np.column_stack([np.full(len(sub), i / g), sub]))
-        return np.vstack(rows)
-    raise ValueError("dense simplex grid supports n <= 4 only")
-
-
-@lru_cache(maxsize=4)
-def _grid_cache(n: int, grid_points: int):
-    """Grid plus instance-independent derived arrays (logs, q^2, sum q log q)."""
-    qs = _simplex_grid(n, grid_points)
+def _grid_divergence(q: np.ndarray, p: np.ndarray, divergence: Divergence) -> np.ndarray:
+    """D(q || p) of each lattice row of q, infinite where a zero q_i makes it so."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_qs = np.log(qs)
-        qlogq = np.where(qs > 0.0, qs * log_qs, 0.0).sum(axis=1)
-    for arr in (qs, log_qs, qlogq):
-        arr.setflags(write=False)
-    return qs, log_qs, qlogq
+        if divergence is Divergence.KL:
+            # summed column by column: q.sum(axis=1)'s order, at a fraction of its cost
+            return sum(np.where(q > 0.0, q * np.log(q), 0.0).T) - q @ np.log(p)
+        if divergence is Divergence.CHI2:
+            return (q * q) @ (1.0 / p) - 1.0
+        return float(p @ np.log(p)) - np.log(q) @ p
+
+
+def _line_ends(g: int, l: np.ndarray, p: np.ndarray, divergence: Divergence, limit: float):
+    """Per lattice line, the counts of its best row with D(q || p) <= limit
+    (of an infeasible row if it has none), as (lines, m)."""
+    heads = np.indices((g + 1,) * (p.size - 2)).reshape(p.size - 2, -1).T
+    heads = heads[heads.sum(axis=1) <= g]
+    s = g - heads.sum(axis=1)
+
+    def feasible(a):
+        return _grid_divergence(np.column_stack([heads, a, s - a]) / g, p, divergence) <= limit
+
+    centre = s * (p[-2] / (p[-2] + p[-1]))
+    floor, ceil = np.floor(centre).astype(s.dtype), np.ceil(centre).astype(s.dtype)
+    if l[-2] > l[-1]:  # up from the minimum's feasible neighbour
+        step, start = 1, np.where(feasible(ceil), ceil, floor)
+    else:  # down, also on a tie: a scan keeps the first of equal rows
+        step, start = -1, np.where(feasible(floor), floor, ceil)
+    # bisect for the largest feasible distance from start, up to the line's end
+    lo, hi = np.zeros_like(s), (s - start if step > 0 else start) + 1
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        good = feasible(start + step * mid)
+        lo, hi = np.where(good, mid, lo), np.where(good, hi, mid)
+    end = start + step * lo
+    return np.column_stack([heads, end, s - end])
 
 
 def simplex_bruteforce(inst: DroInstance, grid_points: int = 2001, return_dist: bool = False):
-    """Independent oracle: maximize over a dense grid of the simplex.
+    """Independent oracle: the best point of the simplex lattice with step
+    1/(grid_points - 1) whose divergence is within 1e-12 of rho.
+
+    A lattice line fixes the counts of all support atoms but the last two,
+    in row-major order, and moves the rest s between those two: a = 0..s.
+    Along it every f-divergence is convex, least (Jensen) where
+    (q_{m-2}, q_{m-1}) ~ (p_{m-2}, p_{m-1}), so its lattice minimum is the
+    floor or the ceiling of that a and its feasible rows are one run around
+    it.  E_q[l] is linear in a: its maximum over the run is at the end that
+    the sign of l_{m-2} - l_{m-1} picks (the first row on a tie), found by
+    bisection on all lines at once.  The first maximum over lines is then
+    that of a scan of every row, without building the lattice: O(g) memory
+    at m = 3, O(g^2) at m = 4.  With m <= 2 atoms the one line is scanned.
 
     The base distribution itself is always included as a candidate, so
-    the result is at least the base expectation even when the grid has
-    no feasible point.  Accuracy is limited by the grid resolution.
+    the result is at least the base expectation even when the lattice has
+    no feasible point.  Accuracy is limited by the lattice resolution.
     """
     if inst.n > 4:
         raise ValueError("brute force limited to n <= 4")
     if grid_points < 2:
         raise ValueError("need at least 2 grid points per edge")
     p = inst.base.probs
-    # q must vanish where p does, so the grid spans the base's support only
+    # q must vanish where p does, so the lattice spans the base's support only
     sup, l, p_sup = _support(inst)
-    qs, log_qs, qlogq = _grid_cache(sup.size, grid_points)
-    # row blocks keep the temporaries in cache; the strict > keeps the first
-    # maximum across blocks, as one argmax over all rows would
-    best, best_i = -np.inf, 0
-    for start in range(0, qs.shape[0], _GRID_BLOCK):
-        rows = slice(start, start + _GRID_BLOCK)
-        q = qs[rows]
-        # sums split against the cached grid terms; a -inf from log q = 0
-        # propagates to an infinite divergence exactly where it should
-        with np.errstate(invalid="ignore"):
-            if inst.divergence is Divergence.KL:
-                div = qlogq[rows] - q @ np.log(p_sup)
-            elif inst.divergence is Divergence.CHI2:
-                div = (q * q) @ (1.0 / p_sup) - 1.0
-            else:
-                div = float(p_sup @ np.log(p_sup)) - log_qs[rows] @ p_sup
-        values = np.where(div <= inst.rho + 1e-12, q @ l, -np.inf)
-        i = int(np.argmax(values))
-        if values[i] > best:
-            best, best_i = float(values[i]), start + i
-    base_value = float(p @ inst.losses)
-    if best >= base_value:
-        best_value, best_dist = best, np.zeros(inst.n)
-        best_dist[sup] = qs[best_i]
+    g, limit = grid_points - 1, inst.rho + 1e-12
+    if sup.size > 2:
+        counts = _line_ends(g, l, p_sup, inst.divergence, limit)
     else:
-        best_value, best_dist = base_value, p
-    if return_dist:
-        return best_value, DiscreteDistribution(best_dist)
-    return best_value
+        a = np.arange(g + 1)
+        counts = np.stack([a, g - a], axis=1) if sup.size == 2 else np.full((1, 1), g)
+    qs = counts / g
+    values = np.where(_grid_divergence(qs, p_sup, inst.divergence) <= limit, qs @ l, -np.inf)
+    best_i = int(np.argmax(values))
+    best, q = float(values[best_i]), np.zeros(inst.n)
+    q[sup] = qs[best_i]
+    if best < float(p @ inst.losses):
+        best, q = float(p @ inst.losses), p
+    return (best, DiscreteDistribution(q)) if return_dist else best
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,7 @@ def test_train_non_integer_steps_exits_2(tmp_path, capsys):
     {"losses": [0.0, 1.0], "probs": [0.5], "rho": 0.1, "divergence": "kl"},
     {"losses": [0.0, 1.0], "probs": [0.5, 0.5], "rho": 0.1, "divergence": "hellinger"},
     {"losses": "abc", "probs": [0.5, 0.5], "rho": 0.1, "divergence": "kl"},
+    {"losses": [-1e308, 1e308], "probs": [0.5, 0.5], "rho": 0.1, "divergence": "kl"},
     [0.0, 1.0],
 ])
 def test_oracle_malformed_instance_exits_2(tmp_path, capsys, record):

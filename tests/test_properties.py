@@ -370,19 +370,29 @@ def test_kl_regression_seeds_match_the_60_digit_dual(seed, rho):
     assert abs(sol.value - ref) <= tol and abs(sol.dual_value - ref) <= tol
 
 
-def _single_pass_grid(inst, grid_points):
-    """simplex_bruteforce's body as one pass over all grid rows, the reference
-    for the blocked loop: (value, distribution)."""
+def _lattice_divergence(qs, p_sup, divergence):
+    """D(q || p) of each row of qs, by the grid oracle's expressions."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_qs = np.log(qs)
+        if divergence is Divergence.KL:
+            return np.where(qs > 0.0, qs * log_qs, 0.0).sum(axis=1) - qs @ np.log(p_sup)
+        if divergence is Divergence.CHI2:
+            return (qs * qs) @ (1.0 / p_sup) - 1.0
+        return float(p_sup @ np.log(p_sup)) - log_qs @ p_sup
+
+
+def _lattice_scan(inst, grid_points):
+    """The grid oracle by its definition: every composition of g = grid_points - 1
+    into the support's atoms, in row-major order, as fractions; the first
+    maximum of E_q[l] with D(q || p) <= rho + 1e-12, else the base:
+    (value, distribution)."""
     p = inst.base.probs
     sup, l, p_sup = dro._support(inst)
-    qs, log_qs, qlogq = dro._grid_cache(sup.size, grid_points)
-    with np.errstate(invalid="ignore"):
-        if inst.divergence is Divergence.KL:
-            div = qlogq - qs @ np.log(p_sup)
-        elif inst.divergence is Divergence.CHI2:
-            div = (qs * qs) @ (1.0 / p_sup) - 1.0
-        else:
-            div = float(p_sup @ np.log(p_sup)) - log_qs @ p_sup
+    g, m = grid_points - 1, sup.size
+    heads = np.indices((g + 1,) * (m - 1)).reshape(m - 1, (g + 1) ** (m - 1)).T
+    heads = heads[heads.sum(axis=1) <= g]
+    qs = np.column_stack([heads, g - heads.sum(axis=1)]) / g
+    div = _lattice_divergence(qs, p_sup, inst.divergence)
     values = np.where(div <= inst.rho + 1e-12, qs @ l, -np.inf)
     i = int(np.argmax(values))
     if float(values[i]) < float(p @ inst.losses):
@@ -392,7 +402,7 @@ def _single_pass_grid(inst, grid_points):
     return float(values[i]), q
 
 
-# grid points per edge that keep the grid of n atoms under about 2e5 rows
+# grid points per edge that keep the lattice of n atoms under about 2e5 rows
 _GRID_POINTS_MAX = {1: 2, 2: 200_000, 3: 600, 4: 100}
 
 
@@ -404,17 +414,28 @@ _GRID_POINTS_MAX = {1: 2, 2: 200_000, 3: 600, 4: 100}
     ties=st.booleans(),
     data=st.data(),
 )
-def test_blocked_grid_matches_one_pass(divergence, seed, rho, ties, data):
-    # row counts below one block, at it and past it (not a multiple); tied
-    # integer losses put equal maxima in different blocks, where the first
-    # one must win as it does in one argmax
+def test_grid_oracle_matches_a_full_lattice_scan(divergence, seed, rho, ties, data):
+    # tied integer losses put equal maxima on different lattice lines, where
+    # the first one must win as it does in the scan
     inst = _dro_case(seed, divergence, rho, n_max=4)
     if ties:
         losses = np.minimum(np.round(inst.losses), 2.0)
         inst = DroInstance(losses, inst.base, rho, divergence)
-    support = int(np.count_nonzero(inst.base.probs))
-    grid_points = data.draw(st.integers(2, _GRID_POINTS_MAX[support]), label="grid_points")
+    sup, l, p_sup = dro._support(inst)
+    grid_points = data.draw(st.integers(2, _GRID_POINTS_MAX[sup.size]), label="grid_points")
     value, q = simplex_bruteforce(inst, grid_points, return_dist=True)
-    want_value, want_q = _single_pass_grid(inst, grid_points)
-    assert value == want_value
-    assert q.probs.tobytes() == np.asarray(want_q, dtype=np.float64).tobytes()
+    want_value, want_q = _lattice_scan(inst, grid_points)
+    if sup.size < 3 or l[-2] != l[-1]:
+        assert value == want_value
+        assert q.probs.tobytes() == np.asarray(want_q, dtype=np.float64).tobytes()
+        return
+    # with the last two losses tied, E_q[l] is constant along each line up to
+    # rounding, so the scan may break the tie at another row
+    tol = 4.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(l))))
+    assert abs(value - want_value) <= tol
+    q_sup = q.probs[sup]
+    assert abs(float(q_sup @ l) - value) <= tol
+    if not np.array_equal(q.probs, inst.base.probs):  # else the base, kept as a candidate
+        g = grid_points - 1
+        assert np.array_equal(q_sup, np.round(q_sup * g) / g)
+        assert _lattice_divergence(q_sup[None, :], p_sup, divergence)[0] <= rho + 1e-12

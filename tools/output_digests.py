@@ -17,7 +17,9 @@ Each line reads ``<name> <sha256>``.  The outputs are:
 - per exact DRO solver (kl, chi2, reverse_kl), the value, dual parameter
   and worst-case distribution bytes of seeded instances at n = 5, 50 and
   1000, one of each size with tied losses, and the dual values of all
-  three solvers on those instances.
+  three solvers on those instances;
+- the value and distribution bytes of ``simplex_bruteforce`` at 2001
+  points on 20 seeded instances with n = 2 or 3 per divergence.
 
 The script takes no flags.  To check that a change keeps these outputs
 byte-identical, run it against both trees on the same machine and diff:
@@ -41,6 +43,7 @@ import numpy as np
 from reweightopt.cli import cli_main
 from reweightopt.dro import (
     DroInstance, chi2_dro_value, kl_dro_primal, random_instance, revkl_dro_value,
+    simplex_bruteforce,
 )
 from reweightopt.experiment import export_trace, run_experiment
 from reweightopt.optim import TrainingDivergenceError
@@ -176,6 +179,17 @@ def solver_digests():
     yield "duals/n=5,50,1000", _digest(_canonical(duals))
 
 
+def grid_oracle_digest() -> str:
+    rng = np.random.default_rng(12)
+    parts = []
+    for div in ("kl", "chi2", "reverse_kl"):
+        for _ in range(20):
+            inst = random_instance(rng, (2, 3), 5.0, 0.5, div)
+            value, dist = simplex_bruteforce(inst, 2001, return_dist=True)
+            parts += [_canonical(value).encode(), dist.probs.tobytes()]
+    return _digest(b"".join(parts))
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name, digest in run_digests(Path(tmp)):
@@ -188,6 +202,7 @@ def main() -> None:
     print("gradcheck_suite(5)", _digest(_canonical(gradcheck_suite(5))))
     for name, digest in solver_digests():
         print(name, digest)
+    print("grid-oracle/n=2,3", grid_oracle_digest())
 
 
 if __name__ == "__main__":
