@@ -31,10 +31,8 @@ from .dro import (
 from .experiment import (
     Trace,
     TraceRecord,
-    accuracy,
     direction_l2,
     export_trace,
-    mse,
     parse_trace,
     run_experiment,
 )
@@ -64,9 +62,6 @@ from .weighting import (
     Divergence,
     WeightingRule,
     batch_weights,
-    weight_chi2,
-    weight_kl,
-    weight_revkl,
     weighted_objective,
 )
 

@@ -21,7 +21,8 @@ import sys
 from pathlib import Path
 
 from .experiment import (
-    ConfigError, _config_errors, export_trace, parse_trace, run_experiment, validate_config,
+    _SPLITS, ConfigError, _config_errors, export_trace, parse_trace, run_experiment,
+    validate_config,
 )
 from .optim import TrainingDivergenceError
 from .sweep import sweep, validate_sweep_spec
@@ -145,7 +146,7 @@ def _cmd_report(args) -> int:
         for m in trace.metric_names:
             if m not in metric_names:
                 metric_names.append(m)
-        for split in ("train", "holdout", "test"):
+        for split in _SPLITS:
             split_rows = trace.rows(split)
             if split_rows:
                 rows.append((Path(path).name, split, split_rows[-1]))

@@ -73,6 +73,7 @@ _MAX_NEWTON = 200  # iterations of _newton
 # largest x * ptp(l): reverse-KL's eta - max(l) stays >= ptp(l) * 2^-500, which
 # binds only at a huge rho, where the value is within ~1e-150 of max(l)
 _X_MAX = 2.0**500
+_LINE_BLOCK = 2**14  # lattice lines per block of simplex_bruteforce
 
 
 @dataclass(frozen=True)
@@ -359,11 +360,21 @@ def _grid_divergence(q: np.ndarray, p: np.ndarray, divergence: Divergence) -> np
         return float(p @ np.log(p)) - np.log(q) @ p
 
 
-def _line_ends(g: int, l: np.ndarray, p: np.ndarray, divergence: Divergence, limit: float):
-    """Per lattice line, the counts of its best row with D(q || p) <= limit
-    (of an infeasible row if it has none), as (lines, m)."""
-    heads = np.indices((g + 1,) * (p.size - 2)).reshape(p.size - 2, -1).T
-    heads = heads[heads.sum(axis=1) <= g]
+def _line_heads(g: int, m: int):
+    """The heads (counts of the first m - 2 atoms) of the lattice lines in
+    row-major order, in blocks of whole first counts: at most _LINE_BLOCK
+    lines a block, or the lines of one first count if they are more."""
+    per_block = max(1, _LINE_BLOCK // (g + 1) ** (m - 3))
+    for first in range(0, g + 1, per_block):
+        heads = np.indices((min(per_block, g + 1 - first),) + (g + 1,) * (m - 3))
+        heads = heads.reshape(m - 2, -1).T
+        heads[:, 0] += first
+        yield heads[heads.sum(axis=1) <= g]
+
+
+def _line_ends(heads: np.ndarray, g: int, l: np.ndarray, p: np.ndarray, divergence, limit):
+    """Per lattice line of ``heads``, the counts of its best row with
+    D(q || p) <= limit (of an infeasible row if it has none), as (lines, m)."""
     s = g - heads.sum(axis=1)
 
     def feasible(a):
@@ -396,9 +407,10 @@ def simplex_bruteforce(inst: DroInstance, grid_points: int = 2001, return_dist: 
     floor or the ceiling of that a and its feasible rows are one run around
     it.  E_q[l] is linear in a: its maximum over the run is at the end that
     the sign of l_{m-2} - l_{m-1} picks (the first row on a tie), found by
-    bisection on all lines at once.  The first maximum over lines is then
-    that of a scan of every row, without building the lattice: O(g) memory
-    at m = 3, O(g^2) at m = 4.  With m <= 2 atoms the one line is scanned.
+    bisection on a block of lines at once.  The first maximum over the
+    blocks is then that of a scan of every row, without building the
+    lattice: O(g) memory at m = 3, O(g + _LINE_BLOCK) at m = 4.  With
+    m <= 2 atoms the one line is scanned.
 
     The base distribution itself is always included as a candidate, so
     the result is at least the base expectation even when the lattice has
@@ -413,15 +425,19 @@ def simplex_bruteforce(inst: DroInstance, grid_points: int = 2001, return_dist: 
     sup, l, p_sup = _support(inst)
     g, limit = grid_points - 1, inst.rho + 1e-12
     if sup.size > 2:
-        counts = _line_ends(g, l, p_sup, inst.divergence, limit)
+        heads = _line_heads(g, sup.size)
+        blocks = (_line_ends(h, g, l, p_sup, inst.divergence, limit) for h in heads)
     else:
         a = np.arange(g + 1)
-        counts = np.stack([a, g - a], axis=1) if sup.size == 2 else np.full((1, 1), g)
-    qs = counts / g
-    values = np.where(_grid_divergence(qs, p_sup, inst.divergence) <= limit, qs @ l, -np.inf)
-    best_i = int(np.argmax(values))
-    best, q = float(values[best_i]), np.zeros(inst.n)
-    q[sup] = qs[best_i]
+        blocks = [np.stack([a, g - a], axis=1) if sup.size == 2 else np.full((1, 1), g)]
+    best, q = -np.inf, p
+    for counts in blocks:
+        qs = counts / g
+        values = np.where(_grid_divergence(qs, p_sup, inst.divergence) <= limit, qs @ l, -np.inf)
+        i = int(np.argmax(values))
+        if values[i] > best:  # the first maximum of the scan
+            best, q = float(values[i]), np.zeros(inst.n)
+            q[sup] = qs[i]
     if best < float(p @ inst.losses):
         best, q = float(p @ inst.losses), p
     return (best, DiscreteDistribution(q)) if return_dist else best

@@ -22,12 +22,12 @@ import numpy as np
 
 from . import datagen, models
 from .datagen import Dataset
-from .models import Batch, ModelKind, ModelState, predict, random_state, zero_state
-from .optim import BaselineState, Tilt, TrainConfig, init_state, rgd_step
+from .models import Batch, ModelKind, ModelState, random_state, zero_state
+from .optim import BaselineState, Tilt, TrainConfig, TrainingDivergenceError, init_state, rgd_step
 from .weighting import Divergence, WeightingRule
 
 # bound here only so that the benchmark's layer_targets() can trace them
-from .models import per_sample_loss  # noqa: F401
+from .models import per_sample_loss, predict  # noqa: F401
 from .optim import ma_exp_step, term_step  # noqa: F401
 from .weighting import batch_weights  # noqa: F401
 
@@ -39,8 +39,6 @@ __all__ = [
     "minibatch_stream",
     "run_experiment",
     "direction_l2",
-    "accuracy",
-    "mse",
     "METRIC_DIRECTIONS",
     "export_trace",
     "parse_trace",
@@ -303,21 +301,6 @@ def direction_l2(theta, theta_star, index_set) -> float:
     return float(np.sqrt(np.sum(diff**2)))
 
 
-def accuracy(model: ModelState, dataset: Dataset) -> float:
-    """Argmax-match fraction on a classification dataset."""
-    if model.kind is ModelKind.LINEAR or not dataset.is_classification:
-        raise ValueError("accuracy needs a classifier and a classification dataset")
-    return float(np.mean(predict(model, dataset.inputs) == dataset.targets))
-
-
-def mse(model: ModelState, dataset: Dataset) -> float:
-    """Mean squared prediction error on a regression dataset."""
-    if model.kind is not ModelKind.LINEAR or dataset.is_classification:
-        raise ValueError("mse needs a regression model and dataset")
-    pred = predict(model, dataset.inputs)
-    return float(np.mean((pred - dataset.targets) ** 2))
-
-
 def _metric_value(name: str, model: ModelState, dataset: Dataset, losses, predicted) -> float:
     """A metric of one split, from its eval pass's losses and predictions."""
     if name in ("mse", "accuracy"):
@@ -404,6 +387,9 @@ def _train(cfg: dict, built: _Built):
     def record(step: int, passes):
         """Append the rows of one eval step; ``passes`` yields (split, (losses, predicted))."""
         for name, (losses, predicted) in passes:
+            if not np.isfinite(losses).all():  # the eval pass let it overflow quietly
+                bad = np.flatnonzero(~np.isfinite(losses))
+                raise TrainingDivergenceError(step, f"non-finite {name} loss", bad)
             objective, w, sat = weighter.report(losses)
             metrics = {
                 m: _metric_value(m, state.model, built.splits[name], losses, predicted)
@@ -470,11 +456,11 @@ _FIXED_COLUMNS = ("step", "split", "objective")
 _STAT_COLUMNS = ("w_min", "w_mean", "w_max", "w_sat_frac")
 
 
-def export_trace(trace: Trace, path, fmt: str | None = None) -> None:
-    """Write a trace as CSV or JSON; both round-trip at full precision."""
+def export_trace(trace: Trace, path) -> None:
+    """Write a trace as CSV or JSON, as the path's suffix says (CSV without
+    one); both round-trip at full precision."""
     path = Path(path)
-    if fmt is None:
-        fmt = path.suffix.lstrip(".").lower() or "csv"
+    fmt = path.suffix.lstrip(".").lower() or "csv"
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unsupported trace format {fmt!r}")
     columns = _FIXED_COLUMNS + tuple(trace.metric_names) + _STAT_COLUMNS

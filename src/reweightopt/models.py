@@ -249,10 +249,12 @@ def _losses(model: ModelState, out: np.ndarray, targets: np.ndarray):
 
 
 def _eval_pass(model: ModelState, batch: Batch):
-    """``per_sample_loss`` and ``predict`` of a batch from one forward pass."""
+    """``per_sample_loss`` and ``predict`` of a batch from one forward pass,
+    quiet on overflow as the step is: the caller checks the losses."""
     _check_batch(model, batch)
-    out = _forward(model, batch.inputs)[0]
-    return _losses(model, out, batch.targets)[0], _predicted(model, out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _forward(model, batch.inputs)[0]
+        return _losses(model, out, batch.targets)[0], _predicted(model, out)
 
 
 def backward_weighted(model: ModelState, batch: Batch, ctx, weights) -> np.ndarray:

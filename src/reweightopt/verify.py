@@ -45,6 +45,7 @@ DUALITY_TOL = 1e-8
 FORM_TOL = 1e-6
 GRID_TOL = 2e-3
 GRAD_TOL = 1e-5
+_DIVERGENCES = (Divergence.KL, Divergence.CHI2, Divergence.REVERSE_KL)
 
 
 def _certify(inst, where: str):
@@ -81,50 +82,31 @@ def dro_suite(
     check_variants: bool = True,
 ) -> dict:
     """Certified kl solutions over random instances, grid-checked for n <= 3
-    together with their chi2 and reverse-KL variants."""
+    together with their chi2 and reverse-KL variants (reported as ``variant``)."""
     rng = np.random.default_rng(seed)
     # brute-force accuracy is grid-limited; 2e-3 is calibrated at 2001 points
     grid_tol = GRID_TOL * 2000.0 / (grid_points - 1)
-    report = {
-        "trials": trials,
-        "max_duality_gap": 0.0,
-        "max_variant_duality_gap": 0.0,
-        "max_form_dev": 0.0,
-        "max_grid_err": 0.0,
-        "max_variant_grid_err": 0.0,
-        "max_variant_form_dev": 0.0,
-        "grid_checked": 0,
-        "grid_tol": grid_tol,
-        "failures": [],
-    }
+    report = {"trials": trials, "grid_checked": 0, "grid_tol": grid_tol, "failures": []}
+    for key in ("max_", "max_variant_"):  # kl, then its chi2 and reverse-KL variants
+        report |= {key + stat: 0.0 for stat in ("duality_gap", "form_dev", "grid_err")}
     for trial in range(trials):
         inst = random_instance(rng, (2, n_max), 5.0, rho_max, Divergence.KL)
-        sol, gap, dev, failures = _certify(inst, f"trial {trial}")
-        report["failures"] += failures
-        report["max_duality_gap"] = max(report["max_duality_gap"], gap)
-        report["max_form_dev"] = max(report["max_form_dev"], dev)
-        if inst.n <= 3:
-            report["grid_checked"] += 1
-            brute = simplex_bruteforce(inst, grid_points)
-            err = max(abs(sol.value - brute), abs(sol.dual_value - brute))
-            report["max_grid_err"] = max(report["max_grid_err"], err)
-            if err > grid_tol:
-                report["failures"].append(f"trial {trial}: grid disagreement {err:.3e}")
-            if check_variants:
-                for div in (Divergence.CHI2, Divergence.REVERSE_KL):
-                    vinst = type(inst)(inst.losses, inst.base, inst.rho, div)
-                    vsol, vgap, vdev, failures = _certify(vinst, f"trial {trial}")
-                    report["failures"] += failures
-                    report["max_variant_duality_gap"] = max(
-                        report["max_variant_duality_gap"], vgap
-                    )
-                    report["max_variant_form_dev"] = max(report["max_variant_form_dev"], vdev)
-                    verr = abs(vsol.value - simplex_bruteforce(vinst, grid_points))
-                    report["max_variant_grid_err"] = max(report["max_variant_grid_err"], verr)
-                    if verr > grid_tol:
-                        report["failures"].append(
-                            f"trial {trial}: {div.value} grid disagreement {verr:.3e}"
-                        )
+        gridded = inst.n <= 3
+        report["grid_checked"] += gridded
+        for div in _DIVERGENCES if gridded and check_variants else _DIVERGENCES[:1]:
+            inst = type(inst)(inst.losses, inst.base, inst.rho, div)
+            key = "max_" if div is Divergence.KL else "max_variant_"
+            sol, gap, dev, failures = _certify(inst, f"trial {trial}")
+            report["failures"] += failures
+            report[key + "duality_gap"] = max(report[key + "duality_gap"], gap)
+            report[key + "form_dev"] = max(report[key + "form_dev"], dev)
+            if gridded:
+                brute = simplex_bruteforce(inst, grid_points)
+                err = max(abs(sol.value - brute), abs(sol.dual_value - brute))
+                report[key + "grid_err"] = max(report[key + "grid_err"], err)
+                if err > grid_tol:
+                    label = "" if div is Divergence.KL else f"{div.value} "
+                    report["failures"].append(f"trial {trial}: {label}grid disagreement {err:.3e}")
     report["passed"] = not report["failures"]
     return report
 

@@ -1,13 +1,13 @@
 """Per-sample importance weights computed from loss values.
 
 Each weighting rule maps a per-sample loss u to a multiplicative weight
-g(u) >= 1 that emphasizes hard (high-loss) samples.  The loss fed into
+g(u) > 0 that emphasizes hard (high-loss) samples.  The loss fed into
 g is always clamped to [0, tau], which bounds the weights and protects
 the update from outliers.  Three variants are provided:
 
-    kl          g(u) = exp(clip(u, 0, tau) / (tau + 1))
-    chi2        g(u) = clip(u, 0, tau) + tau
-    reverse_kl  g(u) = (1 - clip(u, 0, tau) / (tau + 1))**-1
+    kl          g(u) = exp(clip(u, 0, tau) / (tau + 1))       in [1, e^(tau/(tau+1))]
+    chi2        g(u) = clip(u, 0, tau) + tau                  in [tau, 2 tau]
+    reverse_kl  g(u) = (1 - clip(u, 0, tau) / (tau + 1))**-1  in [1, tau + 1]
 
 plus ``none`` (all weights exactly 1, plain averaging).  The scale
 1/(tau+1) inside the kl and reverse_kl forms is tied to the clip level.
@@ -27,9 +27,6 @@ __all__ = [
     "Divergence",
     "WeightingRule",
     "as_loss_vector",
-    "weight_kl",
-    "weight_chi2",
-    "weight_revkl",
     "batch_weights",
     "weighted_objective",
     "saturation_fraction",
@@ -84,29 +81,6 @@ def as_loss_vector(values) -> np.ndarray:
         bad = np.flatnonzero(~np.isfinite(arr))
         raise ValueError(f"non-finite loss values at indices {bad.tolist()}")
     return arr
-
-
-def weight_kl(u: float, tau: float) -> float:
-    """Clipped exponential weight exp(clip(u, 0, tau) / (tau+1)).
-
-    The exponent lies in [0, tau/(tau+1)] and the weight in
-    [1, e^{tau/(tau+1)}].
-    """
-    return float(batch_weights([u], WeightingRule(Divergence.KL, tau))[0])
-
-
-def weight_chi2(u: float, tau: float) -> float:
-    """Additive weight clip(u, 0, tau) + tau, bounded in [tau, 2*tau]."""
-    return float(batch_weights([u], WeightingRule(Divergence.CHI2, tau))[0])
-
-
-def weight_revkl(u: float, tau: float) -> float:
-    """Inverse-gap weight (1 - clip(u, 0, tau)/(tau+1))**-1.
-
-    The clamp keeps the denominator >= 1/(tau+1), so the weight is
-    always finite and bounded by tau+1.
-    """
-    return float(batch_weights([u], WeightingRule(Divergence.REVERSE_KL, tau))[0])
 
 
 def batch_weights(losses, rule: WeightingRule) -> np.ndarray:

@@ -272,3 +272,10 @@ def test_train_divergence_lists_plain_sample_indices(tmp_path, capsys):
     assert cli_main(["train", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "(samples [" in err and "np.int64" not in err
+
+
+def test_train_with_overflowing_eval_losses_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, train={"optimizer": "sgd", "lr_base": 1e160, "steps": 1,
+                                        "batch_size": 255, "seed": 0})
+    assert cli_main(["train", str(cfg)]) == 1
+    assert "diverged at step 1: non-finite train loss" in capsys.readouterr().err

@@ -169,6 +169,18 @@ class TestBruteForce:
             tracemalloc.stop()
         assert peak < 4e6
 
+    def test_n4_call_bisects_the_lines_in_blocks(self):
+        # a 2001-point lattice of 4 atoms has 2,003,001 lines: bisected all at
+        # once, their (lines, 4) arrays peaked above 300 MB
+        inst = make([0.0, 1.0, 2.0, 3.0], [0.25] * 4, 0.1, Divergence.KL)
+        tracemalloc.start()
+        try:
+            simplex_bruteforce(inst, 2001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
     @pytest.mark.parametrize("div", list(SOLVERS))
     def test_grid_tolerance_defect_is_grid_resolution(self, div):
         # the dro_suite trial seed that the benchmark's strict xfail replays:

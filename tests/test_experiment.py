@@ -14,11 +14,9 @@ from reweightopt.experiment import (
     ConfigError,
     Trace,
     TraceRecord,
-    accuracy,
     direction_l2,
     export_trace,
     minibatch_stream,
-    mse,
     parse_trace,
     run_experiment,
     validate_config,
@@ -290,6 +288,21 @@ class TestRunExperiment:
                 run_experiment(cfg)
         assert err.value.step == 1
 
+    @pytest.mark.parametrize("method", [
+        {"name": "rgd", "rule": {"divergence": "kl", "tau": 0.25}},
+        {"name": "term", "t_tilt": 1.0},
+        {"name": "ma", "lam": 1.0, "beta_ma": 0.5},
+    ], ids=["rgd", "term", "ma"])
+    def test_overflowing_eval_losses_diverge_quietly(self, method):
+        # step 1 leaves theta finite (about 1e160), but the eval pass squares
+        # its residuals to inf: every method reports a divergence, without warnings
+        cfg = {**toy_config(lr=1e160, steps=1), "method": method}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingDivergenceError, match="non-finite train loss") as err:
+                run_experiment(cfg)
+        assert err.value.step == 1 and err.value.sample_indices
+
     def test_overflowing_eval_sum_keeps_the_summary_finite_and_quiet(self):
         # the digest tool's softmax run under rgd kl at lr_base 3e306: its eval
         # losses stay finite but their sum overflows; the objective takes the
@@ -396,6 +409,12 @@ class TestTraceReport:
         assert got == want
 
 
+def _metric(name, model, ds):
+    """A metric of ``ds`` as a run computes it, from one eval pass."""
+    losses, predicted = models._eval_pass(model, Batch(ds.inputs, ds.targets))
+    return experiment._metric_value(name, model, ds, losses, predicted)
+
+
 class TestMetrics:
     def test_direction_l2(self):
         theta = np.zeros(10)
@@ -415,22 +434,22 @@ class TestMetrics:
         for c in range(4):
             w[c, c] = 1.0
         model = ModelState(ModelKind.SOFTMAX, np.concatenate([w.ravel(), np.zeros(4)]), 5, 4)
-        assert accuracy(model, ds) == 1.0
+        assert _metric("accuracy", model, ds) == 1.0
         # all-zero logits predict class 0 always: 1/C on balanced data
-        assert accuracy(zero_state(ModelKind.SOFTMAX, 5, 4), ds) == 0.25
+        assert _metric("accuracy", zero_state(ModelKind.SOFTMAX, 5, 4), ds) == 0.25
 
     def test_mse_at_optimum(self):
         ds = rare_feature_regression(seed=2)
         model = ModelState(ModelKind.LINEAR, np.array(ds.meta["theta_star"]), 10)
-        assert mse(model, ds) == 0.0
+        assert _metric("mse", model, ds) == 0.0
 
     def test_kind_mismatch(self):
         ds = rare_feature_regression(seed=3)
-        with pytest.raises(ValueError):
-            accuracy(zero_state(ModelKind.SOFTMAX, 10, 3), ds)
+        with pytest.raises(ConfigError, match="accuracy does not apply to a linear"):
+            _metric("accuracy", zero_state(ModelKind.LINEAR, 10), ds)
         clf_ds = gaussian_mixture_classification(3, 5, 4, 1.0, seed=4)
-        with pytest.raises(ValueError):
-            mse(zero_state(ModelKind.LINEAR, 4), clf_ds)
+        with pytest.raises(ConfigError, match="mse does not apply to a softmax"):
+            _metric("mse", zero_state(ModelKind.SOFTMAX, 4, 3), clf_ds)
 
 
 class TestTraceExport:

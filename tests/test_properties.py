@@ -1,6 +1,7 @@
 """Property tests for the reweighted step path, the weight functions and the DRO solvers."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -415,6 +416,27 @@ _GRID_POINTS_MAX = {1: 2, 2: 200_000, 3: 600, 4: 100}
     data=st.data(),
 )
 def test_grid_oracle_matches_a_full_lattice_scan(divergence, seed, rho, ties, data):
+    _check_grid_oracle_against_a_full_scan(divergence, seed, rho, ties, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    divergence=st.sampled_from(REAL),
+    seed=seeds,
+    rho=rhos,
+    block=st.integers(1, 50),
+    data=st.data(),
+)
+def test_grid_oracle_in_small_blocks_matches_a_full_lattice_scan(
+    divergence, seed, rho, block, data
+):
+    # a few lattice lines per block, and tied losses, whose equal maxima on
+    # lines of different blocks must resolve to the first, as in the scan
+    with mock.patch.object(dro, "_LINE_BLOCK", block):
+        _check_grid_oracle_against_a_full_scan(divergence, seed, rho, True, data)
+
+
+def _check_grid_oracle_against_a_full_scan(divergence, seed, rho, ties, data):
     # tied integer losses put equal maxima on different lattice lines, where
     # the first one must win as it does in the scan
     inst = _dro_case(seed, divergence, rho, n_max=4)

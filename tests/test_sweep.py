@@ -60,6 +60,17 @@ def test_divergent_point_survives_sweep():
     assert best["train"]["lr_base"] == pytest.approx(4.0)
 
 
+def test_point_with_overflowing_eval_losses_is_marked_failed():
+    # lr 1e160 leaves theta finite after step 1, but its eval losses overflow
+    cfg = divergent_config()
+    cfg["eval_every"] = 1
+    spec = SweepSpec({"tau": [0.25], "lr_mult": [1.0, 2.5e159]}, "mse")
+    best, results = sweep(spec, cfg)
+    failed = results[1]
+    assert failed.status == "failed" and "step 1: non-finite train loss" in failed.detail
+    assert results[0].status == "ok" and best["train"]["lr_base"] == pytest.approx(4.0)
+
+
 def test_lexicographic_tie_break():
     # identical metric values on both points: smaller tuple must win
     spec = SweepSpec({"tau": [5.0, 1.0], "lr_mult": [1.0]}, "accuracy")

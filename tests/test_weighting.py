@@ -8,13 +8,23 @@ from reweightopt.weighting import (
     WeightingRule,
     batch_weights,
     saturation_fraction,
-    weight_chi2,
-    weight_kl,
-    weight_revkl,
     weighted_objective,
 )
 
 TAU_GRID = [1.0, 3.0, 5.0, 7.0, 9.0]
+
+
+# one sample's weight under each rule, through the vector entry point
+def weight_kl(u, tau):
+    return float(batch_weights([u], WeightingRule(Divergence.KL, tau))[0])
+
+
+def weight_chi2(u, tau):
+    return float(batch_weights([u], WeightingRule(Divergence.CHI2, tau))[0])
+
+
+def weight_revkl(u, tau):
+    return float(batch_weights([u], WeightingRule(Divergence.REVERSE_KL, tau))[0])
 
 
 class TestScalarWeights:
@@ -109,18 +119,6 @@ class TestBatchWeights:
         assert np.array_equal(w, [1.0, 1.0])
         w = batch_weights([0.0, 1.0], WeightingRule(Divergence.REVERSE_KL, 1.0))
         assert np.array_equal(w, [1.0, 2.0])
-
-    def test_matches_scalar_functions_bitwise(self):
-        rng = np.random.default_rng(23)
-        u = rng.uniform(-2.0, 12.0, size=64)
-        for div, fn in [
-            (Divergence.KL, weight_kl),
-            (Divergence.CHI2, weight_chi2),
-            (Divergence.REVERSE_KL, weight_revkl),
-        ]:
-            vec = batch_weights(u, WeightingRule(div, 3.0))
-            scalar = np.array([fn(float(v), 3.0) for v in u])
-            assert np.array_equal(vec, scalar)
 
     def test_propagates_input_errors(self):
         with pytest.raises(ValueError):

@@ -6,9 +6,10 @@ Each line reads ``<name> <sha256>``.  The outputs are:
   ``run_experiment`` for a softmax (SGD), a 2-hidden-layer MLP (Adam) and
   a boxed linear model (SGD, ``inv_sqrt_step``), each under rgd with the
   kl, chi2, reverse_kl and none rules, term and ma;
-- the messages of three runs that diverge: ma weights that overflow, an
-  rgd loss that overflows on some samples (the message lists them) and an
-  rgd parameter update that overflows;
+- the messages of four runs that diverge: ma weights that overflow, an
+  rgd loss that overflows on some samples (the message lists them), an
+  rgd parameter update that overflows and a finite update whose first
+  eval pass overflows;
 - for an rgd sweep of the softmax run with one diverging point, the
   ``(params, status, metric, detail, summary)`` of every point, the
   selected config and the standard output of the ``sweep`` command on
@@ -113,19 +114,21 @@ def run_digests(tmp: Path):
             yield f"{name}/final_theta", _digest(theta.tobytes())
 
 
-# name: (model, method, lr_base), each run without a box
+# name: (model, method, lr_base, eval_every), each run without a box
 DIVERGENT = {
-    "ma": ("linear", "ma", 1e200),
-    "rgd-loss": ("softmax", "rgd-kl", 1e308),  # step 2, samples [3, 8, 13]
-    "rgd-update": ("linear", "rgd-reverse_kl", 1e308),  # step 1
+    "ma": ("linear", "ma", 1e200, 10),
+    "rgd-loss": ("softmax", "rgd-kl", 1e308, 10),  # step 2, samples [3, 8, 13]
+    "rgd-update": ("linear", "rgd-reverse_kl", 1e308, 10),  # step 1
+    "rgd-eval": ("linear", "rgd-kl", 1e160, 1),  # step 1, the train split's eval
 }
 
 
 def divergence_digests():
-    for name, (model, method, lr_base) in DIVERGENT.items():
+    for name, (model, method, lr_base, eval_every) in DIVERGENT.items():
         base = MODELS[model]
         train = {k: v for k, v in base["train"].items() if k != "box"}
-        cfg = {**base, "train": {**train, "lr_base": lr_base}, "method": METHODS[method]}
+        cfg = {**base, "train": {**train, "lr_base": lr_base}, "method": METHODS[method],
+               "eval_every": eval_every}
         try:
             run_experiment(cfg)
         except TrainingDivergenceError as exc:
