@@ -9,6 +9,15 @@ Three model kinds share a flat-parameter representation:
 Softmax runs the mlp's forward and backward code, so it takes no hidden
 widths: ``ModelState`` rejects them rather than building an mlp.
 
+The classifiers' cross entropy runs class-major: ``_cross_entropy``
+transposes the (N, C) logits once to (C, N), so that the max, the tie
+count, the log-sum-exp, the picked logit and the argmax each take a few
+operations over all N rows instead of numpy's per-row loop over C
+entries.  Its class sums go through ``numerics.class_sum``, which adds in
+the order of numpy's row-major ``sum(axis=1)``, so losses, predictions,
+traces and theta are bit-identical to the row-major computation.  The
+backward pass gets exp(z - max z) row-major, so its sums keep their order.
+
 Gradients are hand-derived (no autodiff).  ``weighted_grad`` computes the
 weighted mean of per-sample gradients in a single forward/backward pass;
 the weights are plain constants, so the result is exactly
@@ -25,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import logsumexp_shifted
+from .numerics import logsumexp_classes
 
 __all__ = [
     "ModelKind",
@@ -194,10 +203,14 @@ def _forward(model: ModelState, x: np.ndarray):
     acts = [x]
     a = x
     for w, b in layers[:-1]:
-        a = np.tanh(a @ w.T + b)
+        a = a @ w.T
+        a += b
+        np.tanh(a, out=a)
         acts.append(a)
     w, b = layers[-1]
-    return a @ w.T + b, acts, layers
+    z = a @ w.T
+    z += b
+    return z, acts, layers
 
 
 def logits(model: ModelState, inputs: np.ndarray) -> np.ndarray:
@@ -208,44 +221,45 @@ def logits(model: ModelState, inputs: np.ndarray) -> np.ndarray:
 
 def predict(model: ModelState, inputs: np.ndarray) -> np.ndarray:
     """Predicted values (linear) or argmax class labels (classifiers)."""
-    return _predicted(model, logits(model, inputs))
-
-
-def _predicted(model: ModelState, out: np.ndarray) -> np.ndarray:
-    # the argmax of the logits: exp(z - max z) can round distinct scores to ties
+    out = logits(model, inputs)
     return out if model.kind is ModelKind.LINEAR else np.argmax(out, axis=1)
 
 
-def _ce_per_sample(z: np.ndarray, y: np.ndarray):
-    """Cross entropy per row and the shifted exponentials exp(z - max z).
+def _cross_entropy(z: np.ndarray, y: np.ndarray):
+    """Cross entropy per row of the logits ``z`` (N, C) against the labels
+    ``y``, with exp(z - max z) (written over ``z``), the logits and the
+    mask of each row's maximal logits, all three class-major (C, N).
 
-    The exponentials are the softmax numerators the backward pass needs.
+    After one transposed copy of ``z``, the max, the tie count, the
+    log-sum-exp and the picked logit are each a few vector operations over
+    all N rows, instead of numpy's per-row loop over C entries.  The
+    losses equal the row-major reductions bit for bit (see ``numerics``).
     """
-    zmax = z.max(axis=1, keepdims=True)
-    e = np.exp(z - zmax)
-    return logsumexp_shifted(z, zmax, e, 1) - z[np.arange(z.shape[0]), y], e
+    zt = z.T.copy()
+    zmax = zt.max(axis=0)
+    is_max = zt == zmax
+    e = np.subtract(zt, zmax, out=z.reshape(zt.shape))
+    np.exp(e, out=e)
+    losses = logsumexp_classes(zt, zmax, is_max, np.where(is_max, 0.0, e))
+    losses -= zt[y, np.arange(zt.shape[1])]
+    return losses, e, zt, is_max
 
 
 def forward_losses(model: ModelState, batch: Batch):
     """Forward pass returning (losses, ctx).
 
     ``ctx`` carries the network outputs (for classifiers the shifted
-    exponentials exp(z - max z)), activations and (W, b) layer views so
-    a subsequent ``backward_weighted`` call reuses them instead of
-    recomputing the forward pass or re-slicing theta.
+    exponentials exp(z - max z), row-major), activations and (W, b) layer
+    views so a subsequent ``backward_weighted`` call reuses them instead
+    of recomputing the forward pass or re-slicing theta.
     """
     _check_batch(model, batch)
     out, acts, layers = _forward(model, batch.inputs)
-    losses, kept = _losses(model, out, batch.targets)
-    return losses, (kept, acts, layers)
-
-
-def _losses(model: ModelState, out: np.ndarray, targets: np.ndarray):
-    """Per-sample losses of the network output and what the backward pass
-    keeps of it: the predictions (linear) or exp(z - max z) (classifiers)."""
     if model.kind is ModelKind.LINEAR:
-        return (out - targets) ** 2, out
-    return _ce_per_sample(out, targets)
+        return (out - batch.targets) ** 2, (out, acts, layers)
+    losses, e, _, _ = _cross_entropy(out, batch.targets)
+    # row-major again, so that the backward pass sums over classes in numpy's order
+    return losses, (e.T.copy(), acts, layers)
 
 
 def _eval_pass(model: ModelState, batch: Batch):
@@ -254,7 +268,19 @@ def _eval_pass(model: ModelState, batch: Batch):
     _check_batch(model, batch)
     with np.errstate(over="ignore", invalid="ignore"):
         out = _forward(model, batch.inputs)[0]
-        return _losses(model, out, batch.targets)[0], _predicted(model, out)
+        if model.kind is ModelKind.LINEAR:
+            return (out - batch.targets) ** 2, out
+        losses, _, zt, is_max = _cross_entropy(out, batch.targets)
+    # np.argmax(z, axis=1), the first maximal logit: the top rank among the maximal
+    # classes, each class ranked C - class, in a vector max over N instead of
+    # np.argmax's per-row loop over C entries
+    c = zt.shape[0]
+    rank = np.arange(c, 0, -1, dtype=np.min_scalar_type(c))
+    predicted = (c - (is_max * rank[:, None]).max(axis=0)).astype(np.intp)
+    bad = ~np.isfinite(losses)  # among them every row with a nan logit, which has no maximal one
+    if bad.any():
+        predicted[bad] = np.argmax(zt[:, bad], axis=0)
+    return losses, predicted
 
 
 def backward_weighted(model: ModelState, batch: Batch, ctx, weights) -> np.ndarray:

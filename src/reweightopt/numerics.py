@@ -1,4 +1,4 @@
-"""Log-sum-exp in plain numpy.
+"""Log-sum-exp and class sums in plain numpy.
 
 The arithmetic follows Blanchard, Higham & Higham (2021), "Accurately
 computing the log-sum-exp and softmax functions", as SciPy's
@@ -9,14 +9,25 @@ input: the maximal terms are taken out of the sum, so
     m = #{i : a_i = max(a)},   s = sum_{a_i < max(a)} exp(a_i - max(a)) / m.
 
 Where that is not finite (all -inf, +inf or nan entries) the result is
-``log(sum(exp(a)))``, as in SciPy.
+``log(sum(exp(a)))``, as in SciPy.  ``_bhh`` holds this arithmetic for
+both entry points.
+
+``logsumexp_classes`` takes the classifier's logits class-major, as a
+(C, N) array with one column per sample, so that every reduction over
+the C classes is one pass of long-vector operations over N rather than
+numpy's per-row loop over C entries.  Its float sums over classes go
+through ``class_sum``, which adds in the order numpy's ``sum(axis=1)``
+takes on the row-major (N, C) array, so the results are bit-identical
+to the row-major reductions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["logsumexp", "logsumexp_shifted"]
+__all__ = ["class_sum", "logsumexp", "logsumexp_classes"]
+
+_PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE
 
 
 def logsumexp(a, axis=None):
@@ -24,25 +35,82 @@ def logsumexp(a, axis=None):
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))
     axis = tuple(range(a.ndim)) if axis is None else axis
     a_max = a.max(axis=axis, keepdims=True)
+    is_max = a == a_max
     with np.errstate(invalid="ignore"):  # inf - inf at an infinite max, masked out below
-        e = np.exp(a - a_max)
-    out = logsumexp_shifted(a, a_max, e, axis)
+        rest = np.where(is_max, 0.0, np.exp(a - a_max))
+    out = _bhh(
+        a_max,
+        is_max.sum(axis=axis, keepdims=True, dtype=np.float64),
+        rest.sum(axis=axis, keepdims=True),
+        lambda: np.exp(a).sum(axis=axis, keepdims=True),
+    )
+    out = np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out
 
 
-def logsumexp_shifted(a, a_max, e, axis):
-    """log-sum-exp of ``a`` over ``axis`` from its parts already at hand.
+def logsumexp_classes(a, a_max, is_max, rest):
+    """log-sum-exp of each column of the class-major (C, N) array ``a``.
 
-    ``a_max = a.max(axis, keepdims=True)`` and ``e = exp(a - a_max)``; the
-    caller may go on using ``e`` (a softmax numerator), it is not modified.
+    ``a_max = a.max(axis=0)``, ``is_max = a == a_max`` and ``rest`` is
+    exp(a - a_max) with its maximal entries set to 0.  The result equals
+    ``logsumexp(a.T, axis=1)`` bit for bit.
     """
-    is_max = a == a_max
-    m = is_max.sum(axis=axis, keepdims=True, dtype=np.float64)
+    # the tie count in the narrowest integer type that holds C: exact, and
+    # faster than casting every bool to float
+    m = is_max.sum(axis=0, dtype=np.min_scalar_type(a.shape[0])).astype(np.float64)
+    return _bhh(a_max, m, class_sum(rest), lambda: class_sum(np.exp(a)))
+
+
+def _bhh(a_max, m, s, sum_exp):
+    """log1p(s / m) + log(m) + a_max from the maximum ``a_max``, the count
+    ``m`` of maximal terms and the sum ``s`` of the other terms'
+    exp(a - a_max); where that is not finite, log(sum_exp()), the plain
+    log(sum(exp(a)))."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.where(is_max, 0.0, e).sum(axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
+        # m = 0 only at a nan maximum, whose nan result log(sum_exp()) keeps
+        out = np.log1p(s / m) + np.log(m) + a_max
         finite = np.isfinite(out)
         if not finite.all():
-            out = np.where(finite, out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
-    return np.squeeze(out, axis=axis)
+            out = np.where(finite, out, np.log(sum_exp()))
+    return out
+
+
+def class_sum(a):
+    """Column sums of the class-major (C, N) array ``a``, bit for bit as
+    ``np.ascontiguousarray(a.T).sum(axis=1)``.
+
+    numpy sums each row of C entries pairwise: fewer than 8 in sequence,
+    up to 128 in 8 interleaved accumulators, more by halving at a
+    multiple of 8; the reduction adds that sum to its identity 0.0, which
+    only turns a sum of -0.0 terms into 0.0.  Each step here is one
+    vector operation over the N columns.
+    """
+    out = _pairwise(a)
+    out += 0.0
+    return out
+
+
+def _pairwise(a):
+    c = a.shape[0]
+    if c < 8:
+        # in sequence, row after row; whether this reduction starts from 0.0
+        # or from the first row changes only the sign of a zero sum
+        return np.add.reduce(a, axis=0)
+    if c <= _PAIRWISE_BLOCK:
+        end = c - c % 8
+        r = a[:8]  # accumulator k adds rows k, k + 8, k + 16, ... below end
+        if end > 8:
+            r = r + a[8:16]
+            for i in range(16, end, 8):
+                r += a[i : i + 8]
+        r = r[0::2] + r[1::2]  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        r = r[0::2] + r[1::2]
+        out = r[0] + r[1]
+        for row in a[end:]:
+            out += row
+        return out
+    half = c // 2
+    half -= half % 8
+    out = _pairwise(a[:half])
+    out += _pairwise(a[half:])
+    return out

@@ -63,13 +63,21 @@ class Schedule(str, Enum):
     INV_SQRT_HORIZON = "inv_sqrt_horizon"
 
 
+_SHOWN_SAMPLES = 32  # sample indices a divergence message lists; the exception keeps all
+
+
 class TrainingDivergenceError(RuntimeError):
     """Non-finite loss or direction encountered during training."""
 
     def __init__(self, step: int, detail: str, sample_indices=None):
         self.step = step
         self.sample_indices = [] if sample_indices is None else [int(i) for i in sample_indices]
-        suffix = f" (samples {self.sample_indices})" if self.sample_indices else ""
+        suffix = ""
+        if len(self.sample_indices) > _SHOWN_SAMPLES:
+            shown = ", ".join(map(str, self.sample_indices[:_SHOWN_SAMPLES]))
+            suffix = f" (samples [{shown}, ...], {len(self.sample_indices)} in all)"
+        elif self.sample_indices:
+            suffix = f" (samples {self.sample_indices})"
         super().__init__(f"training diverged at step {step}: {detail}{suffix}")
 
 

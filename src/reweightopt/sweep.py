@@ -125,6 +125,11 @@ def sweep(spec: SweepSpec, base_config: dict):
     points = list(itertools.product(*(sorted(spec.axes[a]) for a in axis_names)))
     configs = [validate_config(_apply_point(base, axis_names, p)) for p in points]
     built = _build(configs[0])  # the points differ in method and train.lr_base only
+    if spec.select_split not in built.splits:
+        raise ConfigError(
+            f"selection split {spec.select_split!r} is not a split of the dataset "
+            f"({', '.join(built.splits)})"
+        )
     sign = METRIC_DIRECTIONS[spec.select_metric]
     results: list[GridResult] = []
     best = None  # (sign * value, params, config)
@@ -134,12 +139,7 @@ def sweep(spec: SweepSpec, base_config: dict):
         except TrainingDivergenceError as exc:
             results.append(GridResult(point, "failed", None, str(exc)))
             continue
-        split_final = summary["final"].get(spec.select_split)
-        if split_final is None or spec.select_metric not in split_final:
-            raise ConfigError(
-                f"selection split {spec.select_split!r} missing from run summary"
-            )
-        value = split_final[spec.select_metric]
+        value = summary["final"][spec.select_split][spec.select_metric]
         results.append(GridResult(point, "ok", value, "", summary))
         key = sign * value
         # strict improvement only: earlier (lexicographically smaller) ties win

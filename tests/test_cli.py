@@ -182,6 +182,26 @@ def test_sweep_marks_an_overflowing_point_failed(tmp_path, capsys):
     assert [row[2] for row in rows] == ["ok", "failed"]
 
 
+def test_sweep_with_unknown_selection_split_exits_2_without_training(tmp_path, capsys, monkeypatch):
+    from reweightopt.sweep import sweep
+
+    calls = []
+    train = sweep.__globals__["_train"]
+    monkeypatch.setitem(sweep.__globals__, "_train", lambda *args: calls.append(1) or train(*args))
+    base = json.loads(write_config(tmp_path).read_text())
+    base["dataset"]["split"] = {"seed": 1, "holdout_fraction": 0.2}
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({
+        "base": base,
+        "grid": {"tau": [0.25], "lr_mult": [1.0]},
+        "select": {"metric": "mse", "split": "holdut"},
+    }))
+    assert cli_main(["sweep", str(spec_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: selection split 'holdut' is not a split")
+    assert captured.out == "" and calls == []
+
+
 def test_missing_file_exits_2():
     assert cli_main(["train", "/nonexistent/config.json"]) == 2
 

@@ -303,6 +303,15 @@ class TestRunExperiment:
                 run_experiment(cfg)
         assert err.value.step == 1 and err.value.sample_indices
 
+    def test_eval_divergence_message_stays_short(self):
+        # every train row's eval loss overflows; the message names 32 of them
+        cfg = {**toy_config(lr=1e160, steps=1), "eval_every": 1}
+        with pytest.raises(TrainingDivergenceError) as err:
+            run_experiment(cfg)
+        n = len(err.value.sample_indices)
+        assert n > 32 and err.value.sample_indices == sorted(set(err.value.sample_indices))
+        assert str(err.value).endswith(f", ...], {n} in all)") and len(str(err.value)) < 250
+
     def test_overflowing_eval_sum_keeps_the_summary_finite_and_quiet(self):
         # the digest tool's softmax run under rgd kl at lr_base 3e306: its eval
         # losses stay finite but their sum overflows; the objective takes the

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,3 +318,79 @@ class TestClassifierContext:
         _, ctx = forward_losses(model, batch)
         backward_weighted(model, batch, ctx, np.ones(8))
         assert len(calls) == 1
+
+
+def _row_major_cross_entropy(z, y):
+    """Reference: the cross entropy and exp(z - max z) by row-major reductions."""
+    zmax = z.max(axis=1, keepdims=True)
+    e = np.exp(z - zmax)
+    is_max = z == zmax
+    m = is_max.sum(axis=1, keepdims=True, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.where(is_max, 0.0, e).sum(axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + zmax
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(z).sum(axis=1, keepdims=True)))
+    return np.squeeze(out, axis=1) - z[np.arange(z.shape[0]), y], e
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestClassMajorCrossEntropy:
+    """forward_losses and _eval_pass equal the row-major kernel and np.argmax bit for bit."""
+
+    def _check(self, z, y, monkeypatch):
+        monkeypatch.setattr(models, "_forward", lambda model, x: (z.copy(), [x], None))
+        n, c = z.shape
+        model = zero_state(ModelKind.SOFTMAX, 1, c)
+        batch = Batch(np.zeros((n, 1)), y)
+        with np.errstate(all="ignore"):
+            want, want_e = _row_major_cross_entropy(z, y)
+            losses, (e, _, _) = forward_losses(model, batch)
+        eval_losses, predicted = models._eval_pass(model, batch)
+        assert _bits(losses) == _bits(want) and _bits(eval_losses) == _bits(want)
+        assert _bits(e) == _bits(want_e) and e.flags.c_contiguous
+        assert _bits(predicted) == _bits(np.argmax(z, axis=1))
+
+    @pytest.mark.parametrize("c", [2, 3, 7, 8, 9, 10, 15, 16, 17, 64, 128, 129, 130, 136, 300])
+    @pytest.mark.parametrize("n", [1, 5, 64, 700])
+    def test_matches_row_major_kernel(self, c, n, monkeypatch):
+        rng = np.random.default_rng(1000 * c + n)
+        z = rng.standard_normal((n, c)) * np.exp(rng.uniform(-8.0, 8.0, (n, 1)))
+        z[: n // 3] = np.round(z[: n // 3])  # ties, at the maximum too
+        z[rng.random(z.shape) < 0.1] = 0.0
+        z[rng.random(z.shape) < 0.1] = -0.0
+        z[rng.random(z.shape) < 0.1] = -np.inf
+        if n > 4:
+            z[-1] = -np.inf
+            z[-2, ::2] = np.inf
+            z[-3, -1] = np.nan
+            z[-4] = 1e308
+        y = rng.integers(0, c, n)
+        self._check(z, y, monkeypatch)
+
+    @pytest.mark.parametrize("c", [2, 10])
+    def test_all_tied_rows(self, c, monkeypatch):
+        # a zero-initialized softmax: every logit 0, every class maximal
+        self._check(np.zeros((6, c)), np.arange(6) % c, monkeypatch)
+        self._check(np.full((6, c), -0.0), np.arange(6) % c, monkeypatch)
+
+    def test_eval_pass_peak_memory(self):
+        # the forward pass adds the bias and applies tanh in place, and the
+        # cross entropy overwrites the logits: the peak is the hidden
+        # activations and the logits, with 10% to spare
+        rng = np.random.default_rng(17)
+        model = random_state(ModelKind.MLP, 20, 10, (32,), seed=17)
+        batch = Batch(rng.standard_normal((4380, 20)), rng.integers(0, 10, 4380))
+        models._eval_pass(model, batch)
+        tracemalloc.start()
+        try:
+            models._eval_pass(model, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 8 * 4380 * (32 + 10)

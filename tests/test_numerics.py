@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp as scipy_logsumexp
 
-from reweightopt.numerics import logsumexp
+from reweightopt.numerics import class_sum, logsumexp
 
 
 def _same(a, axis=None):
@@ -105,3 +105,28 @@ def test_property_random_finite(a):
     _same(a)
     _same(a, axis=0)
     _same(a, axis=1)
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e300, -1e300]
+
+
+@st.composite
+def _row_major(draw):
+    """(N, C) arrays drawn from a few values, so with ties, signed zeros,
+    subnormals and magnitudes up to 1e300; no sum of them overflows."""
+    c = draw(st.one_of(st.sampled_from([1, 7, 8, 9, 16, 17, 127, 128, 129, 136, 257]),
+                       st.integers(1, 300)))
+    n = draw(st.integers(1, 4))
+    values = st.one_of(st.floats(-1e300, 1e300), st.sampled_from(_EDGE_VALUES))
+    pool = np.asarray(draw(st.lists(values, min_size=1, max_size=12)))
+    idx = draw(hnp.arrays(np.intp, (n, c), elements=st.integers(0, pool.size - 1)))
+    tiny = draw(hnp.arrays(np.bool_, (n, c)))  # scaled into the subnormal range
+    return np.where(tiny, pool[idx] * 1e-300, pool[idx])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_major())
+def test_class_sum_is_numpy_row_sum_bit_for_bit(a):
+    want = a.sum(axis=1)
+    got = class_sum(np.ascontiguousarray(a.T))
+    assert got.dtype == want.dtype and got.view(np.int64).tolist() == want.view(np.int64).tolist()

@@ -195,6 +195,15 @@ class TestRgdStep:
         assert str(err.value) == "training diverged at step 1: non-finite loss (samples [0, 1])"
         assert [type(i) for i in err.value.sample_indices] == [int, int]
 
+    @pytest.mark.parametrize("count", [1, 32, 33, 251])
+    def test_divergence_message_lists_at_most_32_samples(self, count):
+        err = TrainingDivergenceError(4, "non-finite train loss", np.arange(count) * 3)
+        assert err.sample_indices == list(range(0, 3 * count, 3))
+        listed = ", ".join(str(3 * i) for i in range(min(count, 32)))
+        tail = f", ...], {count} in all)" if count > 32 else "])"
+        want = f"training diverged at step 4: non-finite train loss (samples [{listed}{tail}"
+        assert str(err) == want
+
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     def test_non_finite_direction_raises_at_its_step(self, optimizer):
         # the loss (0 - 1)^2 = 1 is finite, the gradient 2 * 1e308 * -1 is not

@@ -102,6 +102,24 @@ def test_selection_metric_must_be_tracked():
         sweep(spec, base_config())
 
 
+@pytest.mark.parametrize("split", ["holdut", "test"])
+def test_unknown_selection_split_fails_before_any_point_trains(monkeypatch, split):
+    # base_config has train and holdout splits only
+    calls = []
+    train = sweep.__globals__["_train"]
+    monkeypatch.setitem(sweep.__globals__, "_train", lambda *args: calls.append(1) or train(*args))
+    spec = SweepSpec({"tau": [1.0, 3.0], "lr_mult": [1.0]}, "accuracy", split)
+    with pytest.raises(ConfigError, match=f"selection split '{split}'"):
+        sweep(spec, base_config())
+    assert calls == []
+
+
+def test_unknown_selection_split_fails_when_every_point_would_diverge():
+    spec = SweepSpec({"tau": [0.25], "lr_mult": [1e200]}, "mse", "holdut")
+    with pytest.raises(ConfigError, match="selection split 'holdut'"):
+        sweep(spec, divergent_config())
+
+
 def test_validate_sweep_spec_defaults():
     spec = validate_sweep_spec({"select": {"metric": "accuracy"}}, base_config())
     assert spec.axes["tau"] == [1.0, 3.0, 5.0, 7.0, 9.0]

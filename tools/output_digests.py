@@ -6,6 +6,13 @@ Each line reads ``<name> <sha256>``.  The outputs are:
   ``run_experiment`` for a softmax (SGD), a 2-hidden-layer MLP (Adam) and
   a boxed linear model (SGD, ``inv_sqrt_step``), each under rgd with the
   kl, chi2, reverse_kl and none rules, term and ma;
+- the CSV trace bytes and ``final_theta`` of a 10-class softmax and a
+  10-class MLP run under rgd kl, whose class sums take numpy's 8-way
+  pairwise path (the runs above have 3 classes);
+- the losses and softmax numerators of ``models.forward_losses`` and the
+  losses and predictions of ``models._eval_pass`` on given logits with
+  2, 9, 10, 17 and 130 classes, with tied logits, signed zeros and -inf
+  on classes other than the label (every loss finite);
 - the messages of four runs that diverge: ma weights that overflow, an
   rgd loss that overflows on some samples (the message lists them), an
   rgd parameter update that overflows and a finite update whose first
@@ -41,6 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
+from reweightopt import models
 from reweightopt.cli import cli_main
 from reweightopt.dro import (
     DroInstance, chi2_dro_value, kl_dro_primal, random_instance, revkl_dro_value,
@@ -112,6 +120,60 @@ def run_digests(tmp: Path):
             theta = np.asarray(summary.pop("final_theta"), dtype=np.float64)
             yield f"{name}/summary", _digest(_canonical(summary))
             yield f"{name}/final_theta", _digest(theta.tobytes())
+
+
+_MIXTURE_10 = {
+    "generator": "gaussian_mixture_classification",
+    "params": {"num_classes": 10, "n_per_class": 12, "dim": 10, "separation": 2.0, "seed": 13},
+    "split": {"holdout_fraction": 0.2, "test_fraction": 0.2, "seed": 14},
+}
+
+WIDE = {
+    "softmax-10": {**MODELS["softmax"], "dataset": _MIXTURE_10},
+    "mlp-10": {**MODELS["mlp"], "dataset": _MIXTURE_10},
+}
+
+
+def wide_digests(tmp: Path):
+    for name, base in WIDE.items():
+        trace, summary = run_experiment({**base, "method": METHODS["rgd-kl"], "eval_every": 7})
+        path = tmp / "trace.csv"
+        export_trace(trace, path)
+        yield f"{name}/rgd-kl/trace.csv", _digest(path.read_bytes())
+        theta = np.asarray(summary["final_theta"], dtype=np.float64)
+        yield f"{name}/rgd-kl/final_theta", _digest(theta.tobytes())
+
+
+def _logits(rng, n, c):
+    """n rows of c logits with ties, signed zeros and -inf off the labels; the labels."""
+    z = rng.standard_normal((n, c)) * np.exp(rng.uniform(-4.0, 4.0, (n, 1)))
+    z[: n // 4] = np.round(z[: n // 4])  # ties, at the maximum too
+    z[rng.random(z.shape) < 0.1] = 0.0
+    z[rng.random(z.shape) < 0.1] = -0.0
+    z[n // 2] = -0.0
+    y = rng.integers(0, c, n)
+    z[(rng.random(z.shape) < 0.2) & (np.arange(c) != y[:, None])] = -np.inf
+    return z, y
+
+
+def kernel_digests():
+    rng = np.random.default_rng(15)
+    forward = models._forward
+    try:
+        for c in (2, 9, 10, 17, 130):
+            z, y = _logits(rng, 64, c)
+            # the softmax model's forward pass, replaced by the given logits
+            models._forward = lambda model, x: (z.copy(), [x], models._unpack_mlp(model))
+            model = models.ModelState("softmax", np.zeros(2 * c), 1, c)
+            batch = models.Batch(np.zeros((64, 1)), y)
+            losses, (e, _, _) = models.forward_losses(model, batch)
+            eval_losses, predicted = models._eval_pass(model, batch)
+            if not np.isfinite(losses).all():
+                raise SystemExit(f"the {c}-class logits give a non-finite loss")
+            parts = [losses, e, eval_losses, predicted]
+            yield f"cross-entropy/C={c}", _digest(b"".join(a.tobytes() for a in parts))
+    finally:
+        models._forward = forward
 
 
 # name: (model, method, lr_base, eval_every), each run without a box
@@ -199,6 +261,10 @@ def main() -> None:
             print(name, digest)
         for name, digest in sweep_digests(Path(tmp)):
             print(name, digest)
+        for name, digest in wide_digests(Path(tmp)):
+            print(name, digest)
+    for name, digest in kernel_digests():
+        print(name, digest)
     for name, digest in divergence_digests():
         print(name, digest)
     print("dro_suite(40)", _digest(_canonical(dro_suite(40))))
