@@ -29,7 +29,7 @@ certify the analytic gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -106,16 +106,26 @@ class ModelState:
 
     def with_theta(self, theta: np.ndarray) -> "ModelState":
         """This model with new parameters, checked like a new ``ModelState``;
-        optimizer steps store their already scanned theta through ``_unchecked``."""
+        optimizer steps store their already scanned theta unchecked."""
         return ModelState(self.kind, theta, self.input_dim, self.num_classes, self.hidden)
 
 
 @dataclass(frozen=True)
 class Batch:
-    """Inputs (B, d) with regression targets or integer class labels."""
+    """Inputs (B, d) with regression targets or integer class labels.
+
+    Construction checks the batch once: finite inputs, finite float64 or
+    int64 targets, one per row, all stored read-only.  Integer labels also
+    record their (min, max) in ``label_range`` (None for real targets),
+    which a step compares with the model's classes in place of a pass
+    over the labels; ``_rows`` passes it on to row subsets.
+    """
 
     inputs: np.ndarray
     targets: np.ndarray
+    label_range: tuple[int, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.inputs, dtype=np.float64))
@@ -134,16 +144,15 @@ class Batch:
             raise ValueError(f"{x.shape[0]} inputs vs {y.shape[0]} targets")
         if not np.all(np.isfinite(x)):
             raise ValueError("batch inputs contain non-finite entries")
-        if y.dtype == np.float64 and not np.all(np.isfinite(y)):
-            raise ValueError("batch targets contain non-finite entries")
+        if y.dtype == np.float64:
+            if not np.all(np.isfinite(y)):
+                raise ValueError("batch targets contain non-finite entries")
+        else:
+            object.__setattr__(self, "label_range", (int(y.min()), int(y.max())))
 
     @property
     def size(self) -> int:
         return self.inputs.shape[0]
-
-    @property
-    def is_classification(self) -> bool:
-        return self.targets.dtype == np.int64
 
 
 def _unchecked(cls, **fields):
@@ -156,26 +165,39 @@ def _unchecked(cls, **fields):
 
 def _rows(batch: Batch, idx) -> Batch:
     """``Batch(batch.inputs[idx], batch.targets[idx])`` without re-scanning
-    rows that were checked as part of ``batch``."""
+    rows that were checked as part of ``batch``; the subset keeps the
+    parent's ``label_range``, which bounds its labels."""
     x, y = batch.inputs[idx], batch.targets[idx]
     x.setflags(write=False)
     y.setflags(write=False)
-    return _unchecked(Batch, inputs=x, targets=y)
+    return _unchecked(Batch, inputs=x, targets=y, label_range=batch.label_range)
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _flat(values) -> np.ndarray:
+    """``np.asarray(values, dtype=np.float64).reshape(-1)``; a 1-D float64
+    ndarray, which the step's own vectors are, is returned as it is."""
+    if type(values) is np.ndarray and values.dtype is _FLOAT64 and values.ndim == 1:
+        return values
+    return np.asarray(values, dtype=np.float64).reshape(-1)
 
 
 def _check_batch(model: ModelState, batch: Batch) -> None:
+    """The batch's fit to the model: dim, target type and label range."""
     if batch.inputs.shape[1] != model.input_dim:
         raise ValueError(
             f"batch dim {batch.inputs.shape[1]} does not match model dim {model.input_dim}"
         )
+    labels = batch.label_range
     if model.kind is ModelKind.LINEAR:
-        if batch.is_classification:
+        if labels is not None:
             raise ValueError("linear regression expects real-valued targets")
-    else:
-        if not batch.is_classification:
-            raise ValueError("classifier expects integer class labels")
-        if batch.targets.min() < 0 or batch.targets.max() >= model.num_classes:
-            raise ValueError("class label out of range")
+    elif labels is None:
+        raise ValueError("classifier expects integer class labels")
+    elif labels[0] < 0 or labels[1] >= model.num_classes:
+        raise ValueError("class label out of range")
 
 
 def _unpack_mlp(model: ModelState):
@@ -248,15 +270,17 @@ def _cross_entropy(z: np.ndarray, y: np.ndarray):
 def forward_losses(model: ModelState, batch: Batch):
     """Forward pass returning (losses, ctx).
 
-    ``ctx`` carries the network outputs (for classifiers the shifted
-    exponentials exp(z - max z), row-major), activations and (W, b) layer
-    views so a subsequent ``backward_weighted`` call reuses them instead
-    of recomputing the forward pass or re-slicing theta.
+    ``ctx`` carries what a subsequent ``backward_weighted`` call reuses
+    instead of recomputing the forward pass or re-slicing theta: for a
+    linear model the residual x.theta - y, for classifiers the shifted
+    exponentials exp(z - max z) (row-major), the activations and the
+    (W, b) layer views.
     """
     _check_batch(model, batch)
-    out, acts, layers = _forward(model, batch.inputs)
     if model.kind is ModelKind.LINEAR:
-        return (out - batch.targets) ** 2, (out, acts, layers)
+        r = batch.inputs @ model.theta - batch.targets
+        return r * r, (r, None, None)
+    out, acts, layers = _forward(model, batch.inputs)
     losses, e, _, _ = _cross_entropy(out, batch.targets)
     # row-major again, so that the backward pass sums over classes in numpy's order
     return losses, (e.T.copy(), acts, layers)
@@ -285,15 +309,15 @@ def _eval_pass(model: ModelState, batch: Batch):
 
 def backward_weighted(model: ModelState, batch: Batch, ctx, weights) -> np.ndarray:
     """Backward pass: (1/B) * sum_i w_i * grad(loss_i), weights constant."""
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    w = _flat(weights)
     if w.shape[0] != batch.size:
         raise ValueError(f"{w.shape[0]} weights for batch of {batch.size}")
     scale = w / batch.size
-    out, acts, layers = ctx  # for classifiers out is exp(z - max z)
+    out, acts, layers = ctx  # the residual (linear) or exp(z - max z) (classifiers)
     x = batch.inputs
 
     if model.kind is ModelKind.LINEAR:
-        return x.T @ (2.0 * scale * (out - batch.targets))
+        return x.T @ (2.0 * scale * out)
 
     delta = out / out.sum(axis=1, keepdims=True)
     delta[np.arange(batch.size), batch.targets] -= 1.0

@@ -16,23 +16,30 @@ a trace row.  The weighters are a :class:`~reweightopt.weighting.WeightingRule`
 a running estimate of their mean); ``term_step`` and ``ma_exp_step`` are
 ``rgd_step`` with the last two.
 
-Inputs are validated where they enter: the public constructors (``ModelState``,
-``Batch``, ``TrainConfig``, the weighters) and entry points (``lr_at``,
-``sgd_step``, ``adam_step``, ``rgd_step``).  Past them a step trusts its
-inputs: it scans its losses and its new theta once each for non-finite
-entries (the divergence signals), checks the gradient's length and stores
-the new state without converting or scanning it again.
+Each check runs once, where its value enters.  The constructors check
+their own values (``ModelState``, ``Batch``, which also records its
+label range, ``TrainConfig``, the weighters); the entry points check how
+they fit together: ``forward_losses`` the batch against the model,
+``backward_weighted`` and ``sgd_step``/``adam_step`` the length of the
+weights and the gradient (converting all but a 1-D float64 array),
+``lr_at`` the step against the horizon, ``adam_step`` the moments.
+Values a step makes itself are stored unchecked.  Its divergence
+signals, the losses and the new theta, are scanned once each by counting
+the finite entries: exact (an all-finite vector passes even when its sum
+would overflow) and quiet.  Only a scan that finds a non-finite entry
+lists them, for the step, message and sample indices of
+:class:`TrainingDivergenceError`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .models import Batch, ModelState, _unchecked, backward_weighted, forward_losses
+from .models import Batch, ModelState, _flat, _unchecked, backward_weighted, forward_losses
 from .numerics import logsumexp
 # batch_weights is bound here only for the benchmark's layer_targets()
 from .weighting import WeightingRule, batch_weights  # noqa: F401
@@ -159,19 +166,19 @@ class BaselineState:
 
     def step_weights(self, losses: np.ndarray, t: int):
         """z <- beta * z + (1 - beta) * mean(exp(lam * loss)); w = exp(lam * loss) / z."""
-        with np.errstate(over="ignore"):
-            e = np.exp(self.lam * losses)
-        if not np.all(np.isfinite(e)):
-            bad = np.flatnonzero(~np.isfinite(e))
-            raise TrainingDivergenceError(t, "exponential weight overflow", bad)
+        e = np.exp(self.lam * losses)  # rgd_step's errstate keeps an overflow quiet
         batch_mean = float(np.mean(e))
+        if not math.isfinite(batch_mean):  # an entry overflowed, or only their sum
+            bad = np.flatnonzero(~np.isfinite(e))
+            if bad.size:
+                raise TrainingDivergenceError(t, "exponential weight overflow", bad)
         if self.z is None:
             z = batch_mean
         else:
             z = self.beta_ma * self.z + (1.0 - self.beta_ma) * batch_mean
         if z <= 0:
             raise TrainingDivergenceError(t, f"non-positive normalizer z={z}")
-        return e / z, replace(self, z=z)
+        return e / z, _unchecked(BaselineState, lam=self.lam, beta_ma=self.beta_ma, z=z)
 
     def report(self, losses):
         losses = np.asarray(losses, dtype=np.float64)
@@ -200,10 +207,16 @@ class Tilt:
             raise ValueError("t_tilt must be positive")
 
     def step_weights(self, losses: np.ndarray, t: int):
-        return losses.size * term_weights(losses, self.t_tilt), self
+        return losses.size * self._probs(losses), self
 
     def report(self, losses):
         return term_objective(losses, self.t_tilt), term_weights(losses, self.t_tilt), 0.0
+
+    def _probs(self, ell: np.ndarray) -> np.ndarray:
+        """``term_weights`` of the float64 vector ``ell`` at this tilt."""
+        shifted = self.t_tilt * ell - self.t_tilt * ell.max()
+        e = np.exp(shifted)
+        return e / e.sum()
 
 
 @dataclass(frozen=True)
@@ -235,14 +248,8 @@ def init_state(model: ModelState, optimizer: str = "sgd") -> OptimizerState:
     return OptimizerState(model, 0)
 
 
-def _project(theta: np.ndarray, box) -> np.ndarray:
-    if box is None:
-        return theta
-    return theta.clip(box[0], box[1])
-
-
 def _gradient(state: OptimizerState, gradient) -> np.ndarray:
-    g = np.asarray(gradient, dtype=np.float64).reshape(-1)
+    g = _flat(gradient)
     if g.size != state.model.theta.size:
         raise ValueError(f"gradient has {g.size} entries, theta {state.model.theta.size}")
     return g
@@ -251,16 +258,16 @@ def _gradient(state: OptimizerState, gradient) -> np.ndarray:
 def _updated(state: OptimizerState, theta, box, t: int, m, v) -> OptimizerState:
     """Project and store theta; a non-finite gradient or update diverges here.
 
-    This is the step's one scan of theta.  theta and new Adam moments are
-    fresh float64 arrays of theta's length: set read-only, stored unchecked.
+    This is the step's one scan of theta.  theta is a fresh float64 array
+    of theta's length, and m, v are read-only: stored unchecked.
     """
-    if not np.isfinite(theta).all():
+    if np.count_nonzero(np.isfinite(theta)) != theta.size:
         raise TrainingDivergenceError(t, "non-finite parameter update")
-    theta = _project(theta, box)
-    for arr in (theta, m, v):
-        if arr is not None:
-            arr.setflags(write=False)
-    model = _unchecked(ModelState, **{**state.model.__dict__, "theta": theta})
+    if box is not None:
+        theta = theta.clip(box[0], box[1])
+    theta.setflags(write=False)
+    model = object.__new__(ModelState)  # state.model with the new theta, as _unchecked
+    model.__dict__.update(state.model.__dict__, theta=theta)
     return _unchecked(OptimizerState, model=model, t=t, m=m, v=v)
 
 
@@ -291,6 +298,8 @@ def adam_step(
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
         theta = state.model.theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m.setflags(write=False)
+    v.setflags(write=False)
     return _updated(state, theta, box, t, m, v)
 
 
@@ -308,18 +317,26 @@ def rgd_step(state: OptimizerState, batch: Batch, weighter, config: TrainConfig)
 
     With the ``none`` rule as weighter the applied direction is the plain
     mean gradient, making the trajectory identical to SGD/Adam.
+
+    Its arguments were checked when they were built: the step checks only
+    how they fit together and scans its losses and its new theta once each
+    (see the module docstring), raising :class:`TrainingDivergenceError`
+    at step ``state.t + 1``; an overflow on the way there stays quiet.
     """
+    t = state.t + 1
     # overflow here is not an accident: it is the divergence signal, which
-    # the loss check below and _updated report as TrainingDivergenceError
+    # the loss scan below and _updated report as TrainingDivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
         losses, ctx = forward_losses(state.model, batch)
-        if not np.isfinite(losses).all():
+        if np.count_nonzero(np.isfinite(losses)) != losses.size:
             bad = np.flatnonzero(~np.isfinite(losses))
-            raise TrainingDivergenceError(state.t + 1, "non-finite loss", bad)
-        weights, weighter = weighter.step_weights(losses, state.t + 1)
+            raise TrainingDivergenceError(t, "non-finite loss", bad)
+        weights, weighter = weighter.step_weights(losses, t)
         direction = backward_weighted(state.model, batch, ctx, weights)
         state = _base_step(state, direction, config)
-    return state, StepInfo(losses, weights, direction, weighter)
+    return state, _unchecked(
+        StepInfo, losses=losses, weights=weights, direction=direction, weighter=weighter
+    )
 
 
 def term_objective(losses, t_tilt: float) -> float:
@@ -332,12 +349,7 @@ def term_objective(losses, t_tilt: float) -> float:
 
 def term_weights(losses, t_tilt: float) -> np.ndarray:
     """Softmax weights p_i = exp(t*l_i) / sum_j exp(t*l_j); sums to 1."""
-    if t_tilt <= 0:
-        raise ValueError("t_tilt must be positive")
-    ell = np.asarray(losses, dtype=np.float64).reshape(-1)
-    shifted = t_tilt * ell - t_tilt * ell.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    return Tilt(t_tilt)._probs(np.asarray(losses, dtype=np.float64).reshape(-1))
 
 
 def term_step(state: OptimizerState, batch: Batch, t_tilt: float, config: TrainConfig):

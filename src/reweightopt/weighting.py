@@ -63,8 +63,9 @@ class WeightingRule:
         return _apply(losses, self), self
 
     def report(self, losses):
-        w = batch_weights(losses, self)
-        return weighted_objective(losses, w), w, saturation_fraction(losses, self)
+        ell = as_loss_vector(losses)  # the one check of the row's losses
+        w = _apply(ell, self)
+        return _objective(ell, w), w, _saturation(ell, self)
 
 
 def as_loss_vector(values) -> np.ndarray:
@@ -117,6 +118,10 @@ def weighted_objective(losses, weights) -> float:
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     if w.shape != ell.shape:
         raise ValueError(f"length mismatch: {ell.size} losses vs {w.size} weights")
+    return _objective(ell, w)
+
+
+def _objective(ell: np.ndarray, w: np.ndarray) -> float:
     with np.errstate(over="ignore"):
         mean = float(np.mean(w * ell))
     if not math.isfinite(mean):
@@ -127,7 +132,10 @@ def weighted_objective(losses, weights) -> float:
 
 def saturation_fraction(losses, rule: WeightingRule) -> float:
     """Fraction of samples whose loss hit the upper clip (u >= tau)."""
-    arr = as_loss_vector(losses)
+    return _saturation(as_loss_vector(losses), rule)
+
+
+def _saturation(arr: np.ndarray, rule: WeightingRule) -> float:
     if rule.divergence is Divergence.NONE:
         return 0.0
     return float(np.mean(arr >= rule.tau))

@@ -9,6 +9,10 @@ Each line reads ``<name> <sha256>``.  The outputs are:
 - the CSV trace bytes and ``final_theta`` of a 10-class softmax and a
   10-class MLP run under rgd kl, whose class sums take numpy's 8-way
   pairwise path (the runs above have 3 classes);
+- the losses of every step and the final theta of the c07 reference
+  loop: 1000 full-batch ``rgd_step`` calls on a boxed linear model
+  (n = 64, d = 5, box [-2, 2], constant lr 0.05, kl with a clip level
+  above any reachable loss);
 - the losses and softmax numerators of ``models.forward_losses`` and the
   losses and predictions of ``models._eval_pass`` on given logits with
   2, 9, 10, 17 and 130 classes, with tied logits, signed zeros and -inf
@@ -48,16 +52,17 @@ from pathlib import Path
 
 import numpy as np
 
-from reweightopt import models
+from reweightopt import models, optim
 from reweightopt.cli import cli_main
 from reweightopt.dro import (
     DroInstance, chi2_dro_value, kl_dro_primal, random_instance, revkl_dro_value,
     simplex_bruteforce,
 )
 from reweightopt.experiment import export_trace, run_experiment
-from reweightopt.optim import TrainingDivergenceError
+from reweightopt.optim import TrainConfig, TrainingDivergenceError
 from reweightopt.sweep import sweep, validate_sweep_spec
 from reweightopt.verify import dro_suite, gradcheck_suite
+from reweightopt.weighting import WeightingRule
 
 METHODS = {
     "rgd-kl": {"name": "rgd", "rule": {"divergence": "kl", "tau": 1.0}},
@@ -120,6 +125,23 @@ def run_digests(tmp: Path):
             theta = np.asarray(summary.pop("final_theta"), dtype=np.float64)
             yield f"{name}/summary", _digest(_canonical(summary))
             yield f"{name}/final_theta", _digest(theta.tobytes())
+
+
+def linear_ref_digest() -> str:
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((64, 5)) / np.sqrt(5)
+    y = x @ rng.standard_normal(5) + 0.5 * rng.standard_normal(64)
+    batch = models.Batch(x, y)
+    # no kl weight is clipped: tau exceeds every loss reachable inside the box
+    tau = float(np.ceil(np.max((np.abs(x).sum(axis=1) * 2.0 + np.abs(y)) ** 2)) + 1.0)
+    rule = WeightingRule("kl", tau)
+    config = TrainConfig(lr_base=0.05, steps=1000, batch_size=64, box=(-2.0, 2.0))
+    state = optim.init_state(models.zero_state("linear", 5))
+    parts = []
+    for _ in range(config.steps):
+        state, info = optim.rgd_step(state, batch, rule, config)
+        parts.append(info.losses.tobytes())
+    return _digest(b"".join(parts) + state.model.theta.tobytes())
 
 
 _MIXTURE_10 = {
@@ -263,6 +285,7 @@ def main() -> None:
             print(name, digest)
         for name, digest in wide_digests(Path(tmp)):
             print(name, digest)
+    print("c07-loop/linear", linear_ref_digest())
     for name, digest in kernel_digests():
         print(name, digest)
     for name, digest in divergence_digests():
