@@ -387,10 +387,12 @@ def _train(cfg: dict, built: _Built):
     def record(step: int, passes):
         """Append the rows of one eval step; ``passes`` yields (split, (losses, predicted))."""
         for name, (losses, predicted) in passes:
-            if not np.isfinite(losses).all():  # the eval pass let it overflow quietly
+            # the one check of the row's losses: the eval pass lets an overflow through
+            # quietly, and the weighter's report core trusts them
+            if not np.isfinite(losses).all():
                 bad = np.flatnonzero(~np.isfinite(losses))
                 raise TrainingDivergenceError(step, f"non-finite {name} loss", bad)
-            objective, w, sat = weighter.report(losses)
+            objective, w, sat = weighter._report(losses)
             metrics = {
                 m: _metric_value(m, state.model, built.splits[name], losses, predicted)
                 for m in metric_names

@@ -10,13 +10,17 @@ Softmax runs the mlp's forward and backward code, so it takes no hidden
 widths: ``ModelState`` rejects them rather than building an mlp.
 
 The classifiers' cross entropy runs class-major: ``_cross_entropy``
-transposes the (N, C) logits once to (C, N), so that the max, the tie
-count, the log-sum-exp, the picked logit and the argmax each take a few
+transposes the (N, C) logits once to (C, N), so that the max, the
+maximal mask, the log-sum-exp, the picked logit and the argmax take a few
 operations over all N rows instead of numpy's per-row loop over C
-entries.  Its class sums go through ``numerics.class_sum``, which adds in
-the order of numpy's row-major ``sum(axis=1)``, so losses, predictions,
-traces and theta are bit-identical to the row-major computation.  The
-backward pass gets exp(z - max z) row-major, so its sums keep their order.
+entries.  Its class sums add in the order of numpy's row-major
+``sum(axis=1)`` (``numerics.class_sum``), so losses, predictions, traces
+and theta are bit-identical to the row-major computation.  A batch whose
+rows each have one maximal logit takes the log-sum-exp's short form
+log1p(s) + max z, equal bit for bit to the general form, which runs on
+the same sum s when some row has a tie or a non-finite result
+(``numerics.logsumexp_classes``).  The backward pass gets exp(z - max z)
+row-major, so its sums keep their order.
 
 Gradients are hand-derived (no autodiff).  ``weighted_grad`` computes the
 weighted mean of per-sample gradients in a single forward/backward pass;
@@ -167,7 +171,8 @@ def _rows(batch: Batch, idx) -> Batch:
     """``Batch(batch.inputs[idx], batch.targets[idx])`` without re-scanning
     rows that were checked as part of ``batch``; the subset keeps the
     parent's ``label_range``, which bounds its labels."""
-    x, y = batch.inputs[idx], batch.targets[idx]
+    # take copies the same rows as inputs[idx], without fancy indexing's set-up
+    x, y = batch.inputs.take(idx, axis=0), batch.targets[idx]
     x.setflags(write=False)
     y.setflags(write=False)
     return _unchecked(Batch, inputs=x, targets=y, label_range=batch.label_range)
@@ -252,7 +257,7 @@ def _cross_entropy(z: np.ndarray, y: np.ndarray):
     ``y``, with exp(z - max z) (written over ``z``), the logits and the
     mask of each row's maximal logits, all three class-major (C, N).
 
-    After one transposed copy of ``z``, the max, the tie count, the
+    After one transposed copy of ``z``, the max, the maximal mask, the
     log-sum-exp and the picked logit are each a few vector operations over
     all N rows, instead of numpy's per-row loop over C entries.  The
     losses equal the row-major reductions bit for bit (see ``numerics``).
@@ -262,7 +267,7 @@ def _cross_entropy(z: np.ndarray, y: np.ndarray):
     is_max = zt == zmax
     e = np.subtract(zt, zmax, out=z.reshape(zt.shape))
     np.exp(e, out=e)
-    losses = logsumexp_classes(zt, zmax, is_max, np.where(is_max, 0.0, e))
+    losses = logsumexp_classes(zt, zmax, is_max, e)
     losses -= zt[y, np.arange(zt.shape[1])]
     return losses, e, zt, is_max
 
@@ -308,7 +313,8 @@ def _eval_pass(model: ModelState, batch: Batch):
 
 
 def backward_weighted(model: ModelState, batch: Batch, ctx, weights) -> np.ndarray:
-    """Backward pass: (1/B) * sum_i w_i * grad(loss_i), weights constant."""
+    """Backward pass: (1/B) * sum_i w_i * grad(loss_i), weights constant;
+    ``ctx`` is what ``forward_losses`` returned for this model and batch."""
     w = _flat(weights)
     if w.shape[0] != batch.size:
         raise ValueError(f"{w.shape[0]} weights for batch of {batch.size}")
@@ -319,8 +325,12 @@ def backward_weighted(model: ModelState, batch: Batch, ctx, weights) -> np.ndarr
     if model.kind is ModelKind.LINEAR:
         return x.T @ (2.0 * scale * out)
 
+    n, c = out.shape
     delta = out / out.sum(axis=1, keepdims=True)
-    delta[np.arange(batch.size), batch.targets] -= 1.0
+    # delta[i, y_i] -= 1 through flat indices, cheaper than a 2-D index pair
+    label = np.arange(0, n * c, c)
+    label += batch.targets
+    delta.reshape(-1)[label] -= 1.0
     delta *= scale[:, None]
 
     grads: list[np.ndarray] = []

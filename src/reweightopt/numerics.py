@@ -12,13 +12,21 @@ Where that is not finite (all -inf, +inf or nan entries) the result is
 ``log(sum(exp(a)))``, as in SciPy.  ``_bhh`` holds this arithmetic for
 both entry points.
 
+When the maximum is unique (m = 1) the general form reduces bit for bit
+to ``log1p(s) + max(a)``: s / 1 = s, log(1) = 0 and x + 0.0 = x for
+x = log1p(s) >= +0.  ``logsumexp_classes`` takes that short form when
+every column has exactly one maximal entry and every result is finite.
+A nan column has no maximal entry, so a nan column beside a two-way tie
+passes the count; its nan result sends the call to the general form,
+which runs on any tie, nan or infinite entry.
+
 ``logsumexp_classes`` takes the classifier's logits class-major, as a
 (C, N) array with one column per sample, so that every reduction over
 the C classes is one pass of long-vector operations over N rather than
-numpy's per-row loop over C entries.  Its float sums over classes go
-through ``class_sum``, which adds in the order numpy's ``sum(axis=1)``
-takes on the row-major (N, C) array, so the results are bit-identical
-to the row-major reductions.
+numpy's per-row loop over C entries.  Its float sums over classes add
+as ``class_sum`` does, in the order numpy's ``sum(axis=1)`` takes on the
+row-major (N, C) array, so the results are bit-identical to the
+row-major reductions.
 """
 
 from __future__ import annotations
@@ -48,17 +56,28 @@ def logsumexp(a, axis=None):
     return out[()] if out.ndim == 0 else out
 
 
-def logsumexp_classes(a, a_max, is_max, rest):
+def logsumexp_classes(a, a_max, is_max, e):
     """log-sum-exp of each column of the class-major (C, N) array ``a``.
 
-    ``a_max = a.max(axis=0)``, ``is_max = a == a_max`` and ``rest`` is
-    exp(a - a_max) with its maximal entries set to 0.  The result equals
-    ``logsumexp(a.T, axis=1)`` bit for bit.
+    ``a_max = a.max(axis=0)``, ``is_max = a == a_max`` and ``e`` is
+    exp(a - a_max).  The result equals ``logsumexp(a.T, axis=1)`` bit for
+    bit.  When every column has exactly one maximal entry and every result
+    is finite, it is the short form log1p(s) + a_max; otherwise the
+    general form runs on the same sum s (see the module docstring).
     """
+    # e is 1.0 at each maximal entry of a column with a finite maximum, so
+    # e - is_max zeroes them; nan elsewhere only in columns whose result is
+    # non-finite either way.  A sum of terms >= +0 needs no class_sum + 0.0
+    s = _pairwise(e - is_max)
+    out = np.log1p(s)
+    out += a_max
+    n = a.shape[1]
+    if np.count_nonzero(is_max) == n and np.count_nonzero(np.isfinite(out)) == n:
+        return out
     # the tie count in the narrowest integer type that holds C: exact, and
     # faster than casting every bool to float
     m = is_max.sum(axis=0, dtype=np.min_scalar_type(a.shape[0])).astype(np.float64)
-    return _bhh(a_max, m, class_sum(rest), lambda: class_sum(np.exp(a)))
+    return _bhh(a_max, m, s, lambda: class_sum(np.exp(a)))
 
 
 def _bhh(a_max, m, s, sum_exp):

@@ -9,7 +9,9 @@ and feeds v to the base optimizer in place of the gradient.  A weighter
 is the method's parameter object: ``step_weights(losses, t)`` returns
 the weights of step t and the weighter for the next step, and
 ``report(losses)`` returns (objective, weights, saturated fraction) for
-a trace row.  The weighters are a :class:`~reweightopt.weighting.WeightingRule`
+a trace row; ``_report`` is ``report`` without its check of the losses,
+for rows whose losses the caller has checked.  The weighters are a
+:class:`~reweightopt.weighting.WeightingRule`
 (with the ``none`` rule the step is bit-identical to plain SGD/Adam),
 :class:`Tilt` (the batch tilted objective) and :class:`BaselineState`
 (moving-average exponential weighting, unclipped weights normalized by
@@ -194,6 +196,8 @@ class BaselineState:
             w[over] = np.exp(self.lam * losses[over] - math.log(z))
         return float(np.mean(losses)), w, 0.0
 
+    _report = report  # it checks nothing, so it is its own unchecked core
+
 
 @dataclass(frozen=True)
 class Tilt:
@@ -211,6 +215,8 @@ class Tilt:
 
     def report(self, losses):
         return term_objective(losses, self.t_tilt), term_weights(losses, self.t_tilt), 0.0
+
+    _report = report  # it checks nothing, so it is its own unchecked core
 
     def _probs(self, ell: np.ndarray) -> np.ndarray:
         """``term_weights`` of the float64 vector ``ell`` at this tilt."""
@@ -274,6 +280,13 @@ def _updated(state: OptimizerState, theta, box, t: int, m, v) -> OptimizerState:
 def sgd_step(state: OptimizerState, gradient, lr: float, box=None) -> OptimizerState:
     """theta <- project(theta - lr * gradient)."""
     g = _gradient(state, gradient)
+    # an update that overflows reaches theta, where _updated reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _sgd(state, g, lr, box)
+
+
+def _sgd(state: OptimizerState, g: np.ndarray, lr: float, box) -> OptimizerState:
+    """``sgd_step`` of a checked gradient, under the caller's errstate."""
     return _updated(state, state.model.theta - lr * g, box, state.t + 1, state.m, state.v)
 
 
@@ -309,7 +322,8 @@ def _base_step(state, direction, config: TrainConfig) -> OptimizerState:
         return adam_step(
             state, direction, lr, config.beta1, config.beta2, config.eps, config.box
         )
-    return sgd_step(state, direction, lr, config.box)
+    # rgd_step's errstate covers the update: no second one from sgd_step
+    return _sgd(state, direction, lr, config.box)
 
 
 def rgd_step(state: OptimizerState, batch: Batch, weighter, config: TrainConfig):

@@ -63,7 +63,10 @@ class WeightingRule:
         return _apply(losses, self), self
 
     def report(self, losses):
-        ell = as_loss_vector(losses)  # the one check of the row's losses
+        return self._report(as_loss_vector(losses))
+
+    def _report(self, ell: np.ndarray):
+        """``report`` of a float64 vector of finite losses, unchecked."""
         w = _apply(ell, self)
         return _objective(ell, w), w, _saturation(ell, self)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reweightopt import experiment, models
+from reweightopt import experiment, models, weighting
 from reweightopt.datagen import gaussian_mixture_classification, rare_feature_regression
 from reweightopt.experiment import (
     ConfigError,
@@ -254,6 +254,16 @@ class TestRunExperiment:
         trace, _ = run_experiment(mixture_config(steps=60))  # evals at 0, 25, 50, 60
         evals = sorted({r.step for r in trace.records})
         assert evals == [0, 25, 50, 60] and len(calls) == 60 + len(evals) * 3
+
+    def test_eval_losses_are_checked_once(self, monkeypatch):
+        # record checks each split's losses, naming the split and rows; the
+        # rule's report core takes them without a second as_loss_vector scan
+        def second_check(values):
+            raise AssertionError("eval losses checked twice")
+
+        monkeypatch.setattr(weighting, "as_loss_vector", second_check)
+        trace, _ = run_experiment(mixture_config(steps=30))
+        assert {r.step for r in trace.records} == {0, 25, 30}
 
     def test_build_is_read_only(self):
         # every point of a sweep trains from one build, so nothing may write to it

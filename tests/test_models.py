@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 from reweightopt import models
@@ -21,6 +23,7 @@ from reweightopt.models import (
     weighted_grad,
     zero_state,
 )
+from reweightopt.numerics import logsumexp, logsumexp_classes
 from reweightopt.weighting import WeightingRule, batch_weights, weighted_objective
 
 
@@ -394,3 +397,55 @@ class TestClassMajorCrossEntropy:
         finally:
             tracemalloc.stop()
         assert peak < 1.1 * 8 * 4380 * (32 + 10)
+
+
+_PLANTED = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, 1.0]
+
+
+@st.composite
+def _class_logits(draw):
+    """(N, C) logits, N = 1..700 and C = 1..300, with labels: Gaussian at a
+    drawn scale up to 1e308, with copied row maxima (ties) and planted
+    signed zeros, infinities, nan and extremes at a drawn rate."""
+    n, c = draw(st.integers(1, 700)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    with np.errstate(over="ignore"):  # at 1e308 some logits overflow to +-inf
+        z = rng.standard_normal((n, c)) * draw(st.sampled_from([1e-3, 1.0, 30.0, 1e150, 1e308]))
+    tie_rate = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    if c > 1 and tie_rate:
+        rows = np.flatnonzero(rng.random(n) < tie_rate)
+        z[rows, rng.integers(0, c, rows.size)] = z[rows].max(axis=1)
+    planted = draw(st.lists(st.sampled_from(_PLANTED), max_size=4))
+    rate = draw(st.sampled_from([0.001, 0.02, 0.2]))
+    for value in planted:
+        z[rng.random((n, c)) < rate] = value
+    return z, rng.integers(0, c, n)
+
+
+def _lse_and_cross_entropy_match(z, y):
+    zt = np.ascontiguousarray(z.T)
+    with np.errstate(all="ignore"):
+        zmax = zt.max(axis=0)
+        is_max = zt == zmax
+        got = logsumexp_classes(zt, zmax, is_max, np.exp(zt - zmax))
+        want = logsumexp(z, axis=1)
+        losses, e, _, _ = models._cross_entropy(z.copy(), y)
+        want_losses, want_e = _row_major_cross_entropy(z, y)
+    assert _bits(got) == _bits(want)
+    assert _bits(losses) == _bits(want_losses)
+    assert _bits(np.ascontiguousarray(e.T)) == _bits(want_e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_class_logits())
+def test_class_major_log_sum_exp_is_bit_exact(case):
+    _lse_and_cross_entropy_match(*case)
+
+
+def test_nan_row_beside_a_tie_takes_the_general_form():
+    # the nan row has no maximal logit and the tied row two: their tie counts
+    # sum to N, as with one maximal logit per row, so only the finiteness of
+    # the short form's results tells the two apart
+    z = np.array([[np.nan, 1.0, 0.0], [2.0, 2.0, -1.0]])
+    assert np.count_nonzero(z == z.max(axis=1, keepdims=True)) == z.shape[0]
+    _lse_and_cross_entropy_match(z, np.array([1, 0]))

@@ -113,6 +113,16 @@ class TestBaseSteps:
             adam_step(init_state(big, "adam"), [-2.0], 1e308)
         assert err.value.step == 1 and "update" in str(err.value)
 
+    def test_overflowing_sgd_update_is_quiet(self):
+        # lr * g overflows in the multiply: sgd_step diverges without a numpy
+        # warning, as adam_step does
+        state = init_state(ModelState(ModelKind.LINEAR, [1e308, 1e308], 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingDivergenceError) as err:
+                sgd_step(state, [-1e308, 0.0], 10.0)
+        assert err.value.step == 1 and "update" in str(err.value)
+
 
 class TestRgdStep:
     def test_hand_evaluated_single_sample(self):

@@ -1,11 +1,17 @@
-"""tools/output_digests.py prints the same digests on every run."""
+"""tools/output_digests.py prints the same digests on every run, and on the
+stack named in the first line of tools/output_digests.txt it prints the
+digests recorded there."""
 
+import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+RECORDED = ROOT / "tools" / "output_digests.txt"
 
 
 def _digests() -> str:
@@ -17,10 +23,28 @@ def _digests() -> str:
     return done.stdout
 
 
-def test_digests_repeat_exactly():
-    first, second = _digests(), _digests()
-    assert first == second
-    lines = first.splitlines()
+@pytest.fixture(scope="module")
+def digests() -> str:
+    return _digests()
+
+
+def test_digests_repeat_exactly(digests):
+    assert _digests() == digests
+    header, *lines = digests.splitlines()
+    assert header.startswith("# numpy ")
     names = [line.split()[0] for line in lines]
     assert len(lines) == 3 * 6 * 4 + 14 + 2 * 2 + 5 + 1 and len(set(names)) == len(names)
     assert all(len(line.split()[1]) == 64 for line in lines)
+
+
+def test_digests_match_the_recorded_file(digests):
+    header, *lines = digests.splitlines()
+    recorded_header, *recorded = RECORDED.read_text().splitlines()
+    if header != recorded_header:
+        pytest.skip(f"digests recorded on {recorded_header[2:]!r}, this stack is {header[2:]!r}")
+    differ = [
+        f"  recorded {want!r}\n  now      {got!r}"
+        for want, got in itertools.zip_longest(recorded, lines)
+        if want != got
+    ]
+    assert not differ, "digest lines differ from tools/output_digests.txt:\n" + "\n".join(differ)

@@ -33,8 +33,18 @@ Each line reads ``<name> <sha256>``.  The outputs are:
 - the value and distribution bytes of ``simplex_bruteforce`` at 2001
   points on 20 seeded instances with n = 2 or 3 per divergence.
 
+The first line, starting with ``#``, names the stack the digests depend
+on: the numpy version, the platform with the CPU targets numpy dispatches
+to, and the BLAS.  ``tools/output_digests.txt`` holds the output recorded
+on one stack, and ``tests/test_output_digests.py`` compares this script's
+output with it line by line on that stack.  A change that alters a digest
+on purpose regenerates the file:
+
+    PYTHONPATH=src python tools/output_digests.py > tools/output_digests.txt
+
 The script takes no flags.  To check that a change keeps these outputs
-byte-identical, run it against both trees on the same machine and diff:
+byte-identical on a stack other than the recorded one, run it against
+both trees on the same machine and diff:
 
     PYTHONPATH=<old tree>/src python tools/output_digests.py > old.txt
     PYTHONPATH=src python tools/output_digests.py > new.txt
@@ -47,6 +57,8 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
+import sys
 import tempfile
 from pathlib import Path
 
@@ -101,6 +113,18 @@ MODELS = {
         "metrics": ["mse", "rare_l2", "frequent_l2"],
     },
 }
+
+
+def stack_line() -> str:
+    """``# numpy <version>; <platform> <machine> (<CPU targets>); <BLAS>``."""
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath  # numpy >= 2, < 2
+    targets = " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):  # numpy < 1.26 prints its config only
+        blas = "unknown BLAS"
+    return f"# numpy {np.__version__}; {sys.platform} {platform.machine()} ({targets}); {blas}"
 
 
 def _digest(data) -> str:
@@ -278,6 +302,7 @@ def grid_oracle_digest() -> str:
 
 
 def main() -> None:
+    print(stack_line())
     with tempfile.TemporaryDirectory() as tmp:
         for name, digest in run_digests(Path(tmp)):
             print(name, digest)
