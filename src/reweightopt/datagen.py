@@ -4,6 +4,11 @@ Every generator is a pure function of its arguments including the seed,
 so identical calls produce identical datasets.  Datasets carry a
 JSON-serializable metadata dict (generator name, seed, ground-truth
 parameters, per-class counts, ...).
+
+``subsample_long_tailed`` and ``split`` choose their rows with one seeded
+index helper and then gather them.  ``experiment`` builds a run's splits
+from the same helpers (``_subsample_rows``, ``_split_rows``) as row
+indices, so that it gathers the inputs only once.
 """
 
 from __future__ import annotations
@@ -120,20 +125,23 @@ def long_tailed_counts(num_classes: int, n_max: int, imbalance_factor: float) ->
 def gaussian_mixture_classification(
     num_classes: int, n_per_class: int, dim: int, separation: float, seed: int
 ) -> Dataset:
-    """Balanced isotropic Gaussian blobs with means separation * e_c."""
+    """Balanced isotropic Gaussian blobs with means separation * e_c.
+
+    The rows come class by class: one draw of every class's normals, to
+    which each class's mean row is added in place.
+    """
     if num_classes < 2 or n_per_class < 1:
         raise ValueError("need num_classes >= 2 and n_per_class >= 1")
     if dim < num_classes:
         raise ValueError("dim must be >= num_classes so each mean gets its own axis")
     rng = np.random.default_rng(seed)
-    xs, ys = [], []
-    for c in range(num_classes):
-        mean = np.zeros(dim)
-        mean[c] = separation
-        xs.append(mean + rng.standard_normal((n_per_class, dim)))
-        ys.append(np.full(n_per_class, c, dtype=np.int64))
-    x = np.vstack(xs)
-    y = np.concatenate(ys)
+    x = rng.standard_normal((num_classes * n_per_class, dim))
+    means = np.zeros((num_classes, dim))
+    np.fill_diagonal(means, separation)
+    # the full mean row, zeros included: a -0.0 draw becomes +0.0
+    blocks = x.reshape(num_classes, n_per_class, dim)
+    blocks += means[:, None, :]
+    y = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
     meta = {
         "generator": "gaussian_mixture_classification",
         "seed": int(seed),
@@ -144,23 +152,53 @@ def gaussian_mixture_classification(
     return Dataset(x, y, meta)
 
 
+def _cut(targets: np.ndarray, num_classes, seed: int, k_of):
+    """The seeded selection of ``split`` and ``subsample_long_tailed``.
+
+    Takes the indices of each class c < num_classes (of every sample when
+    num_classes is None) in an order drawn from ``seed``'s generator and cuts
+    them after k_of(c, size) of them; returns the heads and the tails, each
+    concatenated in class order.
+    """
+    rng = np.random.default_rng(seed)
+    if num_classes is None:
+        groups = [np.arange(targets.size)]
+    else:
+        groups = [np.flatnonzero(targets == c) for c in range(num_classes)]
+    heads, tails = [], []
+    for c, idx in enumerate(groups):
+        idx = rng.permutation(idx)
+        k = k_of(c, idx.size)
+        heads.append(idx[:k])
+        tails.append(idx[k:])
+    return np.concatenate(heads), np.concatenate(tails)
+
+
+def _take(dataset: Dataset, rows: np.ndarray, meta: dict) -> Dataset:
+    return Dataset(dataset.inputs.take(rows, axis=0), dataset.targets.take(rows), meta)
+
+
 def subsample_long_tailed(dataset: Dataset, counts, seed: int) -> Dataset:
     """Keep the first counts[c] seeded-shuffled samples of each class."""
     if not dataset.is_classification:
         raise ValueError("long-tailed subsampling needs a classification dataset")
     counts = [int(c) for c in counts]
-    num_classes = dataset.num_classes
-    if len(counts) != num_classes:
-        raise ValueError(f"{len(counts)} counts for {num_classes} classes")
-    rng = np.random.default_rng(seed)
-    keep = []
-    for c, want in enumerate(counts):
-        idx = np.flatnonzero(dataset.targets == c)
-        if idx.size < want:
-            raise ValueError(f"class {c} has {idx.size} samples, need {want}")
-        keep.append(rng.permutation(idx)[:want])
-    keep = np.concatenate(keep)
-    meta = dict(dataset.meta)
+    if len(counts) != dataset.num_classes:
+        raise ValueError(f"{len(counts)} counts for {dataset.num_classes} classes")
+    return _take(dataset, *_subsample_rows(dataset.targets, dataset.meta, counts, seed))
+
+
+def _subsample_rows(targets: np.ndarray, meta: dict, counts: list, seed: int):
+    """The rows ``subsample_long_tailed`` keeps of a dataset with these
+    targets and metadata, and the subsample's metadata."""
+
+    def k_of(c, size):
+        if size < counts[c]:
+            raise ValueError(f"class {c} has {size} samples, need {counts[c]}")
+        return counts[c]
+
+    keep = _cut(targets, len(counts), seed, k_of)[0]
+    meta = dict(meta)
     meta.update(
         {
             "subsample_seed": int(seed),
@@ -168,7 +206,7 @@ def subsample_long_tailed(dataset: Dataset, counts, seed: int) -> Dataset:
             "imbalance_factor": max(counts) / min(counts),
         }
     )
-    return Dataset(dataset.inputs[keep], dataset.targets[keep], meta)
+    return keep, meta
 
 
 def flip_labels(dataset: Dataset, fraction: float, seed: int) -> Dataset:
@@ -205,30 +243,25 @@ def flip_labels(dataset: Dataset, fraction: float, seed: int) -> Dataset:
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded holdout split; stratified per class for classification."""
+    num_classes = dataset.num_classes if dataset.is_classification else None
+    parts = _split_rows(dataset.targets, dataset.meta, num_classes, train_fraction, seed)
+    return tuple(_take(dataset, rows, meta) for rows, meta in parts)
+
+
+def _split_rows(targets: np.ndarray, meta: dict, num_classes, train_fraction: float, seed: int):
+    """The (rows, metadata) of ``split``'s train and other parts of a dataset
+    with these targets and metadata; num_classes is None for regression."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie strictly between 0 and 1")
-    rng = np.random.default_rng(seed)
-    if dataset.is_classification:
-        train_idx, other_idx = [], []
-        for c in range(dataset.num_classes):
-            idx = rng.permutation(np.flatnonzero(dataset.targets == c))
-            k = int(round(train_fraction * idx.size))
-            train_idx.append(idx[:k])
-            other_idx.append(idx[k:])
-        train_idx = np.concatenate(train_idx)
-        other_idx = np.concatenate(other_idx)
-    else:
-        idx = rng.permutation(dataset.n)
-        k = int(round(train_fraction * dataset.n))
-        train_idx, other_idx = idx[:k], idx[k:]
-    if train_idx.size == 0 or other_idx.size == 0:
-        raise ValueError(f"degenerate split sizes {train_idx.size}/{other_idx.size}")
+    parts = _cut(targets, num_classes, seed, lambda c, size: int(round(train_fraction * size)))
+    if parts[0].size == 0 or parts[1].size == 0:
+        raise ValueError(f"degenerate split sizes {parts[0].size}/{parts[1].size}")
 
-    def make(idx, name):
-        meta = dict(dataset.meta)
-        meta.update({"split": name, "split_seed": int(seed)})
-        if dataset.is_classification:
-            meta["class_counts"] = _class_counts(dataset.targets[idx], dataset.num_classes)
-        return Dataset(dataset.inputs[idx], dataset.targets[idx], meta)
+    def part_meta(rows, name):
+        part = dict(meta)
+        part.update({"split": name, "split_seed": int(seed)})
+        if num_classes is not None:
+            part["class_counts"] = _class_counts(targets[rows], num_classes)
+        return part
 
-    return make(train_idx, "train"), make(other_idx, "other")
+    return (parts[0], part_meta(parts[0], "train")), (parts[1], part_meta(parts[1], "other"))

@@ -119,6 +119,23 @@ def _check_numbers(section: dict, path: str, keys: tuple, types=(int, float)):
             raise ConfigError(f"{path}.{key}: expected {what}, got {section[key]!r}")
 
 
+def _check_seed(section: dict, path: str, key: str = "seed"):
+    """Reject a present seed that is not a non-negative integer, the only
+    seeds numpy's generators take."""
+    _check_numbers(section, path, (key,), (int,))
+    if section.get(key, 0) < 0:
+        raise ConfigError(f"{path}.{key}: expected a non-negative integer, got {section[key]!r}")
+
+
+def _check_fraction(section: dict, path: str, key: str, closed: bool):
+    """Reject a present fraction that is not a number in [0, 1), or in [0, 1] if ``closed``."""
+    _check_numbers(section, path, (key,))
+    value = section.get(key, 0.0)
+    if not (0.0 <= value < 1.0 or closed and value == 1.0):
+        interval = "[0, 1]" if closed else "[0, 1)"
+        raise ConfigError(f"{path}.{key}: expected a number in {interval}, got {value!r}")
+
+
 _GENERATOR_PARAMS = {
     "rare_feature_regression": ({"seed"}, set()),
     "gaussian_mixture_classification": (
@@ -146,14 +163,30 @@ def validate_config(config: dict) -> dict:
         raise ConfigError(f"dataset.generator: unknown generator {gen!r}")
     req, opt = _GENERATOR_PARAMS[gen]
     _check_keys(ds["params"], "dataset.params", req, opt)
+    _check_numbers(ds["params"], "dataset.params", ("num_classes", "n_per_class", "dim"), (int,))
+    _check_numbers(ds["params"], "dataset.params", ("separation",))
+    _check_seed(ds["params"], "dataset.params")
     if "subsample" in ds:
-        _check_keys(ds["subsample"], "dataset.subsample", {"n_max", "imbalance_factor", "seed"})
+        sub = ds["subsample"]
+        _check_keys(sub, "dataset.subsample", {"n_max", "imbalance_factor", "seed"})
+        _check_numbers(sub, "dataset.subsample", ("n_max",), (int,))
+        _check_numbers(sub, "dataset.subsample", ("imbalance_factor",))
+        _check_seed(sub, "dataset.subsample")
     if "split" in ds:
-        _check_keys(
-            ds["split"], "dataset.split", {"seed"}, {"holdout_fraction", "test_fraction"}
-        )
+        sp = ds["split"]
+        _check_keys(sp, "dataset.split", {"seed"}, {"holdout_fraction", "test_fraction"})
+        _check_seed(sp, "dataset.split")
+        for key in ("test_fraction", "holdout_fraction"):
+            _check_fraction(sp, "dataset.split", key, closed=False)
+        total = sp.get("test_fraction", 0.0) + sp.get("holdout_fraction", 0.0)
+        if total >= 1.0:
+            raise ConfigError(
+                f"dataset.split: test_fraction + holdout_fraction must be below 1, got {total!r}"
+            )
     if "flip_train" in ds:
         _check_keys(ds["flip_train"], "dataset.flip_train", {"fraction", "seed"})
+        _check_fraction(ds["flip_train"], "dataset.flip_train", "fraction", closed=True)
+        _check_seed(ds["flip_train"], "dataset.flip_train")
 
     model = cfg["model"]
     _check_keys(model, "model", {"kind"}, {"hidden", "init_seed", "init_scale"})
@@ -166,6 +199,7 @@ def validate_config(config: dict) -> dict:
     mlp_only = sorted(set(model) - {"kind"})
     if kind is not ModelKind.MLP and mlp_only:
         raise ConfigError(f"model: key(s) {mlp_only} apply to mlp only, not {kind.value}")
+    _check_seed(model, "model", "init_seed")
 
     method = cfg["method"]
     name = method.get("name") if isinstance(method, dict) else None
@@ -188,7 +222,8 @@ def validate_config(config: dict) -> dict:
         {"optimizer", "lr_base", "steps", "batch_size", "seed"},
         {"schedule", "beta1", "beta2", "eps", "box"},
     )
-    _check_numbers(cfg["train"], "train", ("steps", "batch_size", "seed"), (int,))
+    _check_numbers(cfg["train"], "train", ("steps", "batch_size"), (int,))
+    _check_seed(cfg["train"], "train")
     _check_numbers(cfg["train"], "train", ("lr_base", "beta1", "beta2", "eps"))
 
     cfg.setdefault("eval_every", 10)
@@ -203,27 +238,55 @@ def validate_config(config: dict) -> dict:
 
 @_config_errors("dataset")
 def _build_datasets(ds_cfg: dict) -> dict:
-    gen = getattr(datagen, ds_cfg["generator"])
-    full = gen(**ds_cfg["params"])
+    """The splits of a dataset section, keyed train, test, holdout (those
+    present, in that order).
+
+    Each split equals what the public ``datagen`` calls give: the generator,
+    ``subsample_long_tailed``, ``split`` with the test fraction (seed), then
+    ``split`` of the rest with the holdout fraction (seed + 1), and
+    ``flip_labels`` on the train split.  Here the rows are selected by index
+    and the inputs gathered once, in trace order, into one read-only array:
+    each split's inputs are a row view of it.
+    """
+    full = getattr(datagen, ds_cfg["generator"])(**ds_cfg["params"])
+    rows, meta = np.arange(full.n), full.meta  # the rows of full selected so far
     if "subsample" in ds_cfg:
         sub = ds_cfg["subsample"]
         counts = datagen.long_tailed_counts(
             full.num_classes, sub["n_max"], sub["imbalance_factor"]
         )
-        full = datagen.subsample_long_tailed(full, counts, sub["seed"])
-
-    splits = {"train": full}
+        rows, meta = datagen._subsample_rows(full.targets, meta, counts, sub["seed"])
+    selected = {"train": (rows, meta)}
     if "split" in ds_cfg:
         sp = ds_cfg["split"]
         test_frac = float(sp.get("test_fraction", 0.0))
         holdout_frac = float(sp.get("holdout_fraction", 0.0))
-        rest = full
+        cuts = []
         if test_frac > 0:
-            rest, splits["test"] = datagen.split(rest, 1.0 - test_frac, sp["seed"])
+            cuts.append(("test", 1.0 - test_frac, sp["seed"]))
         if holdout_frac > 0:
-            frac = holdout_frac / (1.0 - test_frac)
-            rest, splits["holdout"] = datagen.split(rest, 1.0 - frac, sp["seed"] + 1)
-        splits["train"] = rest
+            cuts.append(("holdout", 1.0 - holdout_frac / (1.0 - test_frac), sp["seed"] + 1))
+        num_classes = full.num_classes if full.is_classification else None
+        for name, train_frac, seed in cuts:
+            rows, meta = selected["train"]
+            train, other = datagen._split_rows(
+                full.targets[rows], meta, num_classes, train_frac, seed
+            )
+            selected["train"] = rows[train[0]], train[1]
+            selected[name] = rows[other[0]], other[1]
+    if len(selected) == 1 and "subsample" not in ds_cfg:
+        splits = {"train": full}  # no row is selected: nothing to gather
+    else:
+        order = [name for name in _SPLITS if name in selected]
+        rows = np.concatenate([selected[name][0] for name in order])
+        x, y = full.inputs.take(rows, axis=0), full.targets.take(rows)
+        x.setflags(write=False)
+        views, start = {}, 0
+        for name in order:
+            stop = start + selected[name][0].size
+            views[name] = Dataset(x[start:stop], y[start:stop], selected[name][1])
+            start = stop
+        splits = {name: views[name] for name in selected}
     if "flip_train" in ds_cfg:
         fl = ds_cfg["flip_train"]
         splits["train"] = datagen.flip_labels(splits["train"], fl["fraction"], fl["seed"])

@@ -24,7 +24,8 @@ label range, ``TrainConfig``, the weighters); the entry points check how
 they fit together: ``forward_losses`` the batch against the model,
 ``backward_weighted`` and ``sgd_step``/``adam_step`` the length of the
 weights and the gradient (converting all but a 1-D float64 array),
-``lr_at`` the step against the horizon, ``adam_step`` the moments.
+``lr_at`` the step against the horizon, the Adam core ``_adam`` the
+moments.
 Values a step makes itself are stored unchecked.  Its divergence
 signals, the losses and the new theta, are scanned once each by counting
 the finite entries: exact (an all-finite vector passes even when its sum
@@ -301,16 +302,35 @@ def adam_step(
 ) -> OptimizerState:
     """Standard bias-corrected Adam update."""
     g = _gradient(state, gradient)
+    # inf/nan from a non-finite gradient reach theta, where _updated reports them
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _adam(state, g, lr, beta1, beta2, eps, box)
+
+
+def _adam(state: OptimizerState, g: np.ndarray, lr: float, beta1, beta2, eps, box):
+    """``adam_step`` of a checked gradient, under the caller's errstate.
+
+    m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g and theta -
+    lr m_hat / (sqrt(v_hat) + eps), with the operations in that order and
+    one scratch array for the temporaries.
+    """
     if state.m is None or state.v is None:
         raise ValueError("adam moments not initialized; use init_state(model, 'adam')")
     t = state.t + 1
-    # inf/nan from a non-finite gradient reach theta, where _updated reports them
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = beta1 * state.m + (1.0 - beta1) * g
-        v = beta2 * state.v + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        theta = state.model.theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m = beta1 * state.m
+    scratch = (1.0 - beta1) * g
+    m += scratch
+    v = beta2 * state.v
+    np.multiply(1.0 - beta2, g, out=scratch)
+    scratch *= g
+    v += scratch
+    den = v / (1.0 - beta2**t)
+    np.sqrt(den, out=den)
+    den += eps
+    np.divide(m, 1.0 - beta1**t, out=scratch)
+    scratch *= lr
+    scratch /= den
+    theta = np.subtract(state.model.theta, scratch, out=scratch)
     m.setflags(write=False)
     v.setflags(write=False)
     return _updated(state, theta, box, t, m, v)
@@ -318,11 +338,9 @@ def adam_step(
 
 def _base_step(state, direction, config: TrainConfig) -> OptimizerState:
     lr = lr_at(config.schedule, config.lr_base, state.t + 1, config.steps)
+    # rgd_step's errstate covers the update: neither public step's checks nor errstate
     if config.optimizer == "adam":
-        return adam_step(
-            state, direction, lr, config.beta1, config.beta2, config.eps, config.box
-        )
-    # rgd_step's errstate covers the update: no second one from sgd_step
+        return _adam(state, direction, lr, config.beta1, config.beta2, config.eps, config.box)
     return _sgd(state, direction, lr, config.box)
 
 

@@ -231,6 +231,32 @@ def test_train_unbuildable_config_exits_2(tmp_path, capsys, overrides, message):
     assert err.startswith("config error:") and message in err
 
 
+@pytest.mark.parametrize("split, flip, message", [
+    ({"test_fraction": -0.2}, None, "dataset.split.test_fraction: expected a number in [0, 1)"),
+    ({"holdout_fraction": float("nan")}, None,
+     "dataset.split.holdout_fraction: expected a number in [0, 1)"),
+    ({"test_fraction": "0.2"}, None, "dataset.split.test_fraction: expected a number"),
+    ({"test_fraction": 0.6, "holdout_fraction": 0.4}, None,
+     "dataset.split: test_fraction + holdout_fraction must be below 1"),
+    ({"test_fraction": 0.2, "seed": 1.5}, None, "dataset.split.seed: expected an integer"),
+    ({"test_fraction": 0.2}, {"fraction": "0.2", "seed": 0},
+     "dataset.flip_train.fraction: expected a number"),
+    ({"test_fraction": 0.2}, {"fraction": 0.2, "seed": 2.0},
+     "dataset.flip_train.seed: expected an integer"),
+])
+def test_train_bad_dataset_value_exits_2(tmp_path, capsys, split, flip, message):
+    dataset = {"generator": "gaussian_mixture_classification",
+               "params": {"num_classes": 3, "n_per_class": 10, "dim": 4,
+                          "separation": 3.0, "seed": 0},
+               "split": {"seed": 0, **split}}
+    if flip is not None:
+        dataset["flip_train"] = flip
+    cfg = write_config(tmp_path, dataset=dataset, model={"kind": "softmax"},
+                       metrics=["accuracy"])
+    assert cli_main(["train", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
 def test_train_non_integer_steps_exits_2(tmp_path, capsys):
     train = {"optimizer": "sgd", "lr_base": 4.0, "steps": 10.9, "batch_size": 255, "seed": 0}
     cfg = write_config(tmp_path, train=train)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reweightopt import experiment, models, weighting
+from reweightopt import datagen, experiment, models, weighting
 from reweightopt.datagen import gaussian_mixture_classification, rare_feature_regression
 from reweightopt.experiment import (
     ConfigError,
@@ -79,6 +79,15 @@ def mixture_config(seed=0, method=None, steps=100):
         "metrics": ["accuracy"],
         "eval_every": 25,
     }
+
+
+def _every_dataset_option_config():
+    """A valid mlp config whose dataset section has every optional part."""
+    cfg = mixture_config()
+    cfg["dataset"]["subsample"] = {"n_max": 40, "imbalance_factor": 2.0, "seed": 1}
+    cfg["dataset"]["flip_train"] = {"fraction": 0.2, "seed": 2}
+    cfg["model"] = {"kind": "mlp", "hidden": [4], "init_seed": 3}
+    return cfg
 
 
 class TestConfigValidation:
@@ -177,12 +186,163 @@ class TestConfigValidation:
         cfg["train"].update(lr_base=1, beta1=0, eps=1)
         assert validate_config(cfg)["method"] == method
 
+    @pytest.mark.parametrize("path, value", [
+        ("dataset.split.test_fraction", -0.2), ("dataset.split.test_fraction", math.nan),
+        ("dataset.split.test_fraction", "0.2"), ("dataset.split.test_fraction", 1.0),
+        ("dataset.split.holdout_fraction", -0.2), ("dataset.split.holdout_fraction", math.nan),
+        ("dataset.split.holdout_fraction", True), ("dataset.split.seed", 4.0),
+        ("dataset.split.seed", -1), ("dataset.params.seed", 0.5),
+        ("dataset.params.n_per_class", 40.0), ("dataset.params.dim", "4"),
+        ("dataset.params.separation", "3"), ("dataset.subsample.n_max", 30.0),
+        ("dataset.subsample.imbalance_factor", "2"), ("dataset.subsample.seed", 1.5),
+        ("dataset.flip_train.fraction", "0.2"), ("dataset.flip_train.fraction", 1.5),
+        ("dataset.flip_train.fraction", -0.1), ("dataset.flip_train.fraction", math.nan),
+        ("dataset.flip_train.seed", 2.0), ("train.seed", -1), ("model.init_seed", -3),
+        ("model.init_seed", 3.0),
+    ])
+    def test_bad_values_name_their_key(self, path, value):
+        # each was dropped silently, coerced, or reported in numpy's words
+        *parents, key = path.split(".")
+        cfg = _every_dataset_option_config()
+        section = cfg
+        for part in parents:
+            section = section[part]
+        section[key] = value
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected "):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("test_fraction, holdout_fraction", [(0.5, 0.5), (0.9, 0.3)])
+    def test_split_fractions_leave_a_train_split(self, test_fraction, holdout_fraction):
+        cfg = _every_dataset_option_config()
+        cfg["dataset"]["split"].update(
+            test_fraction=test_fraction, holdout_fraction=holdout_fraction
+        )
+        with pytest.raises(ConfigError, match=r"^dataset\.split: test_fraction \+ holdout"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("update", [
+        {"split": {"test_fraction": 0, "holdout_fraction": 0.5, "seed": 0}},
+        {"flip_train": {"fraction": 0, "seed": 0}},
+        {"flip_train": {"fraction": 1, "seed": 2**40}},
+    ])
+    def test_dataset_values_at_their_bounds_accepted(self, update):
+        cfg = _every_dataset_option_config()
+        cfg["dataset"].update(update)
+        assert validate_config(cfg)["dataset"] == cfg["dataset"]
+
     def test_defaults_filled(self):
         cfg = toy_config()
         del cfg["eval_every"]
         del cfg["metrics"]
         out = validate_config(cfg)
         assert out["eval_every"] == 10 and out["metrics"] == []
+
+
+def _reference_datasets(ds_cfg):
+    """``_build_datasets`` as a chain of the public datagen calls, each of
+    which gathers its own rows."""
+    full = getattr(datagen, ds_cfg["generator"])(**ds_cfg["params"])
+    if "subsample" in ds_cfg:
+        sub = ds_cfg["subsample"]
+        counts = datagen.long_tailed_counts(full.num_classes, sub["n_max"], sub["imbalance_factor"])
+        full = datagen.subsample_long_tailed(full, counts, sub["seed"])
+    splits = {"train": full}
+    if "split" in ds_cfg:
+        sp = ds_cfg["split"]
+        test_frac = float(sp.get("test_fraction", 0.0))
+        holdout_frac = float(sp.get("holdout_fraction", 0.0))
+        rest = full
+        if test_frac > 0:
+            rest, splits["test"] = datagen.split(rest, 1.0 - test_frac, sp["seed"])
+        if holdout_frac > 0:
+            frac = holdout_frac / (1.0 - test_frac)
+            rest, splits["holdout"] = datagen.split(rest, 1.0 - frac, sp["seed"] + 1)
+        splits["train"] = rest
+    if "flip_train" in ds_cfg:
+        fl = ds_cfg["flip_train"]
+        splits["train"] = datagen.flip_labels(splits["train"], fl["fraction"], fl["seed"])
+    return splits
+
+
+_MIXTURE_PARAMS = {"num_classes": 4, "n_per_class": 50, "dim": 6, "separation": 2.0}
+_BUILD_OPTIONS = {
+    "subsample": {"n_max": 50, "imbalance_factor": 10.0, "seed": 3},
+    "test": {"test_fraction": 0.2},
+    "holdout": {"holdout_fraction": 0.15},
+    "flip": {"fraction": 0.3, "seed": 4},
+}
+
+
+def _build_case(generator, options, seed):
+    if generator == "rare_feature_regression":
+        ds = {"generator": generator, "params": {"seed": seed}}
+    else:
+        ds = {"generator": generator, "params": {**_MIXTURE_PARAMS, "seed": seed}}
+    fractions = {}
+    for option in options:
+        if option == "subsample":
+            ds["subsample"] = _BUILD_OPTIONS[option]
+        elif option == "flip":
+            ds["flip_train"] = _BUILD_OPTIONS[option]
+        else:
+            fractions.update(_BUILD_OPTIONS[option])
+    if fractions:
+        ds["split"] = {**fractions, "seed": seed + 1}
+    return ds
+
+
+class TestBuildDatasets:
+    """``_build_datasets`` selects rows by index and gathers the inputs once;
+    its splits equal those of the public datagen calls."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("generator, options", [
+        ("gaussian_mixture_classification", options)
+        for options in [(), ("subsample",), ("test",), ("holdout",), ("test", "holdout"),
+                        ("flip",), ("test", "flip"), ("holdout", "flip"),
+                        ("subsample", "test"), ("subsample", "holdout", "flip"),
+                        ("subsample", "test", "holdout", "flip")]
+    ] + [
+        ("rare_feature_regression", options)
+        for options in [(), ("test",), ("holdout",), ("test", "holdout")]
+    ])
+    def test_equals_the_public_datagen_chain(self, generator, options, seed):
+        ds_cfg = _build_case(generator, options, seed)
+        got = experiment._build_datasets(ds_cfg)
+        want = _reference_datasets(ds_cfg)
+        assert list(got) == list(want)
+        for name, ds in got.items():
+            ref = want[name]
+            for arr, ref_arr in ((ds.inputs, ref.inputs), (ds.targets, ref.targets)):
+                assert arr.dtype == ref_arr.dtype and arr.shape == ref_arr.shape
+                assert arr.tobytes() == ref_arr.tobytes()
+                assert not arr.flags.writeable
+            assert list(ds.meta.items()) == list(ref.meta.items())
+
+    @pytest.mark.parametrize("options", [
+        ("subsample",), ("test", "flip"), ("test", "holdout", "flip"),
+        ("subsample", "holdout"),
+    ])
+    def test_splits_are_row_views_of_one_gather(self, options):
+        splits = experiment._build_datasets(_build_case("gaussian_mixture_classification", options, 5))
+        order = [name for name in ("train", "holdout", "test") if name in splits]
+        gathered = splits["train"].inputs.base
+        assert gathered is not None and not gathered.flags.writeable
+        assert all(splits[name].inputs.base is gathered for name in order)
+        # in trace order, one block of rows after another
+        assert np.array_equal(gathered, np.concatenate([splits[name].inputs for name in order]))
+        starts = [splits[name].inputs.ctypes.data for name in order]
+        sizes = [splits[name].inputs.nbytes for name in order]
+        assert starts == [gathered.ctypes.data + sum(sizes[:i]) for i in range(len(order))]
+
+    def test_nothing_selected_keeps_the_generated_dataset(self):
+        ds_cfg = _build_case("gaussian_mixture_classification", ("flip",), 2)
+        ds_cfg["split"] = {"seed": 3}  # no fraction: no split is carved
+        splits = experiment._build_datasets(ds_cfg)
+        assert list(splits) == ["train"]
+        full = datagen.gaussian_mixture_classification(**ds_cfg["params"])
+        assert splits["train"].inputs.tobytes() == full.inputs.tobytes()
+        assert splits["train"].inputs.base is None
 
 
 class TestMinibatchStream:

@@ -75,6 +75,26 @@ class TestBaseSteps:
             assert state.model.theta[0] < prev
             prev = state.model.theta[0]
 
+    @pytest.mark.parametrize("box", [None, (-0.3, 0.3)])
+    def test_adam_is_the_textbook_update_bitwise(self, box):
+        # the update reuses its temporaries in place; every bit must stay
+        rng = np.random.default_rng(21)
+        beta1, beta2, eps, lr = 0.8, 0.99, 1e-6, 0.05
+        state = init_state(zero_state(ModelKind.LINEAR, 257), "adam")
+        theta, m, v = state.model.theta, state.m, state.v
+        for t in range(1, 6):
+            g = rng.standard_normal(257) * np.exp(rng.uniform(-5.0, 5.0, 257))
+            state = adam_step(state, g, lr, beta1, beta2, eps, box)
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * g * g
+            m_hat = m / (1.0 - beta1**t)
+            v_hat = v / (1.0 - beta2**t)
+            theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+            if box is not None:
+                theta = theta.clip(*box)
+            assert state.model.theta.tobytes() == theta.tobytes()
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
     def test_adam_requires_moments(self):
         state = init_state(zero_state(ModelKind.LINEAR, 1), "sgd")
         with pytest.raises(ValueError):

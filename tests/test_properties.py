@@ -217,6 +217,35 @@ def test_grid_oracle_keeps_off_zero_mass_atoms(divergence):
     assert abs(value - SOLVERS[divergence](inst).value) <= GRID_TOL
 
 
+@pytest.mark.parametrize("divergence", REAL)
+def test_rgd_weights_are_the_dro_worst_case(divergence):
+    # RGD applies weights g(clip(l, 0, tau)); normalized, they are the worst
+    # case of the DRO problem on the clipped losses, uniform base, at the
+    # radius they imply: the tilt with beta = tau + 1 (kl) or eta = tau + 1
+    # (reverse-KL), and for chi2 q ~ l - eta with eta = -tau
+    rng = np.random.default_rng(["kl", "chi2", "reverse_kl"].index(divergence.value))
+    solver = SOLVERS[divergence]
+    solved = 0
+    for _ in range(300):
+        size, tau = int(rng.integers(2, 65)), float(rng.uniform(0.2, 5.0))
+        losses = tau * rng.exponential(0.7, size)
+        losses[rng.random(size) < 0.1] *= -1.0  # below the clip at 0
+        rule = WeightingRule(divergence, tau)
+        w, _ = rule.step_weights(losses, 1)
+        clipped = np.clip(losses, 0.0, tau)
+        if np.ptp(clipped) == 0.0:  # rho = 0: no DRO problem to solve
+            continue
+        q = w / w.sum()
+        base = dro.uniform(size)
+        rho = divergence_value(q, base.probs, divergence)
+        sol = solver(DroInstance(clipped, base, rho, divergence))
+        assert np.max(np.abs(sol.worst_dist.probs - q)) <= 1e-12
+        dual_param = -tau if divergence is Divergence.CHI2 else tau + 1.0
+        assert sol.dual_param == pytest.approx(dual_param, rel=1e-10, abs=0.0)
+        solved += 1
+    assert solved >= 290
+
+
 def _feasible_value(inst, sol):
     """E_q'[l] of a q' inside the ball, built from the solution's own q.
 

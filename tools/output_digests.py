@@ -31,7 +31,12 @@ Each line reads ``<name> <sha256>``.  The outputs are:
   1000, one of each size with tied losses, and the dual values of all
   three solvers on those instances;
 - the value and distribution bytes of ``simplex_bruteforce`` at 2001
-  points on 20 seeded instances with n = 2 or 3 per divergence.
+  points on 20 seeded instances with n = 2 or 3 per divergence;
+- per split, in the order of the dict's keys, the inputs, targets and
+  canonical metadata JSON that ``experiment._build_datasets`` returns for
+  a 10-class mixture with train, holdout and test splits and flipped
+  train labels, and for a long-tailed subsample of a mixture with a test
+  split.
 
 The first line, starting with ``#``, names the stack the digests depend
 on: the numpy version, the platform with the CPU targets numpy dispatches
@@ -64,7 +69,7 @@ from pathlib import Path
 
 import numpy as np
 
-from reweightopt import models, optim
+from reweightopt import experiment, models, optim
 from reweightopt.cli import cli_main
 from reweightopt.dro import (
     DroInstance, chi2_dro_value, kl_dro_primal, random_instance, revkl_dro_value,
@@ -301,6 +306,29 @@ def grid_oracle_digest() -> str:
     return _digest(b"".join(parts))
 
 
+DATASETS = {
+    "mixture-3-splits-flip": {
+        "generator": "gaussian_mixture_classification",
+        "params": {"num_classes": 10, "n_per_class": 100, "dim": 20, "separation": 3.0, "seed": 17},
+        "split": {"holdout_fraction": 0.1, "test_fraction": 0.2, "seed": 18},
+        "flip_train": {"fraction": 0.4, "seed": 19},
+    },
+    "long-tailed-test-split": {
+        "generator": "gaussian_mixture_classification",
+        "params": {"num_classes": 10, "n_per_class": 200, "dim": 10, "separation": 2.0, "seed": 20},
+        "subsample": {"n_max": 200, "imbalance_factor": 50, "seed": 21},
+        "split": {"test_fraction": 0.2, "seed": 22},
+    },
+}
+
+
+def dataset_digests():
+    for name, ds_cfg in DATASETS.items():
+        for split, ds in experiment._build_datasets(ds_cfg).items():
+            data = ds.inputs.tobytes() + ds.targets.tobytes() + _canonical(ds.meta).encode()
+            yield f"datasets/{name}/{split}", _digest(data)
+
+
 def main() -> None:
     print(stack_line())
     with tempfile.TemporaryDirectory() as tmp:
@@ -320,6 +348,8 @@ def main() -> None:
     for name, digest in solver_digests():
         print(name, digest)
     print("grid-oracle/n=2,3", grid_oracle_digest())
+    for name, digest in dataset_digests():
+        print(name, digest)
 
 
 if __name__ == "__main__":
