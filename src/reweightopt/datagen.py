@@ -1,9 +1,11 @@
 """Deterministic synthetic dataset generators.
 
 Every generator is a pure function of its arguments including the seed,
-so identical calls produce identical datasets.  Datasets carry a
-JSON-serializable metadata dict (generator name, seed, ground-truth
-parameters, per-class counts, ...).
+so identical calls produce identical datasets.  A ``Dataset`` is a
+``models.Batch`` with a JSON-serializable metadata dict (generator name,
+seed, ground-truth parameters, per-class counts, ...): its constructor,
+run by the generators, is the one check of the rows.  The datasets
+derived from them are stored unchecked, with a label range bounding theirs.
 
 ``subsample_long_tailed`` and ``split`` choose their rows with one seeded
 index helper and then gather them.  ``experiment`` builds a run's splits
@@ -17,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .models import Batch, _rows, _unchecked
+
 __all__ = [
     "Dataset",
     "rare_feature_regression",
@@ -29,30 +33,18 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Dataset:
-    """Inputs (n, d), targets (n,), and a JSON-serializable metadata dict."""
+class Dataset(Batch):
+    """A ``Batch`` (n rows) with a metadata dict, whose ``class_counts`` must sum to n."""
 
-    inputs: np.ndarray
-    targets: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.inputs, dtype=np.float64))
-        y = np.asarray(self.targets)
-        y = y.astype(np.int64) if np.issubdtype(y.dtype, np.integer) else y.astype(np.float64)
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "inputs", x)
-        object.__setattr__(self, "targets", y.reshape(-1))
-        if x.shape[0] < 1 or x.shape[0] != self.targets.shape[0]:
-            raise ValueError("inputs and targets must agree on n >= 1")
+        super().__post_init__()
         counts = self.meta.get("class_counts")
-        if counts is not None and int(np.sum(counts)) != x.shape[0]:
+        if counts is not None and int(np.sum(counts)) != self.n:
             raise ValueError("class_counts metadata does not sum to n")
 
-    @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
+    n = Batch.size
 
     @property
     def dim(self) -> int:
@@ -60,13 +52,13 @@ class Dataset:
 
     @property
     def is_classification(self) -> bool:
-        return self.targets.dtype == np.int64
+        return self.label_range is not None
 
     @property
     def num_classes(self) -> int:
         if not self.is_classification:
             raise ValueError("regression dataset has no classes")
-        return int(self.meta.get("num_classes", int(self.targets.max()) + 1))
+        return int(self.meta.get("num_classes", self.label_range[1] + 1))
 
 
 def _class_counts(targets: np.ndarray, num_classes: int) -> list[int]:
@@ -84,13 +76,10 @@ def rare_feature_regression(seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     theta_star = rng.standard_normal(10)
     counts = [50] * 5 + [1] * 5
-    rows = []
-    for j, c in enumerate(counts):
-        block = np.zeros((c, 10))
-        block[:, j] = 1.0
-        rows.append(block)
-    x = np.vstack(rows)
+    x = np.repeat(np.eye(10), counts, axis=0)  # counts[j] rows of e_j, in order
     y = x @ theta_star
+    x.setflags(write=False)  # no one else holds x and y: Dataset stores them uncopied
+    y.setflags(write=False)
     meta = {
         "generator": "rare_feature_regression",
         "seed": int(seed),
@@ -142,6 +131,8 @@ def gaussian_mixture_classification(
     blocks = x.reshape(num_classes, n_per_class, dim)
     blocks += means[:, None, :]
     y = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
+    x.setflags(write=False)  # no one else holds x and y: Dataset stores them uncopied
+    y.setflags(write=False)
     meta = {
         "generator": "gaussian_mixture_classification",
         "seed": int(seed),
@@ -175,7 +166,7 @@ def _cut(targets: np.ndarray, num_classes, seed: int, k_of):
 
 
 def _take(dataset: Dataset, rows: np.ndarray, meta: dict) -> Dataset:
-    return Dataset(dataset.inputs.take(rows, axis=0), dataset.targets.take(rows), meta)
+    return _unchecked(Dataset, **vars(_rows(dataset, rows)), meta=meta)
 
 
 def subsample_long_tailed(dataset: Dataset, counts, seed: int) -> Dataset:
@@ -238,7 +229,9 @@ def flip_labels(dataset: Dataset, fraction: float, seed: int) -> Dataset:
             "class_counts": _class_counts(targets, num_classes),
         }
     )
-    return Dataset(dataset.inputs, targets, meta)
+    targets.setflags(write=False)  # the range below: a flip may reach a class no label had
+    return _unchecked(Dataset, inputs=dataset.inputs, targets=targets, meta=meta,
+                      label_range=(int(targets.min()), int(targets.max())))
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

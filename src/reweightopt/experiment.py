@@ -22,12 +22,12 @@ import numpy as np
 
 from . import datagen, models
 from .datagen import Dataset
-from .models import Batch, ModelKind, ModelState, random_state, zero_state
+from .models import ModelKind, ModelState, random_state, zero_state
 from .optim import BaselineState, Tilt, TrainConfig, TrainingDivergenceError, init_state, rgd_step
 from .weighting import Divergence, WeightingRule
 
 # bound here only so that the benchmark's layer_targets() can trace them
-from .models import per_sample_loss, predict  # noqa: F401
+from .models import Batch, per_sample_loss, predict  # noqa: F401
 from .optim import ma_exp_step, term_step  # noqa: F401
 from .weighting import batch_weights  # noqa: F401
 
@@ -236,7 +236,6 @@ def validate_config(config: dict) -> dict:
     return cfg
 
 
-@_config_errors("dataset")
 def _build_datasets(ds_cfg: dict) -> dict:
     """The splits of a dataset section, keyed train, test, holdout (those
     present, in that order).
@@ -246,16 +245,18 @@ def _build_datasets(ds_cfg: dict) -> dict:
     ``split`` of the rest with the holdout fraction (seed + 1), and
     ``flip_labels`` on the train split.  Here the rows are selected by index
     and the inputs gathered once, in trace order, into one read-only array:
-    each split's inputs are a row view of it.
+    each split's inputs are a row view of it, stored unchecked.
     """
-    full = getattr(datagen, ds_cfg["generator"])(**ds_cfg["params"])
+    with _config_errors("dataset.params"):
+        full = getattr(datagen, ds_cfg["generator"])(**ds_cfg["params"])
     rows, meta = np.arange(full.n), full.meta  # the rows of full selected so far
     if "subsample" in ds_cfg:
         sub = ds_cfg["subsample"]
-        counts = datagen.long_tailed_counts(
-            full.num_classes, sub["n_max"], sub["imbalance_factor"]
-        )
-        rows, meta = datagen._subsample_rows(full.targets, meta, counts, sub["seed"])
+        with _config_errors("dataset.subsample"):
+            counts = datagen.long_tailed_counts(
+                full.num_classes, sub["n_max"], sub["imbalance_factor"]
+            )
+            rows, meta = datagen._subsample_rows(full.targets, meta, counts, sub["seed"])
     selected = {"train": (rows, meta)}
     if "split" in ds_cfg:
         sp = ds_cfg["split"]
@@ -269,9 +270,10 @@ def _build_datasets(ds_cfg: dict) -> dict:
         num_classes = full.num_classes if full.is_classification else None
         for name, train_frac, seed in cuts:
             rows, meta = selected["train"]
-            train, other = datagen._split_rows(
-                full.targets[rows], meta, num_classes, train_frac, seed
-            )
+            with _config_errors("dataset.split"):
+                train, other = datagen._split_rows(
+                    full.targets[rows], meta, num_classes, train_frac, seed
+                )
             selected["train"] = rows[train[0]], train[1]
             selected[name] = rows[other[0]], other[1]
     if len(selected) == 1 and "subsample" not in ds_cfg:
@@ -279,17 +281,20 @@ def _build_datasets(ds_cfg: dict) -> dict:
     else:
         order = [name for name in _SPLITS if name in selected]
         rows = np.concatenate([selected[name][0] for name in order])
-        x, y = full.inputs.take(rows, axis=0), full.targets.take(rows)
-        x.setflags(write=False)
+        gathered = models._rows(full, rows)  # read-only, with full's label range
         views, start = {}, 0
         for name in order:
             stop = start + selected[name][0].size
-            views[name] = Dataset(x[start:stop], y[start:stop], selected[name][1])
+            views[name] = models._unchecked(
+                Dataset, inputs=gathered.inputs[start:stop], targets=gathered.targets[start:stop],
+                label_range=gathered.label_range, meta=selected[name][1],
+            )
             start = stop
         splits = {name: views[name] for name in selected}
     if "flip_train" in ds_cfg:
         fl = ds_cfg["flip_train"]
-        splits["train"] = datagen.flip_labels(splits["train"], fl["fraction"], fl["seed"])
+        with _config_errors("dataset.flip_train"):
+            splits["train"] = datagen.flip_labels(splits["train"], fl["fraction"], fl["seed"])
     return splits
 
 
@@ -386,12 +391,11 @@ _SPLITS = ("train", "holdout", "test")  # the order of a trace's rows per eval s
 @dataclass(frozen=True)
 class _Built:
     """What ``_build`` makes of a config, shared read-only by every run
-    ``_train`` makes from it: the splits, their eval batches and the
-    initial optimizer state, plus the step-0 eval pass (losses,
-    predictions) of each split.  The batches and passes are in trace order."""
+    ``_train`` makes from it: the splits, also the eval batches (checked
+    once, by the generator's ``Dataset``), the initial optimizer state and
+    the step-0 eval pass (losses, predictions) of each split in trace order."""
 
     splits: dict
-    eval_batches: dict
     state: OptimizerState
     step0: dict
 
@@ -408,16 +412,12 @@ def _build(cfg: dict) -> _Built:
     _build_weighter(cfg["method"])
     _build_train_config(cfg["train"])
     model = _build_model(cfg["model"], splits["train"])
-    eval_batches = {
-        name: Batch(splits[name].inputs, splits[name].targets) for name in _SPLITS if name in splits
-    }
-    step0 = {}
-    for name, batch in eval_batches.items():
-        step0[name] = models._eval_pass(model, batch)
-        for arr in step0[name]:
-            arr.setflags(write=False)
+    step0 = {name: models._eval_pass(model, splits[name]) for name in _SPLITS if name in splits}
+    for losses, predicted in step0.values():
+        losses.setflags(write=False)
+        predicted.setflags(write=False)
     # init_state stores theta and the Adam moments read-only
-    return _Built(splits, eval_batches, init_state(model, cfg["train"]["optimizer"]), step0)
+    return _Built(splits, init_state(model, cfg["train"]["optimizer"]), step0)
 
 
 def run_experiment(config: dict):
@@ -478,18 +478,16 @@ def _train(cfg: dict, built: _Built):
     stream = minibatch_stream(
         train_ds.n, train_config.batch_size, train_config.steps, train_config.seed
     )
-    # _build has checked the whole train split (Batch, then _eval_pass)
-    train_batch = built.eval_batches["train"]
     for step, idx in enumerate(stream, start=1):
-        state, info = rgd_step(state, models._rows(train_batch, idx), weighter, train_config)
+        state, info = rgd_step(state, models._rows(train_ds, idx), weighter, train_config)
         weighter = info.weighter
         # free the step's arrays now: held into the next step they shift where numpy
         # puts the eval temporaries, which slowed the mlp-sweep benchmark by up to 20%
         del info
         if step % cfg["eval_every"] == 0 or step == train_config.steps:
             record(step, (
-                (name, models._eval_pass(state.model, batch))
-                for name, batch in built.eval_batches.items()
+                (name, models._eval_pass(state.model, built.splits[name]))
+                for name in built.step0
             ))
 
     summary = _summarize(trace, metric_names)

@@ -118,11 +118,13 @@ class ModelState:
 class Batch:
     """Inputs (B, d) with regression targets or integer class labels.
 
-    Construction checks the batch once: finite inputs, finite float64 or
-    int64 targets, one per row, all stored read-only.  Integer labels also
-    record their (min, max) in ``label_range`` (None for real targets),
-    which a step compares with the model's classes in place of a pass
-    over the labels; ``_rows`` passes it on to row subsets.
+    Construction is the one check of a batch's rows: finite inputs, finite
+    float64 or int64 targets, one per row, stored read-only (copies of
+    arrays the caller can still write).  Integer labels also record their
+    (min, max) in ``label_range`` (None for real targets), which a step
+    compares with the model's classes in place of a pass over the labels.
+    Rows taken from checked rows are stored unchecked with a range that
+    bounds theirs: ``_rows``'s minibatches, ``datagen``'s derived datasets.
     """
 
     inputs: np.ndarray
@@ -133,30 +135,35 @@ class Batch:
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.inputs, dtype=np.float64))
-        y = np.asarray(self.targets)
-        if np.issubdtype(y.dtype, np.integer):
-            y = y.astype(np.int64).reshape(-1)
-        else:
-            y = y.astype(np.float64).reshape(-1)
-        x.setflags(write=False)
-        y.setflags(write=False)
+        y = np.asarray(self.targets).reshape(-1)
+        y = y.astype(np.int64 if np.issubdtype(y.dtype, np.integer) else np.float64, copy=False)
+        x, y = _read_only(self.inputs, x), _read_only(self.targets, y)
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "targets", y)
-        if x.shape[0] < 1:
-            raise ValueError("batch must contain at least one sample")
-        if x.shape[0] != y.shape[0]:
-            raise ValueError(f"{x.shape[0]} inputs vs {y.shape[0]} targets")
+        if not 1 <= x.shape[0] == y.shape[0]:
+            raise ValueError(f"{x.shape[0]} inputs vs {y.shape[0]} targets: need n >= 1 of each")
         if not np.all(np.isfinite(x)):
-            raise ValueError("batch inputs contain non-finite entries")
-        if y.dtype == np.float64:
-            if not np.all(np.isfinite(y)):
-                raise ValueError("batch targets contain non-finite entries")
-        else:
+            raise ValueError("inputs contain non-finite entries")
+        if y.dtype == np.int64:
             object.__setattr__(self, "label_range", (int(y.min()), int(y.max())))
+        elif not np.all(np.isfinite(y)):
+            raise ValueError("targets contain non-finite entries")
 
     @property
     def size(self) -> int:
         return self.inputs.shape[0]
+
+
+def _read_only(given, converted: np.ndarray) -> np.ndarray:
+    """``converted``, made of ``given``, read-only: a copy if the caller can still write it."""
+    if isinstance(given, np.ndarray) and np.may_share_memory(converted, given):
+        base = converted
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if isinstance(base, np.ndarray):
+            converted = converted.copy(order="K")
+    converted.setflags(write=False)
+    return converted
 
 
 def _unchecked(cls, **fields):

@@ -116,8 +116,8 @@ class TrainConfig:
             raise ValueError("steps must be >= 0 and batch_size >= 1")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("adam betas must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError("adam eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError("adam eps must be finite and positive")
         if self.box is not None:
             lo, hi = self.box
             if not (lo < hi):
@@ -160,8 +160,8 @@ class BaselineState:
     z: float | None = None
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("lam must be finite and positive")
         if not (0.0 < self.beta_ma < 1.0):
             raise ValueError("beta_ma must lie in (0, 1)")
         if self.z is not None and self.z <= 0:
@@ -208,8 +208,8 @@ class Tilt:
     t_tilt: float
 
     def __post_init__(self):
-        if self.t_tilt <= 0:
-            raise ValueError("t_tilt must be positive")
+        if not (math.isfinite(self.t_tilt) and self.t_tilt > 0):
+            raise ValueError("t_tilt must be finite and positive")
 
     def step_weights(self, losses: np.ndarray, t: int):
         return losses.size * self._probs(losses), self
@@ -373,8 +373,8 @@ def rgd_step(state: OptimizerState, batch: Batch, weighter, config: TrainConfig)
 
 def term_objective(losses, t_tilt: float) -> float:
     """Tilted batch objective (1/t) * log mean exp(t * loss)."""
-    if t_tilt <= 0:
-        raise ValueError("t_tilt must be positive")
+    if not (math.isfinite(t_tilt) and t_tilt > 0):
+        raise ValueError("t_tilt must be finite and positive")
     ell = np.asarray(losses, dtype=np.float64).reshape(-1)
     return float((logsumexp(t_tilt * ell) - math.log(ell.size)) / t_tilt)
 

@@ -257,6 +257,33 @@ def test_train_bad_dataset_value_exits_2(tmp_path, capsys, split, flip, message)
     assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
+@pytest.mark.parametrize("separation", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_train_non_finite_separation_exits_2(tmp_path, capsys, separation):
+    dataset = {"generator": "gaussian_mixture_classification",
+               "params": {"num_classes": 3, "n_per_class": 10, "dim": 4,
+                          "separation": separation, "seed": 0}}
+    cfg = write_config(tmp_path, dataset=dataset, model={"kind": "softmax"},
+                       metrics=["accuracy"])
+    assert cli_main(["train", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: dataset.params: inputs contain non-finite entries"
+    )
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("overrides, message", [
+    (lambda v: {"method": {"name": "term", "t_tilt": v}}, "method.t_tilt: t_tilt must be"),
+    (lambda v: {"method": {"name": "ma", "lam": v, "beta_ma": 0.5}}, "method: lam must be"),
+    (lambda v: {"train": {"optimizer": "adam", "lr_base": 0.1, "steps": 5,
+                          "batch_size": 255, "seed": 0, "eps": v}}, "train: adam eps must be"),
+], ids=["t_tilt", "lam", "eps"])
+def test_train_non_finite_hyperparameter_exits_2(tmp_path, capsys, overrides, message, value):
+    cfg = write_config(tmp_path, **overrides(value))
+    assert cli_main(["train", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message} finite and positive")
+
+
 def test_train_non_integer_steps_exits_2(tmp_path, capsys):
     train = {"optimizer": "sgd", "lr_base": 4.0, "steps": 10.9, "batch_size": 255, "seed": 0}
     cfg = write_config(tmp_path, train=train)

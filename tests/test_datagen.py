@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from reweightopt.models import Batch, ModelKind, zero_state
+from reweightopt.optim import TrainConfig, init_state, rgd_step
+from reweightopt.weighting import WeightingRule
 from reweightopt.datagen import (
     Dataset,
     flip_labels,
@@ -218,3 +221,41 @@ def test_dataset_validation():
         Dataset(np.ones((2, 2)), np.ones(3))
     with pytest.raises(ValueError):
         Dataset(np.ones((2, 2)), np.array([0, 1]), {"class_counts": [5, 5]})
+
+
+class TestDerivedLabelRange:
+    """Derived datasets are stored unchecked; their label range must still
+    bound their labels, since a step checks labels only through it."""
+
+    def test_flip_covers_labels_beyond_the_present_ones(self):
+        # labels 0 and 1 only, of 4 classes: flipping draws labels up to 3
+        ds = Dataset(np.zeros((40, 4)), np.repeat([0, 1], 20),
+                     {"num_classes": 4, "class_counts": [20, 20, 0, 0]})
+        assert ds.label_range == (0, 1)
+        flipped = flip_labels(ds, 1.0, seed=3)
+        lo, hi = flipped.label_range
+        assert flipped.targets.max() > 1
+        assert lo <= flipped.targets.min() and flipped.targets.max() <= hi <= 3
+        assert not flipped.targets.flags.writeable
+        # a 2-class model must reject the flipped labels rather than index past its rows
+        state = init_state(zero_state(ModelKind.SOFTMAX, 4, 2))
+        with pytest.raises(ValueError, match="class label out of range"):
+            rgd_step(state, flipped, WeightingRule("kl"), TrainConfig(batch_size=40))
+
+    def test_subsets_keep_a_bounding_range(self):
+        ds = gaussian_mixture_classification(4, 30, 4, 2.0, seed=5)
+        parts = [*split(ds, 0.5, seed=6), subsample_long_tailed(ds, [30, 10, 5, 2], seed=7)]
+        for part in parts:
+            lo, hi = part.label_range
+            assert lo <= part.targets.min() and part.targets.max() <= hi
+            assert part.num_classes == 4 and part.is_classification
+        regression = split(rare_feature_regression(seed=1), 0.5, seed=2)
+        assert all(part.label_range is None for part in regression)
+
+    def test_dataset_is_a_checked_batch(self):
+        ds = gaussian_mixture_classification(3, 5, 3, 1.0, seed=0)
+        assert isinstance(ds, Batch)
+        with pytest.raises(ValueError, match="non-finite"):
+            gaussian_mixture_classification(3, 5, 3, float("nan"), seed=0)
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(np.ones((2, 2)), np.array([0.0, np.inf]))

@@ -431,7 +431,7 @@ class TestRunExperiment:
         cfg["model"] = {"kind": "mlp", "hidden": [5], "init_seed": 1}
         cfg["train"]["optimizer"] = "adam"
         built = experiment._build(validate_config(cfg))
-        assert list(built.eval_batches) == list(built.step0) == ["train", "holdout", "test"]
+        assert list(built.step0) == ["train", "holdout", "test"]
         arrays = [built.state.model.theta, built.state.m, built.state.v]
         arrays += [arr for passed in built.step0.values() for arr in passed]
         arrays += [ds.inputs for ds in built.splits.values()]
@@ -759,6 +759,44 @@ class TestConfigBoundary:
         cfg["dataset"]["params"]["num_classes"] = 1
         with pytest.raises(ConfigError, match="dataset"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda ds: ds["params"].update(num_classes=1), r"^dataset\.params: need num_classes"),
+        (lambda ds: ds["params"].update(separation=math.nan),
+         r"^dataset\.params: inputs contain non-finite"),
+        (lambda ds: ds["params"].update(separation=math.inf),
+         r"^dataset\.params: inputs contain non-finite"),
+        (lambda ds: ds.update(subsample={"n_max": 80, "imbalance_factor": 2.0, "seed": 1}),
+         r"^dataset\.subsample: class 0 has 40 samples, need 80"),
+        (lambda ds: ds.update(generator="rare_feature_regression", params={"seed": 0},
+                              subsample={"n_max": 5, "imbalance_factor": 2.0, "seed": 1}),
+         r"^dataset\.subsample: regression dataset has no classes"),
+        (lambda ds: ds["params"].update(n_per_class=2), r"^dataset\.split: degenerate split"),
+        (lambda ds: ds.update(generator="rare_feature_regression", params={"seed": 0},
+                              flip_train={"fraction": 0.1, "seed": 1}),
+         r"^dataset\.flip_train: label flipping needs a classification dataset"),
+    ], ids=["num_classes", "nan-separation", "inf-separation", "subsample-size",
+            "subsample-regression", "split", "flip-regression"])
+    def test_dataset_fault_names_its_stage(self, change, message):
+        cfg = mixture_config()
+        change(cfg["dataset"])
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(cfg)
+
+    def test_a_run_checks_its_rows_once(self, monkeypatch):
+        # the generator's Dataset is the one check: splits, flips, eval
+        # passes and minibatches reuse its rows unchecked
+        calls = []
+        check = Batch.__post_init__
+
+        def counted(self):
+            calls.append(type(self).__name__)
+            check(self)
+
+        monkeypatch.setattr(Batch, "__post_init__", counted)
+        cfg = _every_dataset_option_config()
+        run_experiment(cfg)
+        assert calls == ["Dataset"]
 
     def test_linear_model_on_classification_data(self):
         cfg = mixture_config()

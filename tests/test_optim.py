@@ -455,6 +455,18 @@ def test_train_config_validation():
         TrainConfig(box=(1.0, -1.0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("make, name", [
+    (lambda v: Tilt(v), "t_tilt"),
+    (lambda v: term_objective([0.0, 1.0], v), "t_tilt"),
+    (lambda v: BaselineState(lam=v), "lam"),
+    (lambda v: TrainConfig(optimizer="adam", eps=v), "eps"),
+], ids=["t_tilt", "term_objective", "lam", "eps"])
+def test_hyperparameters_must_be_finite_and_positive(make, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        make(value)
+
+
 def test_optimizer_state_validation():
     model = zero_state(ModelKind.LINEAR, 3)
     with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from reweightopt import models
+from reweightopt.datagen import Dataset
 from reweightopt.models import Batch, ModelKind, ModelState, random_state, zero_state
 from reweightopt.optim import (
     OptimizerState,
@@ -137,6 +138,42 @@ class TestOptimizerState:
         state = init_state(_model(kind), "sgd")
         with pytest.raises(ValueError, match="adam moments not initialized"):
             _step(kind, batch, optimizer="adam", state=state)
+
+
+class TestCallerArrays:
+    """``Batch`` and ``Dataset`` store read-only rows without freezing the
+    caller's own arrays: a writeable input is copied, a read-only one kept."""
+
+    @pytest.mark.parametrize("make", [
+        lambda x, y: Batch(x, y),
+        lambda x, y: Dataset(x, y, {"class_counts": [2, 1]}),
+    ], ids=["Batch", "Dataset"])
+    @pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
+    def test_writeable_inputs_stay_writeable(self, make, view):
+        x, y = np.arange(6.0).reshape(3, 2), np.array([0, 1, 0])
+        given_x, given_y = (x[:], y[:]) if view else (x, y)
+        batch = make(given_x, given_y)
+        assert x.flags.writeable and y.flags.writeable
+        assert given_x.flags.writeable and given_y.flags.writeable
+        assert not batch.inputs.flags.writeable and not batch.targets.flags.writeable
+        x[0, 0], y[0] = 99.0, 1  # a later write by the caller
+        assert batch.inputs[0, 0] == 0.0 and batch.targets[0] == 0
+        assert batch.label_range == (0, 1)
+
+    def test_read_only_inputs_are_kept(self):
+        x, y = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]), np.array([0.5, 1.0, 2.0])
+        x.setflags(write=False)
+        y.setflags(write=False)
+        batch = Batch(x, y)
+        assert np.shares_memory(batch.inputs, x) and np.shares_memory(batch.targets, y)
+
+    def test_read_only_view_of_a_writeable_array_is_copied(self):
+        x = np.arange(6.0).reshape(3, 2)
+        view = x[:]
+        view.setflags(write=False)
+        batch = Batch(view, [0.5, 1.0, 2.0])
+        x[0, 0] = 99.0
+        assert batch.inputs[0, 0] == 0.0
 
 
 class TestLabelRange:

@@ -36,7 +36,12 @@ Each line reads ``<name> <sha256>``.  The outputs are:
   canonical metadata JSON that ``experiment._build_datasets`` returns for
   a 10-class mixture with train, holdout and test splits and flipped
   train labels, and for a long-tailed subsample of a mixture with a test
-  split.
+  split;
+- the inputs, targets and canonical metadata JSON of each dataset the
+  public ``datagen`` chain returns: ``subsample_long_tailed`` of a
+  10-class mixture, ``split`` of that subsample and of the regression
+  data (both parts of each), and ``flip_labels`` of the classification
+  train part.
 
 The first line, starting with ``#``, names the stack the digests depend
 on: the numpy version, the platform with the CPU targets numpy dispatches
@@ -69,7 +74,7 @@ from pathlib import Path
 
 import numpy as np
 
-from reweightopt import experiment, models, optim
+from reweightopt import datagen, experiment, models, optim
 from reweightopt.cli import cli_main
 from reweightopt.dro import (
     DroInstance, chi2_dro_value, kl_dro_primal, random_instance, revkl_dro_value,
@@ -322,11 +327,28 @@ DATASETS = {
 }
 
 
+def _dataset_digest(ds) -> str:
+    return _digest(ds.inputs.tobytes() + ds.targets.tobytes() + _canonical(ds.meta).encode())
+
+
 def dataset_digests():
     for name, ds_cfg in DATASETS.items():
         for split, ds in experiment._build_datasets(ds_cfg).items():
-            data = ds.inputs.tobytes() + ds.targets.tobytes() + _canonical(ds.meta).encode()
-            yield f"datasets/{name}/{split}", _digest(data)
+            yield f"datasets/{name}/{split}", _dataset_digest(ds)
+
+
+def datagen_chain_digests():
+    mixture = datagen.gaussian_mixture_classification(10, 60, 10, 2.0, seed=23)
+    counts = datagen.long_tailed_counts(10, 60, 20.0)
+    subsample = datagen.subsample_long_tailed(mixture, counts, seed=24)
+    yield "datagen/subsample_long_tailed", _dataset_digest(subsample)
+    train, other = datagen.split(subsample, 0.7, seed=25)
+    yield "datagen/split/classification/train", _dataset_digest(train)
+    yield "datagen/split/classification/other", _dataset_digest(other)
+    parts = datagen.split(datagen.rare_feature_regression(seed=26), 0.6, seed=27)
+    yield "datagen/split/regression/train", _dataset_digest(parts[0])
+    yield "datagen/split/regression/other", _dataset_digest(parts[1])
+    yield "datagen/flip_labels", _dataset_digest(datagen.flip_labels(train, 0.3, seed=28))
 
 
 def main() -> None:
@@ -349,6 +371,8 @@ def main() -> None:
         print(name, digest)
     print("grid-oracle/n=2,3", grid_oracle_digest())
     for name, digest in dataset_digests():
+        print(name, digest)
+    for name, digest in datagen_chain_digests():
         print(name, digest)
 
 
