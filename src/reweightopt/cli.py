@@ -37,6 +37,8 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"{path}: no such file") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # a number json will not parse, such as an integer of 5000 digits
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _cmd_train(args) -> int:

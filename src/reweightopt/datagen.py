@@ -15,6 +15,7 @@ indices, so that it gathers the inputs only once.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,12 +35,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Dataset(Batch):
-    """A ``Batch`` (n rows) with a metadata dict, whose ``class_counts`` must sum to n."""
+    """A ``Batch`` (n rows) with a metadata dict of its own (a copy of the
+    one given), whose ``class_counts`` must sum to n."""
 
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         super().__post_init__()
+        object.__setattr__(self, "meta", _own(self.meta))
         counts = self.meta.get("class_counts")
         if counts is not None and int(np.sum(counts)) != self.n:
             raise ValueError("class_counts metadata does not sum to n")
@@ -59,6 +62,14 @@ class Dataset(Batch):
         if not self.is_classification:
             raise ValueError("regression dataset has no classes")
         return int(self.meta.get("num_classes", self.label_range[1] + 1))
+
+
+def _own(meta: dict, **new) -> dict:
+    """``meta`` updated with ``new``, with its own copy of each list or dict
+    it keeps from ``meta``: datasets share no metadata with another or a caller."""
+    own = {k: copy.deepcopy(v) if k not in new and type(v) in (list, dict) else v
+           for k, v in meta.items()}
+    return {**own, **new}
 
 
 def _class_counts(targets: np.ndarray, num_classes: int) -> list[int]:
@@ -189,15 +200,8 @@ def _subsample_rows(targets: np.ndarray, meta: dict, counts: list, seed: int):
         return counts[c]
 
     keep = _cut(targets, len(counts), seed, k_of)[0]
-    meta = dict(meta)
-    meta.update(
-        {
-            "subsample_seed": int(seed),
-            "class_counts": counts,
-            "imbalance_factor": max(counts) / min(counts),
-        }
-    )
-    return keep, meta
+    return keep, _own(meta, subsample_seed=int(seed), class_counts=counts,
+                      imbalance_factor=max(counts) / min(counts))
 
 
 def flip_labels(dataset: Dataset, fraction: float, seed: int) -> Dataset:
@@ -220,15 +224,8 @@ def flip_labels(dataset: Dataset, fraction: float, seed: int) -> Dataset:
         draws = rng.integers(0, num_classes - 1, size=n_flip)
         originals = targets[flip_idx]
         targets[flip_idx] = draws + (draws >= originals)
-    meta = dict(dataset.meta)
-    meta.update(
-        {
-            "flip_seed": int(seed),
-            "flip_fraction": float(fraction),
-            "flip_indices": flip_idx.tolist(),
-            "class_counts": _class_counts(targets, num_classes),
-        }
-    )
+    meta = _own(dataset.meta, flip_seed=int(seed), flip_fraction=float(fraction),
+                flip_indices=flip_idx.tolist(), class_counts=_class_counts(targets, num_classes))
     targets.setflags(write=False)  # the range below: a flip may reach a class no label had
     return _unchecked(Dataset, inputs=dataset.inputs, targets=targets, meta=meta,
                       label_range=(int(targets.min()), int(targets.max())))
@@ -251,10 +248,8 @@ def _split_rows(targets: np.ndarray, meta: dict, num_classes, train_fraction: fl
         raise ValueError(f"degenerate split sizes {parts[0].size}/{parts[1].size}")
 
     def part_meta(rows, name):
-        part = dict(meta)
-        part.update({"split": name, "split_seed": int(seed)})
-        if num_classes is not None:
-            part["class_counts"] = _class_counts(targets[rows], num_classes)
-        return part
+        counts = {} if num_classes is None else {
+            "class_counts": _class_counts(targets[rows], num_classes)}
+        return _own(meta, split=name, split_seed=int(seed), **counts)
 
     return (parts[0], part_meta(parts[0], "train")), (parts[1], part_meta(parts[1], "other"))

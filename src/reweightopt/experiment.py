@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +25,7 @@ from . import datagen, models
 from .datagen import Dataset
 from .models import ModelKind, ModelState, random_state, zero_state
 from .optim import BaselineState, Tilt, TrainConfig, TrainingDivergenceError, init_state, rgd_step
-from .weighting import Divergence, WeightingRule
+from .weighting import WeightingRule
 
 # bound here only so that the benchmark's layer_targets() can trace them
 from .models import Batch, per_sample_loss, predict  # noqa: F401
@@ -100,96 +101,132 @@ def _config_errors(path: str):
         raise ConfigError(f"{path}: {detail}") from None
 
 
-def _check_keys(section: dict, path: str, required: set, optional: set = frozenset()):
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path}: expected an object")
-    unknown = set(section) - required - set(optional)
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
-    missing = required - set(section)
-    if missing:
-        raise ConfigError(f"{path}: missing required key(s) {sorted(missing)}")
+# the kinds of the schema's keys, each a check of a present value that
+# names its key path ``where`` in the first fault it finds
+def _number(value, where: str, types=(int, float), what="a number"):
+    """A JSON number of ``types``: not a bool or a string, and if an
+    integer, within the float range that a run's arithmetic needs."""
+    if type(value) not in types:
+        raise ConfigError(f"{where}: expected {what}, got {value!r}")
+    if type(value) is int and not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigError(f"{where}: expected a number within the float range, got a larger one")
 
 
-def _check_numbers(section: dict, path: str, keys: tuple, types=(int, float)):
-    """Reject a present key whose JSON value (bool, string, ...) is not of ``types``."""
-    for key in keys:
-        if key in section and type(section[key]) not in types:
-            what = "an integer" if types == (int,) else "a number"
-            raise ConfigError(f"{path}.{key}: expected {what}, got {section[key]!r}")
+def _integer(value, where: str):
+    _number(value, where, (int,), "an integer")
 
 
-def _check_seed(section: dict, path: str, key: str = "seed"):
-    """Reject a present seed that is not a non-negative integer, the only
-    seeds numpy's generators take."""
-    _check_numbers(section, path, (key,), (int,))
-    if section.get(key, 0) < 0:
-        raise ConfigError(f"{path}.{key}: expected a non-negative integer, got {section[key]!r}")
+def _seed(value, where: str):
+    """A non-negative integer, the only seeds numpy's generators take."""
+    _integer(value, where)
+    if value < 0:
+        raise ConfigError(f"{where}: expected a non-negative integer, got {value!r}")
 
 
-def _check_fraction(section: dict, path: str, key: str, closed: bool):
-    """Reject a present fraction that is not a number in [0, 1), or in [0, 1] if ``closed``."""
-    _check_numbers(section, path, (key,))
-    value = section.get(key, 0.0)
-    if not (0.0 <= value < 1.0 or closed and value == 1.0):
-        interval = "[0, 1]" if closed else "[0, 1)"
-        raise ConfigError(f"{path}.{key}: expected a number in {interval}, got {value!r}")
+def _fraction(value, where: str, interval="[0, 1)"):
+    if type(value) not in (int, float):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if not (0.0 <= value < 1.0 or interval == "[0, 1]" and value == 1.0):
+        raise ConfigError(f"{where}: expected a number in {interval}, got {value!r}")
 
 
-_GENERATOR_PARAMS = {
-    "rare_feature_regression": ({"seed"}, set()),
+def _list(value, where: str, kind, what: str, length=None):
+    if type(value) is not list or length not in (None, len(value)):
+        raise ConfigError(f"{where}: expected {what}, got {value!r}")
+    for item in value:
+        kind(item, where)
+
+
+# The config schema.  A section is a pair of dicts, its required and its
+# optional keys, from key to kind: a check above, a nested section, or
+# None for a value that validate_config's own code (or the object built
+# from it) checks.  The generator and the method name choose the
+# sub-tables of dataset.params and of method.
+_SCHEMA = (
+    {
+        "dataset": (
+            {"generator": None, "params": None},
+            {
+                "subsample": ({"n_max": _integer, "imbalance_factor": _number, "seed": _seed}, {}),
+                "split": ({"seed": _seed},
+                          {"test_fraction": _fraction, "holdout_fraction": _fraction}),
+                "flip_train": ({"fraction": lambda v, where: _fraction(v, where, "[0, 1]"),
+                                "seed": _seed}, {}),
+            },
+        ),
+        "model": (
+            {"kind": None},
+            {"hidden": lambda v, where: _list(v, where, _integer, "a list of integers"),
+             "init_seed": _seed, "init_scale": _number},
+        ),
+        "method": None,
+        "train": (
+            {"optimizer": None, "steps": _integer, "batch_size": _integer, "seed": _seed,
+             "lr_base": _number},
+            {"schedule": None, "beta1": _number, "beta2": _number, "eps": _number,
+             "box": lambda v, where: _list(v, where, _number, "a list of two numbers", 2)},
+        ),
+    },
+    {"eval_every": None, "metrics": None, "output": None},
+)
+_GENERATORS = {
+    "rare_feature_regression": ({"seed": _seed}, {}),
     "gaussian_mixture_classification": (
-        {"num_classes", "n_per_class", "dim", "separation", "seed"},
-        set(),
+        {"num_classes": _integer, "n_per_class": _integer, "dim": _integer,
+         "separation": _number, "seed": _seed},
+        {},
     ),
 }
+_METHODS = {
+    "rgd": ({"name": None, "rule": ({"divergence": None}, {"tau": _number})}, {}),
+    "term": ({"name": None, "t_tilt": _number}, {}),
+    "ma": ({"name": None, "lam": _number, "beta_ma": _number}, {}),
+}
+
+
+def _check_section(section, path: str, schema: tuple):
+    """Check a section (the whole config at path "config") against its
+    schema: an object without unknown or missing keys, each value of its kind."""
+    required, optional = schema
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: expected an object")
+    unknown = section.keys() - required.keys() - optional.keys()
+    if unknown:
+        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
+    missing = required.keys() - section.keys()
+    if missing:
+        raise ConfigError(f"{path}: missing required key(s) {sorted(missing)}")
+    prefix = "" if path == "config" else path + "."
+    for kinds in schema:
+        for key, kind in kinds.items():
+            if type(kind) is tuple and key in section:
+                _check_section(section[key], prefix + key, kind)
+            elif kind is not None and key in section:
+                kind(section[key], prefix + key)
 
 
 @_config_errors("config")
 def validate_config(config: dict) -> dict:
-    """Strict-schema check; returns the config with defaults filled in."""
-    _check_keys(
-        config,
-        "config",
-        {"dataset", "model", "method", "train"},
-        {"eval_every", "metrics", "output"},
-    )
+    """Check a config before anything runs: the schema, then the method's
+    and train values (by building the weighter and the ``TrainConfig``).
+    Returns a deep copy with defaults filled in.  Only the dataset stages
+    and the model are left to ``_build``, which reports them in that order."""
     cfg = json.loads(json.dumps(config))  # deep copy, also rejects non-JSON values
+    _check_section(cfg, "config", _SCHEMA)
 
     ds = cfg["dataset"]
-    _check_keys(ds, "dataset", {"generator", "params"}, {"subsample", "split", "flip_train"})
     gen = ds["generator"]
-    if gen not in _GENERATOR_PARAMS:
+    if gen not in _GENERATORS:
         raise ConfigError(f"dataset.generator: unknown generator {gen!r}")
-    req, opt = _GENERATOR_PARAMS[gen]
-    _check_keys(ds["params"], "dataset.params", req, opt)
-    _check_numbers(ds["params"], "dataset.params", ("num_classes", "n_per_class", "dim"), (int,))
-    _check_numbers(ds["params"], "dataset.params", ("separation",))
-    _check_seed(ds["params"], "dataset.params")
-    if "subsample" in ds:
-        sub = ds["subsample"]
-        _check_keys(sub, "dataset.subsample", {"n_max", "imbalance_factor", "seed"})
-        _check_numbers(sub, "dataset.subsample", ("n_max",), (int,))
-        _check_numbers(sub, "dataset.subsample", ("imbalance_factor",))
-        _check_seed(sub, "dataset.subsample")
-    if "split" in ds:
-        sp = ds["split"]
-        _check_keys(sp, "dataset.split", {"seed"}, {"holdout_fraction", "test_fraction"})
-        _check_seed(sp, "dataset.split")
-        for key in ("test_fraction", "holdout_fraction"):
-            _check_fraction(sp, "dataset.split", key, closed=False)
-        total = sp.get("test_fraction", 0.0) + sp.get("holdout_fraction", 0.0)
-        if total >= 1.0:
-            raise ConfigError(
-                f"dataset.split: test_fraction + holdout_fraction must be below 1, got {total!r}"
-            )
-    if "flip_train" in ds:
-        _check_keys(ds["flip_train"], "dataset.flip_train", {"fraction", "seed"})
-        _check_fraction(ds["flip_train"], "dataset.flip_train", "fraction", closed=True)
-        _check_seed(ds["flip_train"], "dataset.flip_train")
+    _check_section(ds["params"], "dataset.params", _GENERATORS[gen])
+    sp = ds.get("split", {})
+    total = sp.get("test_fraction", 0.0) + sp.get("holdout_fraction", 0.0)
+    if total >= 1.0:
+        raise ConfigError(
+            f"dataset.split: test_fraction + holdout_fraction must be below 1, got {total!r}"
+        )
 
     model = cfg["model"]
-    _check_keys(model, "model", {"kind"}, {"hidden", "init_seed", "init_scale"})
     try:
         kind = ModelKind(model["kind"])
     except ValueError as exc:
@@ -199,32 +236,12 @@ def validate_config(config: dict) -> dict:
     mlp_only = sorted(set(model) - {"kind"})
     if kind is not ModelKind.MLP and mlp_only:
         raise ConfigError(f"model: key(s) {mlp_only} apply to mlp only, not {kind.value}")
-    _check_seed(model, "model", "init_seed")
 
     method = cfg["method"]
     name = method.get("name") if isinstance(method, dict) else None
-    if name == "rgd":
-        _check_keys(method, "method", {"name", "rule"})
-        _check_keys(method["rule"], "method.rule", {"divergence"}, {"tau"})
-        _check_numbers(method["rule"], "method.rule", ("tau",))
-    elif name == "term":
-        _check_keys(method, "method", {"name", "t_tilt"})
-        _check_numbers(method, "method", ("t_tilt",))
-    elif name == "ma":
-        _check_keys(method, "method", {"name", "lam", "beta_ma"})
-        _check_numbers(method, "method", ("lam", "beta_ma"))
-    else:
+    if not (isinstance(name, str) and name in _METHODS):
         raise ConfigError(f"method.name: expected rgd|term|ma, got {name!r}")
-
-    _check_keys(
-        cfg["train"],
-        "train",
-        {"optimizer", "lr_base", "steps", "batch_size", "seed"},
-        {"schedule", "beta1", "beta2", "eps", "box"},
-    )
-    _check_numbers(cfg["train"], "train", ("steps", "batch_size"), (int,))
-    _check_seed(cfg["train"], "train")
-    _check_numbers(cfg["train"], "train", ("lr_base", "beta1", "beta2", "eps"))
+    _check_section(method, "method", _METHODS[name])
 
     cfg.setdefault("eval_every", 10)
     if not (type(cfg["eval_every"]) is int and cfg["eval_every"] >= 1):
@@ -233,6 +250,9 @@ def validate_config(config: dict) -> dict:
     for m in cfg["metrics"]:
         if m not in METRIC_DIRECTIONS:
             raise ConfigError(f"metrics: unknown metric {m!r}")
+
+    _build_weighter(method)
+    _build_train_config(cfg["train"])
     return cfg
 
 
@@ -321,28 +341,15 @@ def _build_weighter(method_cfg: dict):
     name = method_cfg["name"]
     with _config_errors({"rgd": "method.rule", "term": "method.t_tilt"}.get(name, "method")):
         if name == "rgd":
-            rule = method_cfg["rule"]
-            return WeightingRule(Divergence(rule["divergence"]), float(rule.get("tau", 1.0)))
+            return WeightingRule(**method_cfg["rule"])
         if name == "term":
-            return Tilt(float(method_cfg["t_tilt"]))
-        return BaselineState(float(method_cfg["lam"]), float(method_cfg["beta_ma"]))
+            return Tilt(method_cfg["t_tilt"])
+        return BaselineState(method_cfg["lam"], method_cfg["beta_ma"])
 
 
 @_config_errors("train")
 def _build_train_config(train_cfg: dict) -> TrainConfig:
-    box = train_cfg.get("box")
-    return TrainConfig(
-        optimizer=train_cfg["optimizer"],
-        lr_base=float(train_cfg["lr_base"]),
-        schedule=train_cfg.get("schedule", "constant"),
-        steps=int(train_cfg["steps"]),
-        batch_size=int(train_cfg["batch_size"]),
-        seed=int(train_cfg["seed"]),
-        beta1=float(train_cfg.get("beta1", 0.9)),
-        beta2=float(train_cfg.get("beta2", 0.999)),
-        eps=float(train_cfg.get("eps", 1e-8)),
-        box=tuple(box) if box is not None else None,
-    )
+    return TrainConfig(**train_cfg)
 
 
 def minibatch_stream(n: int, batch_size: int, steps: int, seed: int):
@@ -391,8 +398,7 @@ _SPLITS = ("train", "holdout", "test")  # the order of a trace's rows per eval s
 @dataclass(frozen=True)
 class _Built:
     """What ``_build`` makes of a config, shared read-only by every run
-    ``_train`` makes from it: the splits, also the eval batches (checked
-    once, by the generator's ``Dataset``), the initial optimizer state and
+    ``_train`` makes from it: the splits, the initial optimizer state and
     the step-0 eval pass (losses, predictions) of each split in trace order."""
 
     splits: dict
@@ -401,16 +407,11 @@ class _Built:
 
 
 def _build(cfg: dict) -> _Built:
-    """Build a validated config's data, initial state and step-0 eval pass.
-
-    The result depends on neither ``method`` nor ``train.lr_base``, so
-    one build serves every config that differs from ``cfg`` only there.
-    """
+    """Build a validated config's data, initial state and step-0 eval pass,
+    reporting the faults only they can tell: the dataset stages', then the
+    model's.  The result depends on neither ``method`` nor ``train.lr_base``,
+    so one build serves every config that differs from ``cfg`` only there."""
     splits = _build_datasets(cfg["dataset"])
-    # built (and dropped) here so that a config with several faults reports
-    # the first in the order dataset, method, train, model; _train builds its own
-    _build_weighter(cfg["method"])
-    _build_train_config(cfg["train"])
     model = _build_model(cfg["model"], splits["train"])
     step0 = {name: models._eval_pass(model, splits[name]) for name in _SPLITS if name in splits}
     for losses, predicted in step0.values():

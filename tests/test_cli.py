@@ -5,6 +5,7 @@ import pytest
 
 from reweightopt import experiment
 from reweightopt.cli import cli_main
+from reweightopt.sweep import sweep
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -200,6 +201,63 @@ def test_sweep_with_unknown_selection_split_exits_2_without_training(tmp_path, c
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: selection split 'holdut' is not a split")
     assert captured.out == "" and calls == []
+
+
+def test_sweep_with_out_of_range_later_point_exits_2_without_training(tmp_path, capsys,
+                                                                      monkeypatch):
+    calls = []
+    monkeypatch.setitem(sweep.__globals__, "_train", lambda *args: calls.append(1))
+    base = json.loads(write_config(tmp_path).read_text())
+    base["method"] = {"name": "ma", "lam": 1.0, "beta_ma": 0.5}
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({
+        "base": base, "grid": {"lam": [1.0], "beta_ma": [0.5, 1.5], "lr_mult": [1.0]},
+        "select": {"metric": "mse"},
+    }))
+    assert cli_main(["sweep", str(spec_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: method: beta_ma must lie in (0, 1)")
+    assert captured.out == "" and calls == []
+
+
+@pytest.mark.parametrize("path", [
+    "method.rule.tau", "method.t_tilt", "train.lr_base", "train.beta1", "train.box",
+    "dataset.params.separation", "dataset.subsample.imbalance_factor", "model.init_scale",
+    "dataset.subsample.n_max",
+])
+def test_train_integer_beyond_the_float_range_exits_2(tmp_path, capsys, path):
+    # each was an uncaught OverflowError where the value is turned into a float
+    dataset = {"generator": "gaussian_mixture_classification",
+               "params": {"num_classes": 3, "n_per_class": 10, "dim": 4,
+                          "separation": 3.0, "seed": 0},
+               "subsample": {"n_max": 10, "imbalance_factor": 2.0, "seed": 1}}
+    cfg = json.loads(write_config(
+        tmp_path, dataset=dataset, metrics=["accuracy"],
+        model={"kind": "mlp", "hidden": [4], "init_seed": 0, "init_scale": 1.0},
+    ).read_text())
+    if path == "method.t_tilt":
+        cfg["method"] = {"name": "term", "t_tilt": 1.0}
+    cfg["train"].update(beta1=0.9, box=[-5.0, 5.0])
+    *parents, key = path.split(".")
+    section = cfg
+    for part in parents:
+        section = section[part]
+    section[key] = [0, 10**400] if key == "box" else 10**400
+    config_path = tmp_path / "huge.json"
+    config_path.write_text(json.dumps(cfg))
+    assert cli_main(["train", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {path}: expected a number within the float range"
+    )
+
+
+def test_train_integer_json_cannot_parse_exits_2(tmp_path, capsys):
+    # the json module refuses integers of more than 4300 digits with a ValueError
+    path = tmp_path / "config.json"
+    text = write_config(tmp_path).read_text()
+    path.write_text(text.replace('"seed": 0', '"seed": ' + "9" * 5000, 1))
+    assert cli_main(["train", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: Exceeds the limit")
 
 
 def test_missing_file_exits_2():

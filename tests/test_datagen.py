@@ -223,6 +223,36 @@ def test_dataset_validation():
         Dataset(np.ones((2, 2)), np.array([0, 1]), {"class_counts": [5, 5]})
 
 
+class TestMetadataIsOwned:
+    """No caller and no other dataset can change a dataset's metadata."""
+
+    def test_callers_dict_is_copied(self):
+        meta = {"class_counts": [2, 1], "note": {"tags": ["a"]}}
+        ds = Dataset(np.zeros((3, 2)), np.array([0, 0, 1]), meta)
+        meta["class_counts"][0] = 7
+        meta["note"]["tags"].append("b")
+        meta["class_counts"] = [7]
+        assert ds.meta == {"class_counts": [2, 1], "note": {"tags": ["a"]}}
+
+    def test_derived_datasets_share_no_metadata(self):
+        full = rare_feature_regression(0)
+        theta_star = list(full.meta["theta_star"])
+        train, other = split(full, 0.5, 1)
+        train.meta["theta_star"][0] = 99.0
+        train.meta["rare_indices"].append(10)
+        assert full.meta["theta_star"] == theta_star == other.meta["theta_star"]
+        assert full.meta["rare_indices"] == [5, 6, 7, 8, 9] == other.meta["rare_indices"]
+
+    def test_flipped_and_subsampled_metadata_is_their_own(self):
+        ds = gaussian_mixture_classification(3, 20, 4, 2.0, seed=0)
+        flipped = flip_labels(ds, 0.5, seed=1)
+        again = split(flipped, 0.5, seed=2)[0]
+        again.meta["flip_indices"].clear()
+        sub = subsample_long_tailed(ds, [20, 10, 5], seed=3)
+        sub.meta["class_counts"][0] = 0
+        assert flipped.meta["flip_indices"] and ds.meta["class_counts"] == [20, 20, 20]
+
+
 class TestDerivedLabelRange:
     """Derived datasets are stored unchecked; their label range must still
     bound their labels, since a step checks labels only through it."""

@@ -198,7 +198,8 @@ class TestConfigValidation:
         ("dataset.flip_train.fraction", "0.2"), ("dataset.flip_train.fraction", 1.5),
         ("dataset.flip_train.fraction", -0.1), ("dataset.flip_train.fraction", math.nan),
         ("dataset.flip_train.seed", 2.0), ("train.seed", -1), ("model.init_seed", -3),
-        ("model.init_seed", 3.0),
+        ("model.init_seed", 3.0), ("model.hidden", [True]), ("model.hidden", [2.5]),
+        ("model.init_scale", True), ("train.box", [True, 2]),
     ])
     def test_bad_values_name_their_key(self, path, value):
         # each was dropped silently, coerced, or reported in numpy's words
@@ -229,6 +230,21 @@ class TestConfigValidation:
         cfg = _every_dataset_option_config()
         cfg["dataset"].update(update)
         assert validate_config(cfg)["dataset"] == cfg["dataset"]
+
+    @pytest.mark.parametrize("method, train, message", [
+        ({"name": "ma", "lam": 1.0, "beta_ma": 1.5}, {}, r"^method: beta_ma must lie in \(0, 1\)"),
+        ({"name": "rgd", "rule": {"divergence": "kl", "tau": -1}}, {},
+         r"^method\.rule: tau must be a positive finite real"),
+        (None, {"optimizer": "rmsprop"}, r"^train: unknown optimizer 'rmsprop'"),
+        (None, {"schedule": "bogus"}, r"^train: 'bogus' is not a valid Schedule"),
+        (None, {"box": [1, 0]}, r"^train: projection box must satisfy lo < hi"),
+    ], ids=["beta_ma", "tau", "optimizer", "schedule", "box"])
+    def test_method_and_train_values_checked_before_anything_runs(self, method, train, message):
+        # the weighter's and TrainConfig's own checks, run by validate_config alone
+        cfg = mixture_config(method=method)
+        cfg["train"].update(train)
+        with pytest.raises(ConfigError, match=message):
+            validate_config(cfg)
 
     def test_defaults_filled(self):
         cfg = toy_config()
@@ -805,7 +821,7 @@ class TestConfigBoundary:
             run_experiment(cfg)
 
     def test_method_fault_reported_before_model_fault(self):
-        # the order is dataset, method, train, model, as one build after another
+        # the order is: validate_config (schema, method, train), dataset stages, model
         cfg = mixture_config(method={"name": "rgd", "rule": {"divergence": "hellinger"}})
         cfg["model"] = {"kind": "linear"}
         with pytest.raises(ConfigError, match=r"^method\.rule: "):

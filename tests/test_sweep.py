@@ -114,6 +114,19 @@ def test_unknown_selection_split_fails_before_any_point_trains(monkeypatch, spli
     assert calls == []
 
 
+def test_out_of_range_later_point_fails_before_any_point_trains(monkeypatch):
+    # beta_ma 0.5 is valid and 1.5 is not: every point's config is checked whole first
+    calls = []
+    train = sweep.__globals__["_train"]
+    monkeypatch.setitem(sweep.__globals__, "_train", lambda *args: calls.append(1) or train(*args))
+    cfg = base_config()
+    cfg["method"] = {"name": "ma", "lam": 1.0, "beta_ma": 0.5}
+    spec = SweepSpec({"lam": [1.0], "beta_ma": [0.5, 1.5], "lr_mult": [1.0]}, "accuracy")
+    with pytest.raises(ConfigError, match=r"^method: beta_ma must lie in \(0, 1\)"):
+        sweep(spec, cfg)
+    assert calls == []
+
+
 def test_unknown_selection_split_fails_when_every_point_would_diverge():
     spec = SweepSpec({"tau": [0.25], "lr_mult": [1e200]}, "mse", "holdut")
     with pytest.raises(ConfigError, match="selection split 'holdut'"):
