@@ -18,13 +18,16 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
 from . import datagen, models
 from .datagen import Dataset
 from .models import ModelKind, ModelState, random_state, zero_state
-from .optim import BaselineState, Tilt, TrainConfig, TrainingDivergenceError, init_state, rgd_step
+from .optim import (
+    BaselineState, OptimizerState, Tilt, TrainConfig, TrainingDivergenceError, init_state, rgd_step,
+)
 from .weighting import WeightingRule
 
 # bound here only so that the benchmark's layer_targets() can trace them
@@ -397,20 +400,32 @@ _SPLITS = ("train", "holdout", "test")  # the order of a trace's rows per eval s
 
 @dataclass(frozen=True)
 class _Built:
-    """What ``_build`` makes of a config, shared read-only by every run
-    ``_train`` makes from it: the splits, the initial optimizer state and
-    the step-0 eval pass (losses, predictions) of each split in trace order."""
+    """What ``_build`` makes of a config, shared by every run ``_train``
+    makes from it and kept for later runs, so read-only all the way down:
+    the splits, the initial optimizer state and the step-0 eval pass
+    (losses, predictions) of each split in trace order."""
 
-    splits: dict
+    splits: MappingProxyType
     state: OptimizerState
-    step0: dict
+    step0: MappingProxyType
+
+
+# the last successful build, with its key: the config sections _build reads
+_last_build: tuple[str, _Built] | None = None
 
 
 def _build(cfg: dict) -> _Built:
     """Build a validated config's data, initial state and step-0 eval pass,
     reporting the faults only they can tell: the dataset stages', then the
-    model's.  The result depends on neither ``method`` nor ``train.lr_base``,
-    so one build serves every config that differs from ``cfg`` only there."""
+    model's.  The result depends only on ``dataset``, ``model`` and
+    ``train.optimizer``, so one build serves every config that matches
+    ``cfg`` there.  The last successful build is kept and returned again
+    for such a config (one build only, about 1.3 MB at the c06 size), which
+    leaves every result unchanged; a build that raises keeps nothing."""
+    global _last_build
+    key = json.dumps([cfg["dataset"], cfg["model"], cfg["train"]["optimizer"]], sort_keys=True)
+    if _last_build is not None and _last_build[0] == key:
+        return _last_build[1]
     splits = _build_datasets(cfg["dataset"])
     model = _build_model(cfg["model"], splits["train"])
     step0 = {name: models._eval_pass(model, splits[name]) for name in _SPLITS if name in splits}
@@ -418,11 +433,19 @@ def _build(cfg: dict) -> _Built:
         losses.setflags(write=False)
         predicted.setflags(write=False)
     # init_state stores theta and the Adam moments read-only
-    return _Built(splits, init_state(model, cfg["train"]["optimizer"]), step0)
+    state = init_state(model, cfg["train"]["optimizer"])
+    built = _Built(MappingProxyType(splits), state, MappingProxyType(step0))
+    _last_build = key, built
+    return built
 
 
 def run_experiment(config: dict):
     """Run one experiment; returns (trace, summary).
+
+    Consecutive runs whose ``dataset``, ``model`` and ``train.optimizer``
+    match reuse the last run's build (its splits, initial state and step-0
+    eval pass) rather than repeating it.  Only that one build is kept,
+    about 1.3 MB at the c06 size, and results are unchanged.
 
     Training divergence raises :class:`TrainingDivergenceError` with the
     offending step index.
@@ -433,7 +456,7 @@ def run_experiment(config: dict):
 
 def _train(cfg: dict, built: _Built):
     """Train a validated config from ``built``, which ``_build`` made from a
-    config differing from ``cfg`` at most in ``method`` and ``train.lr_base``;
+    config matching ``cfg`` in ``dataset``, ``model`` and ``train.optimizer``;
     returns (trace, summary) as ``run_experiment`` does."""
     weighter = _build_weighter(cfg["method"])
     train_config = _build_train_config(cfg["train"])

@@ -17,7 +17,6 @@ every point from them; each point's results equal its own
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -99,15 +98,17 @@ def validate_sweep_spec(spec: dict, base_config: dict) -> SweepSpec:
 
 
 def _apply_point(base_config: dict, axes: tuple, point: tuple) -> dict:
-    cfg = json.loads(json.dumps(base_config))
+    """The point's config: ``base_config`` with copies of the two sections an
+    axis changes; ``validate_config`` makes the deep copy a run keeps."""
+    method, train = dict(base_config["method"]), dict(base_config["train"])
     for name, value in zip(axes, point):
         if name == "lr_mult":
-            cfg["train"]["lr_base"] = base_config["train"]["lr_base"] * value
+            train["lr_base"] = base_config["train"]["lr_base"] * value
         elif name == "tau":
-            cfg["method"]["rule"]["tau"] = value
+            method["rule"] = {**method["rule"], "tau": value}
         else:
-            cfg["method"][name] = value
-    return cfg
+            method[name] = value
+    return {**base_config, "method": method, "train": train}
 
 
 def sweep(spec: SweepSpec, base_config: dict):

@@ -1,7 +1,9 @@
+import copy
 import importlib.util
 import json
 import math
 import re
+import typing
 import warnings
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from reweightopt.datagen import split as datagen_split
 from reweightopt.models import Batch, ModelKind, ModelState, per_sample_loss, zero_state
 from reweightopt.optim import (
     BaselineState,
+    OptimizerState,
     TrainConfig,
     TrainingDivergenceError,
     init_state,
@@ -451,7 +454,17 @@ class TestRunExperiment:
         arrays = [built.state.model.theta, built.state.m, built.state.v]
         arrays += [arr for passed in built.step0.values() for arr in passed]
         arrays += [ds.inputs for ds in built.splits.values()]
+        arrays += [ds.targets for ds in built.splits.values()]
         assert not any(arr.flags.writeable for arr in arrays)
+        # later runs reuse the build, so its mappings refuse assignment too
+        with pytest.raises(TypeError):
+            built.splits["train"] = built.splits["test"]
+        with pytest.raises(TypeError):
+            built.step0["train"] = built.step0["test"]
+
+    def test_build_type_hints_resolve(self):
+        hints = typing.get_type_hints(experiment._Built)
+        assert hints["state"] is OptimizerState
 
     def test_flip_applies_to_train_only(self):
         cfg = mixture_config()
@@ -525,6 +538,84 @@ class TestRunExperiment:
         ):
             trace, summary = run_experiment(mixture_config(method=method, steps=40))
             assert summary["final"]["train"]["accuracy"] > 0.5
+
+
+def _count_generator_calls(monkeypatch, name):
+    """Count the calls of the dataset generator ``name`` from now on."""
+    calls = []
+    generate = getattr(datagen, name)
+    monkeypatch.setattr(datagen, name, lambda **kw: calls.append(kw) or generate(**kw))
+    return calls
+
+
+def _exported(result, path):
+    """A run's exported trace bytes and its summary."""
+    trace, summary = result
+    export_trace(trace, path)
+    return path.read_bytes(), summary
+
+
+def _cold_run(monkeypatch, cfg, path):
+    """``_exported`` of a run that builds its data anew."""
+    monkeypatch.setattr(experiment, "_last_build", None)
+    return _exported(run_experiment(cfg), path)
+
+
+class TestKeptBuild:
+    """Consecutive runs on one dataset, model and optimizer share one build."""
+
+    def test_runs_on_one_dataset_share_one_build(self, monkeypatch, tmp_path):
+        configs = [mixture_config(), mixture_config(method={"name": "term", "t_tilt": 1.0}),
+                   mixture_config(method={"name": "ma", "lam": 1.0, "beta_ma": 0.5}, steps=40)]
+        configs[1]["train"]["lr_base"] = 0.1
+        configs[2]["train"]["seed"] = 5
+        cold = [_cold_run(monkeypatch, cfg, tmp_path / "cold.csv") for cfg in configs]
+        monkeypatch.setattr(experiment, "_last_build", None)
+        calls = _count_generator_calls(monkeypatch, "gaussian_mixture_classification")
+        warm = [_exported(run_experiment(cfg), tmp_path / "warm.csv") for cfg in configs]
+        assert len(calls) == 1
+        assert warm == cold
+
+    @pytest.mark.parametrize("change", [
+        lambda cfg: cfg["dataset"]["flip_train"].update(seed=7),
+        lambda cfg: cfg["model"].update(init_seed=4),
+        lambda cfg: cfg["train"].update(optimizer="adam"),
+    ], ids=["flip_train.seed", "model.init_seed", "train.optimizer"])
+    def test_a_change_to_what_the_build_reads_rebuilds(self, monkeypatch, tmp_path, change):
+        cfg = _every_dataset_option_config()
+        changed = copy.deepcopy(cfg)
+        change(changed)
+        cold = _cold_run(monkeypatch, changed, tmp_path / "cold.csv")
+        monkeypatch.setattr(experiment, "_last_build", None)
+        calls = _count_generator_calls(monkeypatch, "gaussian_mixture_classification")
+        run_experiment(cfg)
+        assert _exported(run_experiment(changed), tmp_path / "warm.csv") == cold
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda cfg: cfg["dataset"]["params"].update(n_per_class=2),
+         r"^dataset\.split: degenerate split"),
+        (lambda cfg: cfg.update(model={"kind": "linear"}), r"^model: a linear model needs"),
+    ], ids=["dataset", "model"])
+    def test_a_failed_build_keeps_nothing(self, change, message):
+        run_experiment(toy_config(steps=0))
+        kept = experiment._last_build
+        cfg = mixture_config()
+        change(cfg)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match=message):
+                run_experiment(cfg)
+            assert experiment._last_build is kept
+
+    def test_a_diverging_run_leaves_the_build_usable(self, monkeypatch, tmp_path):
+        cfg = toy_config(steps=30)
+        cold = _cold_run(monkeypatch, cfg, tmp_path / "cold.csv")
+        monkeypatch.setattr(experiment, "_last_build", None)
+        with pytest.raises(TrainingDivergenceError):
+            run_experiment(toy_config(lr=1e250, divergence="none", steps=10))
+        calls = _count_generator_calls(monkeypatch, "rare_feature_regression")
+        assert _exported(run_experiment(cfg), tmp_path / "warm.csv") == cold
+        assert calls == []
 
 
 class TestTraceReport:
