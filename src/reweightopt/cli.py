@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .experiment import (
-    _SPLITS, ConfigError, _config_errors, export_trace, parse_trace, run_experiment,
-    validate_config,
+    _SPLITS, ConfigError, _check_section, _config_errors, export_trace, parse_trace,
+    run_experiment, validate_config,
 )
 from .optim import TrainingDivergenceError
 from .sweep import sweep, validate_sweep_spec
@@ -57,17 +58,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_sweep(args) -> int:
     payload = _load_json(args.spec)
-    unknown = set(payload) - {"base", "grid", "select"}
-    if unknown:
-        raise ConfigError(f"sweep file: unknown key(s) {sorted(unknown)}")
-    if "base" not in payload:
-        raise ConfigError("sweep file: missing 'base' experiment config")
-    base = validate_config(payload["base"])
+    # the file: a base config and a spec, which the two validators check
+    _check_section(payload, "sweep", ({"base": None, "select": None}, {"grid": None}))
+    base = validate_config(payload.pop("base"))
     if args.seed is not None:
         base["train"]["seed"] = args.seed
-    spec = validate_sweep_spec(
-        {k: payload[k] for k in ("grid", "select") if k in payload}, base
-    )
+    spec = validate_sweep_spec(payload, base)
     best, results = sweep(spec, base)
     axis_names = tuple(spec.axes.keys())
     header = list(axis_names) + ["status", spec.select_metric]
@@ -90,6 +86,12 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _check_flags(*flags):
+    for flag, value, low in flags:
+        if not low <= value < math.inf:  # also rejects nan
+            raise ConfigError(f"{flag} must lie in [{low}, inf), got {value}")
+
+
 def _cmd_oracle(args) -> int:
     if args.instances:
         records = _load_json(args.instances)
@@ -103,10 +105,8 @@ def _cmd_oracle(args) -> int:
             print(f"FAIL {line}", file=sys.stderr)
         print("oracle instances: " + ("PASS" if report["passed"] else "FAIL"))
         return 0 if report["passed"] else 1
-    for flag, value, low in (("--n", args.n, 2), ("--grid", args.grid, 2),
-                             ("--trials", args.trials, 1), ("--rho-max", args.rho_max, 0.0)):
-        if not value >= low:  # also rejects nan
-            raise ConfigError(f"{flag} must be at least {low}, got {value}")
+    _check_flags(("--n", args.n, 2), ("--grid", args.grid, 2), ("--trials", args.trials, 1),
+                 ("--rho-max", args.rho_max, 0.0), ("--seed", args.seed, 0))
     report = dro_suite(
         trials=args.trials,
         n_max=args.n,
@@ -128,8 +128,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+    _check_flags(("--trials", args.trials, 1), ("--seed", args.seed, 0))
     report = gradcheck_suite(trials=args.trials, seed=args.seed)
     for kind, err in report["max_rel_err"].items():
         print(f"{kind:8s}: max rel err {err:.3e} (tol {GRAD_TOL:.0e})")

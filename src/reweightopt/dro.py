@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .experiment import _check_section, _config_errors, _list, _number
 from .weighting import Divergence
 
 # bound here only so that the benchmark's layer_targets() can count its calls
@@ -90,7 +91,7 @@ class DiscreteDistribution:
             raise ValueError("distribution needs at least one atom")
         if np.any(probs < 0):
             raise ValueError("probabilities must be nonnegative")
-        if abs(probs.sum() - 1.0) > 1e-12:
+        if not abs(probs.sum() - 1.0) <= 1e-12:  # also rejects nan
             raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
 
     @property
@@ -505,16 +506,16 @@ def instance_to_json(inst: DroInstance) -> dict:
     }
 
 
-def instance_from_json(obj: dict) -> DroInstance:
-    unknown = set(obj) - {"losses", "probs", "rho", "divergence"}
-    if unknown:
-        raise ValueError(f"unknown instance key(s) {sorted(unknown)}")
-    return DroInstance(
-        np.asarray(obj["losses"], dtype=np.float64),
-        DiscreteDistribution(np.asarray(obj["probs"], dtype=np.float64)),
-        float(obj["rho"]),
-        Divergence(obj["divergence"]),
-    )
+# The schema of an instance record (see experiment._SCHEMA); DroInstance checks the rest
+_RECORD = ({"losses": _list, "probs": _list, "rho": _number, "divergence": None}, {})
+
+
+def instance_from_json(obj: dict, where: str = "instance") -> DroInstance:
+    """An instance from a wire-format record; a fault is a ConfigError naming ``where``."""
+    with _config_errors(where):
+        _check_section(obj, where, _RECORD)
+        return DroInstance(obj["losses"], DiscreteDistribution(obj["probs"]), float(obj["rho"]),
+                           obj["divergence"])
 
 
 def random_instance(

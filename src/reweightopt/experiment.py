@@ -127,17 +127,23 @@ def _seed(value, where: str):
 
 
 def _fraction(value, where: str, interval="[0, 1)"):
-    if type(value) not in (int, float):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    _number(value, where)
     if not (0.0 <= value < 1.0 or interval == "[0, 1]" and value == 1.0):
         raise ConfigError(f"{where}: expected a number in {interval}, got {value!r}")
 
 
-def _list(value, where: str, kind, what: str, length=None):
+def _string(value, where: str):
+    if type(value) is not str:
+        raise ConfigError(f"{where}: expected a string, got {value!r}")
+
+
+def _list(value, where: str, kind=_number, what="a list of numbers", length=None):
     if type(value) is not list or length not in (None, len(value)):
         raise ConfigError(f"{where}: expected {what}, got {value!r}")
-    for item in value:
-        kind(item, where)
+    # floats are numbers, so a list of them is checked whole: a record's losses may number 10^5
+    if kind is not _number or set(map(type, value)) - {float}:
+        for item in value:
+            kind(item, where)
 
 
 # The config schema.  A section is a pair of dicts, its required and its
@@ -170,7 +176,7 @@ _SCHEMA = (
              "box": lambda v, where: _list(v, where, _number, "a list of two numbers", 2)},
         ),
     },
-    {"eval_every": None, "metrics": None, "output": None},
+    {"eval_every": None, "metrics": None, "output": _string},
 )
 _GENERATORS = {
     "rare_feature_regression": ({"seed": _seed}, {}),
@@ -392,7 +398,6 @@ def _metric_value(name: str, model: ModelState, dataset: Dataset, losses, predic
         if "theta_star" not in dataset.meta or key not in dataset.meta:
             raise ConfigError(f"metrics: {name} needs theta_star/{key} in dataset metadata")
         return direction_l2(model.theta, dataset.meta["theta_star"], dataset.meta[key])
-    raise ConfigError(f"metrics: unknown metric {name!r}")
 
 
 _SPLITS = ("train", "holdout", "test")  # the order of a trace's rows per eval step
@@ -420,7 +425,8 @@ def _build(cfg: dict) -> _Built:
     model's.  The result depends only on ``dataset``, ``model`` and
     ``train.optimizer``, so one build serves every config that matches
     ``cfg`` there.  The last successful build is kept and returned again
-    for such a config (one build only, about 1.3 MB at the c06 size), which
+    for such a config (one build only, which grows with the data: 1.3 MB at
+    the c06 size, 85.6 MB for 10 classes of 20000 rows at dim 50), which
     leaves every result unchanged; a build that raises keeps nothing."""
     global _last_build
     key = json.dumps([cfg["dataset"], cfg["model"], cfg["train"]["optimizer"]], sort_keys=True)
@@ -444,8 +450,8 @@ def run_experiment(config: dict):
 
     Consecutive runs whose ``dataset``, ``model`` and ``train.optimizer``
     match reuse the last run's build (its splits, initial state and step-0
-    eval pass) rather than repeating it.  Only that one build is kept,
-    about 1.3 MB at the c06 size, and results are unchanged.
+    eval pass) rather than repeating it.  Only that one build is kept (its
+    size grows with the data), and results are unchanged.
 
     Training divergence raises :class:`TrainingDivergenceError` with the
     offending step index.

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from .experiment import METRIC_DIRECTIONS, ConfigError, _build, _train, validate_config
+from .experiment import _check_section, _list, _number, _string
 # bound here only for the benchmark, which reads and patches sweep.run_experiment
 from .experiment import run_experiment  # noqa: F401
 from .optim import TrainingDivergenceError
@@ -41,6 +42,13 @@ _DEFAULT_GRIDS = {
     "beta_ma": [0.25, 0.5, 0.75],
 }
 
+# The schema of a sweep file less its base config (see experiment._SCHEMA), per base method
+_SPECS = {
+    method: ({"select": ({"metric": _string}, {"split": _string})},
+             {"grid": ({}, dict.fromkeys(axes, _list))})
+    for method, axes in _METHOD_AXES.items()
+}
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -54,11 +62,12 @@ class SweepSpec:
         if not self.axes or any(len(v) == 0 for v in self.axes.values()):
             raise ConfigError("sweep grid must be nonempty on every axis")
         for name, values in self.axes.items():
-            # bools are ints to Python but not numbers to JSON; nan has no sort order
-            bad = [v for v in values if type(v) not in (int, float) or not math.isfinite(v)]
-            if bad:
-                raise ConfigError(f"sweep.grid.{name}: expected finite numbers, got {bad[0]!r}")
-        if self.select_metric not in METRIC_DIRECTIONS:
+            for value in values:
+                _number(value, f"sweep.grid.{name}")
+                if not math.isfinite(value):  # nan has no sort order
+                    raise ConfigError(f"sweep.grid.{name}: expected finite numbers, got {value!r}")
+        _string(self.select_split, "sweep.select.split")
+        if type(self.select_metric) is not str or self.select_metric not in METRIC_DIRECTIONS:
             raise ConfigError(f"unknown selection metric {self.select_metric!r}")
 
 
@@ -72,28 +81,14 @@ class GridResult:
 
 
 def validate_sweep_spec(spec: dict, base_config: dict) -> SweepSpec:
-    """Build a SweepSpec from a JSON dict, filling default grids."""
-    unknown = set(spec) - {"grid", "select"}
-    if unknown:
-        raise ConfigError(f"sweep: unknown key(s) {sorted(unknown)}")
+    """Build a SweepSpec from the grid and select of a sweep file, checked
+    against the schema of ``base_config``'s method, filling default grids."""
     method = base_config.get("method", {}).get("name")
-    if method not in _METHOD_AXES:
+    if method not in _SPECS:
         raise ConfigError(f"sweep: base config has unknown method {method!r}")
-    axis_names = _METHOD_AXES[method]
-    grid_cfg = spec.get("grid", {})
-    bad = set(grid_cfg) - set(axis_names)
-    if bad:
-        raise ConfigError(f"sweep.grid: axes {sorted(bad)} not valid for method {method!r}")
-    for name, values in grid_cfg.items():
-        if not isinstance(values, list):
-            raise ConfigError(f"sweep.grid.{name}: expected a list of numbers, got {values!r}")
-    axes = {name: list(grid_cfg.get(name, _DEFAULT_GRIDS[name])) for name in axis_names}
-    select = spec.get("select", {})
-    unknown = set(select) - {"metric", "split"}
-    if unknown:
-        raise ConfigError(f"sweep.select: unknown key(s) {sorted(unknown)}")
-    if "metric" not in select:
-        raise ConfigError("sweep.select.metric is required")
+    _check_section(spec, "sweep", _SPECS[method])
+    grid, select = spec.get("grid", {}), spec["select"]
+    axes = {name: list(grid.get(name, _DEFAULT_GRIDS[name])) for name in _METHOD_AXES[method]}
     return SweepSpec(axes, select["metric"], select.get("split", "holdout"))
 
 

@@ -24,7 +24,6 @@ from .dro import (
     chi2_dro_value,
     revkl_dro_value,
 )
-from .experiment import _config_errors
 from .models import Batch, ModelKind, finite_diff_grad, per_sample_loss, random_state, weighted_grad
 from .weighting import weighted_objective
 
@@ -119,8 +118,7 @@ def check_instances(records: list[dict]) -> dict:
     """
     report = {"checked": 0, "results": [], "failures": []}
     for i, record in enumerate(records):
-        with _config_errors(f"instance {i}"):
-            inst = instance_from_json(record)
+        inst = instance_from_json(record, f"instance {i}")
         sol, gap, _, failures = _certify(inst, f"instance {i}")
         report["failures"] += failures
         report["results"].append({

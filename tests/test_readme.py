@@ -1,12 +1,14 @@
-"""Every python code block in README.md runs as written, and the config
-schema section names every key the config schema takes."""
+"""Every python code block in README.md runs as written, and the sections
+on configs, sweep files and instance records name every key their schemas take."""
 
 import re
 from pathlib import Path
 
 import pytest
 
+from reweightopt.dro import _RECORD
 from reweightopt.experiment import _GENERATORS, _METHODS, _SCHEMA
+from reweightopt.sweep import _SPECS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
@@ -30,8 +32,12 @@ def _schema_keys(section):
 
 
 def test_config_notes_name_every_schema_key():
-    notes = re.search(r"### Experiment config schema\n(.*?)\n### ", README.read_text(), re.S)[1]
-    sections = [_SCHEMA, *_GENERATORS.values(), *_METHODS.values()]
-    keys = {key for section in sections for key in _schema_keys(section)}
-    undocumented = sorted(key for key in keys if not re.search(rf"\b{key}\b", notes))
-    assert undocumented == []
+    for heading, sections in [
+        ("Experiment config schema", [_SCHEMA, *_GENERATORS.values(), *_METHODS.values()]),
+        ("Sweep file", _SPECS.values()),
+        ("Worst-case-distribution instances", [_RECORD]),
+    ]:
+        notes = re.search(rf"### {heading}\n(.*?)\n### ", README.read_text(), re.S)[1]
+        keys = {key for section in sections for key in _schema_keys(section)}
+        undocumented = sorted(key for key in keys if not re.search(rf"\b{key}\b", notes))
+        assert undocumented == [], heading
