@@ -485,12 +485,15 @@ def optimal_weight_form_check(
         # fit p/q against the exact gaps max(l) - l; regressing on l itself
         # cancels catastrophically when eta - max(l) is below float resolution.
         # p/q spans many orders of magnitude, so weight by 1/y for a
-        # relative-error fit
-        gaps = l.max() - l
+        # relative-error fit.  The gaps are divided exactly, by a power of
+        # two, into [0, 1): tiny gaps times tiny weights would underflow to a
+        # zero column, which polyfit's column scaling divides by
+        scale = 2.0 ** math.frexp(np.ptp(l))[1]
+        gaps = (l.max() - l) / scale
         y = ps / qs
         slope, intercept = np.polyfit(gaps, y, 1, w=1.0 / y)
         fitted = ps / (intercept + slope * gaps)
-        param = l.max() + intercept / slope if slope != 0 else math.inf
+        param = l.max() + intercept / slope * scale if slope != 0 else math.inf
     fitted = fitted / fitted.sum() * qs.sum()
     dev = float(np.max(np.abs(qs - fitted) / fitted))
     return FormCheckReport(dev <= tol, dev, float(param))

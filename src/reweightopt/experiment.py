@@ -19,6 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,15 +116,16 @@ def _number(value, where: str, types=(int, float), what="a number"):
         raise ConfigError(f"{where}: expected a number within the float range, got a larger one")
 
 
-def _integer(value, where: str):
+def _integer(value, where: str, low=None, what="an integer"):
+    """An integer, at least ``low`` if given."""
     _number(value, where, (int,), "an integer")
+    if low is not None and value < low:
+        raise ConfigError(f"{where}: expected {what}, got {value!r}")
 
 
 def _seed(value, where: str):
     """A non-negative integer, the only seeds numpy's generators take."""
-    _integer(value, where)
-    if value < 0:
-        raise ConfigError(f"{where}: expected a non-negative integer, got {value!r}")
+    _integer(value, where, 0, "a non-negative integer")
 
 
 def _fraction(value, where: str, interval="[0, 1)"):
@@ -137,6 +139,12 @@ def _string(value, where: str):
         raise ConfigError(f"{where}: expected a string, got {value!r}")
 
 
+def _name(value, where: str, names):
+    """One of ``names``, a string (a list is never looked up)."""
+    if type(value) is not str or value not in names:
+        raise ConfigError(f"{where}: expected {'|'.join(names)}, got {value!r}")
+
+
 def _list(value, where: str, kind=_number, what="a list of numbers", length=None):
     if type(value) is not list or length not in (None, len(value)):
         raise ConfigError(f"{where}: expected {what}, got {value!r}")
@@ -146,39 +154,26 @@ def _list(value, where: str, kind=_number, what="a list of numbers", length=None
             kind(item, where)
 
 
-# The config schema.  A section is a pair of dicts, its required and its
-# optional keys, from key to kind: a check above, a nested section, or
-# None for a value that validate_config's own code (or the object built
-# from it) checks.  The generator and the method name choose the
-# sub-tables of dataset.params and of method.
-_SCHEMA = (
-    {
-        "dataset": (
-            {"generator": None, "params": None},
-            {
-                "subsample": ({"n_max": _integer, "imbalance_factor": _number, "seed": _seed}, {}),
-                "split": ({"seed": _seed},
-                          {"test_fraction": _fraction, "holdout_fraction": _fraction}),
-                "flip_train": ({"fraction": lambda v, where: _fraction(v, where, "[0, 1]"),
-                                "seed": _seed}, {}),
-            },
-        ),
-        "model": (
-            {"kind": None},
-            {"hidden": lambda v, where: _list(v, where, _integer, "a list of integers"),
-             "init_seed": _seed, "init_scale": _number},
-        ),
-        "method": None,
-        "train": (
-            {"optimizer": None, "steps": _integer, "batch_size": _integer, "seed": _seed,
-             "lr_base": _number},
-            {"schedule": None, "beta1": _number, "beta2": _number, "eps": _number,
-             "box": lambda v, where: _list(v, where, _number, "a list of two numbers", 2)},
-        ),
-    },
-    {"eval_every": None, "metrics": None, "output": _string},
-)
-_GENERATORS = {
+def _metrics(value, where: str):
+    """Distinct metric names: a trace has one column per name."""
+    _list(value, where, lambda v, where: _name(v, where, METRIC_DIRECTIONS),
+          "a list of metric names")
+    if len(set(value)) < len(value):
+        raise ConfigError(f"{where}: expected distinct metric names, got {value!r}")
+
+
+class _Choice(NamedTuple):
+    """A section whose table is chosen by the value of its key ``key``."""
+
+    key: str
+    tables: dict
+
+
+# The config schema.  A table is a pair of dicts, its section's required
+# and its optional keys, from key to kind: a check above, a nested table,
+# a _Choice of tables, or None for a value that a _Choice or the object
+# built from it checks.
+_GENERATORS = {  # the tables of dataset.params
     "rare_feature_regression": ({"seed": _seed}, {}),
     "gaussian_mixture_classification": (
         {"num_classes": _integer, "n_per_class": _integer, "dim": _integer,
@@ -186,83 +181,96 @@ _GENERATORS = {
         {},
     ),
 }
+_MODELS = {
+    "linear": ({"kind": None}, {}),
+    "softmax": ({"kind": None}, {}),
+    "mlp": ({"kind": None, "init_seed": _seed,
+             "hidden": lambda v, where: _list(v, where, _integer, "a list of integers")},
+            {"init_scale": _number}),
+}
 _METHODS = {
     "rgd": ({"name": None, "rule": ({"divergence": None}, {"tau": _number})}, {}),
     "term": ({"name": None, "t_tilt": _number}, {}),
     "ma": ({"name": None, "lam": _number, "beta_ma": _number}, {}),
 }
+_STAGES = {
+    "subsample": ({"n_max": _integer, "imbalance_factor": _number, "seed": _seed}, {}),
+    "split": ({"seed": _seed}, {"test_fraction": _fraction, "holdout_fraction": _fraction}),
+    "flip_train": ({"fraction": lambda v, where: _fraction(v, where, "[0, 1]"), "seed": _seed},
+                   {}),
+}
+_SCHEMA = (
+    {
+        "dataset": _Choice("generator", {
+            name: ({"generator": None, "params": params}, _STAGES)
+            for name, params in _GENERATORS.items()
+        }),
+        "model": _Choice("kind", _MODELS),
+        "method": _Choice("name", _METHODS),
+        "train": (
+            {"optimizer": None, "steps": _integer, "batch_size": _integer, "seed": _seed,
+             "lr_base": _number},
+            {"schedule": None, "beta1": _number, "beta2": _number, "eps": _number,
+             "box": lambda v, where: _list(v, where, _number, "a list of two numbers", 2)},
+        ),
+    },
+    {"eval_every": lambda v, where: _integer(v, where, 1, "a positive integer"),
+     "metrics": _metrics, "output": _string},
+)
 
 
-def _check_section(section, path: str, schema: tuple):
+def _check_section(section, path: str, schema):
     """Check a section (the whole config at path "config") against its
-    schema: an object without unknown or missing keys, each value of its kind."""
-    required, optional = schema
+    schema, a table or a _Choice: an object whose choosing key names one of
+    the choice's tables, without unknown or missing keys, each value of its kind."""
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: expected an object")
+    prefix, chosen = ("" if path == "config" else path + "."), ""
+    if type(schema) is _Choice:
+        key, tables = schema
+        if key not in section:
+            raise ConfigError(f"{path}: missing required key(s) {[key]}")
+        _name(section[key], prefix + key, tables)
+        schema, chosen = tables[section[key]], f" for {key} {section[key]!r}"
+    required, optional = schema
     unknown = section.keys() - required.keys() - optional.keys()
     if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}{chosen}")
     missing = required.keys() - section.keys()
     if missing:
-        raise ConfigError(f"{path}: missing required key(s) {sorted(missing)}")
-    prefix = "" if path == "config" else path + "."
+        raise ConfigError(f"{path}: missing required key(s) {sorted(missing)}{chosen}")
     for kinds in schema:
         for key, kind in kinds.items():
-            if type(kind) is tuple and key in section:
+            if isinstance(kind, tuple) and key in section:
                 _check_section(section[key], prefix + key, kind)
             elif kind is not None and key in section:
                 kind(section[key], prefix + key)
 
 
 @_config_errors("config")
-def validate_config(config: dict) -> dict:
-    """Check a config before anything runs: the schema, then the method's
-    and train values (by building the weighter and the ``TrainConfig``).
-    Returns a deep copy with defaults filled in.  Only the dataset stages
-    and the model are left to ``_build``, which reports them in that order."""
+def _checked(config: dict):
+    """``validate_config``'s result, with the weighter and ``TrainConfig`` built to check it."""
     cfg = json.loads(json.dumps(config))  # deep copy, also rejects non-JSON values
     _check_section(cfg, "config", _SCHEMA)
-
-    ds = cfg["dataset"]
-    gen = ds["generator"]
-    if gen not in _GENERATORS:
-        raise ConfigError(f"dataset.generator: unknown generator {gen!r}")
-    _check_section(ds["params"], "dataset.params", _GENERATORS[gen])
-    sp = ds.get("split", {})
+    sp = cfg["dataset"].get("split", {})
     total = sp.get("test_fraction", 0.0) + sp.get("holdout_fraction", 0.0)
     if total >= 1.0:
         raise ConfigError(
             f"dataset.split: test_fraction + holdout_fraction must be below 1, got {total!r}"
         )
-
-    model = cfg["model"]
-    try:
-        kind = ModelKind(model["kind"])
-    except ValueError as exc:
-        raise ConfigError(f"model.kind: {exc}") from None
-    if kind is ModelKind.MLP and "init_seed" not in model:
-        raise ConfigError("model.init_seed: required for mlp (no implicit entropy)")
-    mlp_only = sorted(set(model) - {"kind"})
-    if kind is not ModelKind.MLP and mlp_only:
-        raise ConfigError(f"model: key(s) {mlp_only} apply to mlp only, not {kind.value}")
-
-    method = cfg["method"]
-    name = method.get("name") if isinstance(method, dict) else None
-    if not (isinstance(name, str) and name in _METHODS):
-        raise ConfigError(f"method.name: expected rgd|term|ma, got {name!r}")
-    _check_section(method, "method", _METHODS[name])
-
     cfg.setdefault("eval_every", 10)
-    if not (type(cfg["eval_every"]) is int and cfg["eval_every"] >= 1):
-        raise ConfigError("eval_every: must be a positive integer")
     cfg.setdefault("metrics", [])
-    for m in cfg["metrics"]:
-        if m not in METRIC_DIRECTIONS:
-            raise ConfigError(f"metrics: unknown metric {m!r}")
+    weighter = _build_weighter(cfg["method"])
+    with _config_errors("train"):
+        return cfg, weighter, TrainConfig(**cfg["train"])
 
-    _build_weighter(method)
-    _build_train_config(cfg["train"])
-    return cfg
+
+def validate_config(config: dict) -> dict:
+    """Check a config before anything runs: the schema, then the method's
+    and train values (by building the weighter and the ``TrainConfig``).
+    Returns a deep copy with defaults filled in.  Only the dataset stages
+    and the model are left to ``_build``, which reports them in that order."""
+    return _checked(config)[0]
 
 
 def _build_datasets(ds_cfg: dict) -> dict:
@@ -336,7 +344,7 @@ def _build_model(model_cfg: dict, dataset: Dataset) -> ModelState:
             kind,
             dataset.dim,
             num_classes,
-            tuple(model_cfg.get("hidden", ())),
+            tuple(model_cfg["hidden"]),
             seed=model_cfg["init_seed"],
             scale=model_cfg.get("init_scale"),
         )
@@ -354,11 +362,6 @@ def _build_weighter(method_cfg: dict):
         if name == "term":
             return Tilt(method_cfg["t_tilt"])
         return BaselineState(method_cfg["lam"], method_cfg["beta_ma"])
-
-
-@_config_errors("train")
-def _build_train_config(train_cfg: dict) -> TrainConfig:
-    return TrainConfig(**train_cfg)
 
 
 def minibatch_stream(n: int, batch_size: int, steps: int, seed: int):
@@ -456,16 +459,15 @@ def run_experiment(config: dict):
     Training divergence raises :class:`TrainingDivergenceError` with the
     offending step index.
     """
-    cfg = validate_config(config)
-    return _train(cfg, _build(cfg))
+    checked = _checked(config)
+    return _train(checked, _build(checked[0]))
 
 
-def _train(cfg: dict, built: _Built):
-    """Train a validated config from ``built``, which ``_build`` made from a
-    config matching ``cfg`` in ``dataset``, ``model`` and ``train.optimizer``;
-    returns (trace, summary) as ``run_experiment`` does."""
-    weighter = _build_weighter(cfg["method"])
-    train_config = _build_train_config(cfg["train"])
+def _train(checked: tuple, built: _Built):
+    """Train ``checked`` (what ``_checked`` returns) from ``built``, which
+    ``_build`` made from a config matching it in ``dataset``, ``model`` and
+    ``train.optimizer``; returns (trace, summary) as ``run_experiment`` does."""
+    cfg, weighter, train_config = checked
     state = built.state
     metric_names = tuple(cfg["metrics"])
     trace = Trace(

@@ -20,8 +20,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .experiment import METRIC_DIRECTIONS, ConfigError, _build, _train, validate_config
-from .experiment import _check_section, _list, _number, _string
+from .experiment import METRIC_DIRECTIONS, ConfigError, _build, _checked, _train, validate_config
+from .experiment import _check_section, _list, _name, _number, _string
 # bound here only for the benchmark, which reads and patches sweep.run_experiment
 from .experiment import run_experiment  # noqa: F401
 from .optim import TrainingDivergenceError
@@ -67,8 +67,7 @@ class SweepSpec:
                 if not math.isfinite(value):  # nan has no sort order
                     raise ConfigError(f"sweep.grid.{name}: expected finite numbers, got {value!r}")
         _string(self.select_split, "sweep.select.split")
-        if type(self.select_metric) is not str or self.select_metric not in METRIC_DIRECTIONS:
-            raise ConfigError(f"unknown selection metric {self.select_metric!r}")
+        _name(self.select_metric, "sweep.select.metric", METRIC_DIRECTIONS)
 
 
 @dataclass(frozen=True)
@@ -84,8 +83,7 @@ def validate_sweep_spec(spec: dict, base_config: dict) -> SweepSpec:
     """Build a SweepSpec from the grid and select of a sweep file, checked
     against the schema of ``base_config``'s method, filling default grids."""
     method = base_config.get("method", {}).get("name")
-    if method not in _SPECS:
-        raise ConfigError(f"sweep: base config has unknown method {method!r}")
+    _name(method, "base.method.name", _SPECS)
     _check_section(spec, "sweep", _SPECS[method])
     grid, select = spec.get("grid", {}), spec["select"]
     axes = {name: list(grid.get(name, _DEFAULT_GRIDS[name])) for name in _METHOD_AXES[method]}
@@ -94,7 +92,7 @@ def validate_sweep_spec(spec: dict, base_config: dict) -> SweepSpec:
 
 def _apply_point(base_config: dict, axes: tuple, point: tuple) -> dict:
     """The point's config: ``base_config`` with copies of the two sections an
-    axis changes; ``validate_config`` makes the deep copy a run keeps."""
+    axis changes; ``_checked`` makes the deep copy a run keeps."""
     method, train = dict(base_config["method"]), dict(base_config["train"])
     for name, value in zip(axes, point):
         if name == "lr_mult":
@@ -119,8 +117,8 @@ def sweep(spec: SweepSpec, base_config: dict):
         )
     axis_names = tuple(spec.axes.keys())
     points = list(itertools.product(*(sorted(spec.axes[a]) for a in axis_names)))
-    configs = [validate_config(_apply_point(base, axis_names, p)) for p in points]
-    built = _build(configs[0])  # the points differ in method and train.lr_base only
+    checked = [_checked(_apply_point(base, axis_names, p)) for p in points]
+    built = _build(checked[0][0])  # the points differ in method and train.lr_base only
     if spec.select_split not in built.splits:
         raise ConfigError(
             f"selection split {spec.select_split!r} is not a split of the dataset "
@@ -129,9 +127,9 @@ def sweep(spec: SweepSpec, base_config: dict):
     sign = METRIC_DIRECTIONS[spec.select_metric]
     results: list[GridResult] = []
     best = None  # (sign * value, params, config)
-    for point, cfg in zip(points, configs):
+    for point, run in zip(points, checked):
         try:
-            _, summary = _train(cfg, built)
+            _, summary = _train(run, built)
         except TrainingDivergenceError as exc:
             results.append(GridResult(point, "failed", None, str(exc)))
             continue
@@ -140,6 +138,6 @@ def sweep(spec: SweepSpec, base_config: dict):
         key = sign * value
         # strict improvement only: earlier (lexicographically smaller) ties win
         if best is None or key > best[0]:
-            best = (key, point, cfg)
+            best = (key, point, run[0])
     best_config = best[2] if best is not None else None
     return best_config, results

@@ -29,7 +29,6 @@ __all__ = [
     "as_loss_vector",
     "batch_weights",
     "weighted_objective",
-    "saturation_fraction",
 ]
 
 
@@ -68,7 +67,9 @@ class WeightingRule:
     def _report(self, ell: np.ndarray):
         """``report`` of a float64 vector of finite losses, unchecked."""
         w = _apply(ell, self)
-        return _objective(ell, w), w, _saturation(ell, self)
+        # the fraction of samples whose loss hit the upper clip (u >= tau)
+        sat = 0.0 if self.divergence is Divergence.NONE else float(np.mean(ell >= self.tau))
+        return _objective(ell, w), w, sat
 
 
 def as_loss_vector(values) -> np.ndarray:
@@ -131,14 +132,3 @@ def _objective(ell: np.ndarray, w: np.ndarray) -> float:
         scale = float(np.max(np.abs(ell)))
         mean = float(np.mean(w * (ell / scale))) * scale
     return mean
-
-
-def saturation_fraction(losses, rule: WeightingRule) -> float:
-    """Fraction of samples whose loss hit the upper clip (u >= tau)."""
-    return _saturation(as_loss_vector(losses), rule)
-
-
-def _saturation(arr: np.ndarray, rule: WeightingRule) -> float:
-    if rule.divergence is Divergence.NONE:
-        return 0.0
-    return float(np.mean(arr >= rule.tau))

@@ -23,9 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reweightopt import datagen
 from reweightopt.cli import build_parser, cli_main
 from reweightopt.dro import _RECORD
-from reweightopt.experiment import _GENERATORS, _METHODS, _SCHEMA
+from reweightopt.experiment import _GENERATORS, _METHODS, _MODELS, _SCHEMA, _Choice
 from reweightopt.sweep import _SPECS
 
 FILE = "input.json"  # the file each case writes and the CLI reads
@@ -78,21 +79,15 @@ RECORDS = [
 
 
 def _sections(path, table):
-    """(path, table) of a schema table and of every section nested in it."""
+    """(path, table) of a schema table and of every table nested in it; a
+    choice gives all of its tables, so that the keys of one model kind,
+    method or generator are set on the others too."""
     yield path, table
     for kinds in table:
         for key, kind in kinds.items():
-            if type(kind) is tuple:
-                yield from _sections(path + (key,), kind)
-
-
-def _config_sections(config, path=()):
-    """The sections of a train config, with the tables its generator and its
-    method choose."""
-    yield from _sections(path, _SCHEMA)
-    yield from _sections(path + ("dataset", "params"),
-                         _GENERATORS[config["dataset"]["generator"]])
-    yield from _sections(path + ("method",), _METHODS[config["method"]["name"]])
+            for nested in kind.tables.values() if type(kind) is _Choice else [kind]:
+                if type(nested) is tuple:
+                    yield from _sections(path + (key,), nested)
 
 
 def _targets(sections):
@@ -129,7 +124,8 @@ def _mutated(draw, doc, sections):
     for _ in range(draw(st.integers(1, 2))):
         op = draw(st.sampled_from(["set", "set", "delete", "add"]))
         if op == "add":
-            path = draw(st.sampled_from([path for path, _ in sections])) + ("banana",)
+            path = draw(st.sampled_from(sorted({path for path, _ in sections}, key=str)))
+            path += ("banana",)
         else:
             path = draw(st.sampled_from([(), *_targets(sections)]))
         doc = _set(doc, path, draw(st.sampled_from(VALUES)), delete=op == "delete")
@@ -147,7 +143,7 @@ def _inputs():
     """(argv, a valid document, its sections) for each kind of input file;
     a sweep file's base config is fuzzed as a train config."""
     for config in CONFIGS:
-        yield ["train", FILE], config, list(_config_sections(config))
+        yield ["train", FILE], config, list(_sections((), _SCHEMA))
     for method in sorted(_SPECS):
         sections = [((), ({"base": None}, {})), *_sections((), _SPECS[method])]
         yield ["sweep", FILE], _sweep_file(method), sections
@@ -205,6 +201,7 @@ def _check(case, expect=None):
     else:
         assert code == 0, (code, err)
     assert expect in (None, code), (code, err)
+    return err
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -239,6 +236,23 @@ def test_each_key_takes_each_edge_value(argv, doc, sections):
             _check((argv, _set(doc, path, value)))
 
 
+# where the keys of each table sit in the inputs, and the fewest key paths that
+# each input's sections once gave: a walk that misses a table fails here
+MOUNTS = [((), [_SCHEMA, *_SPECS.values()]), (("dataset", "params"), _GENERATORS.values()),
+          (("method",), _METHODS.values()), (("model",), _MODELS.values()), ((0,), [_RECORD])]
+FEWEST_TARGETS = [39, 42, 41, 8, 7, 7, 4, 4, 4]
+
+
+def test_fuzz_reaches_every_key():
+    reached = {path for _, _, sections in INPUTS for path in _targets(sections)}
+    for mount, tables in MOUNTS:
+        for table in tables:
+            assert set(_targets(_sections(mount, table))) - reached == set(), mount
+    counts = [len(_targets(sections)) for _, _, sections in INPUTS]
+    assert len(counts) == len(FEWEST_TARGETS)
+    assert all(count >= fewest for count, fewest in zip(counts, FEWEST_TARGETS)), counts
+
+
 @settings(FUZZ, max_examples=60)
 @given(_flag_cases())
 def test_suite_flags_outcome(case):
@@ -253,8 +267,23 @@ def _probe_record(**changes):
     return ["oracle", "--instances", FILE], [{**RECORDS[0], **changes}]
 
 
+# train configs that were once run, or reported as `config:` or after a build:
+# (the path that the message must start with, a config, the changes to it)
+TRAIN_PROBES = [
+    ("metrics", MIXTURE, {"metrics": {"accuracy": 1}}),
+    ("metrics", MIXTURE, {"metrics": ["accuracy", "accuracy"]}),
+    ("eval_every", REGRESSION, {"eval_every": BIG}),
+    ("metrics", MIXTURE, {"metrics": 5}),
+    ("metrics", MIXTURE, {"metrics": "accuracy"}),
+    ("metrics", MIXTURE, {"metrics": [["accuracy"]]}),
+    ("dataset.generator", REGRESSION,
+     {"dataset": {**REGRESSION["dataset"], "generator": ["x"]}}),
+    ("method", REGRESSION, {"method": "rgd"}),
+    ("model", MIXTURE, {"model": {"kind": "mlp", "init_seed": 0}}),
+]
+
 # inputs that once ended in a traceback or were coerced and solved: each is a config error
-PROBES = [
+PROBES = [(["train", FILE], {**config, **changes}) for _, config, changes in TRAIN_PROBES] + [
     (["sweep", FILE], ["base"]),
     _probe_sweep(select=5),
     _probe_sweep(select="metric"),
@@ -282,15 +311,30 @@ def test_probe_is_a_config_error(case):
     _check(case, expect=2)
 
 
-# Valid records that the oracle cannot yet certify, and so values the fuzz above does
-# not draw: the duality tolerance is absolute (1e-8), the form check's polyfit
-# overflows on a loss range near the float limit, and a reverse-KL worst case whose
-# p/q overflows leaves lstsq nothing to fit.
-@pytest.mark.xfail(strict=True, reason="the certificate does not scale with the losses")
+@pytest.mark.parametrize("path, config, changes", TRAIN_PROBES,
+                         ids=[json.dumps(case[2], default=str)[:60] for case in TRAIN_PROBES])
+def test_train_probe_names_its_key_before_any_build(monkeypatch, path, config, changes):
+    calls = []
+    for name in _GENERATORS:
+        monkeypatch.setattr(datagen, name, lambda *args, **kwargs: calls.append(args))
+    err = _check((["train", FILE], {**config, **changes}), expect=2)
+    assert err.startswith(f"config error: {path}: ") and calls == [], err
+
+
+# Valid records with extreme losses, values the fuzz above does not draw.  The
+# oracle cannot yet certify the first two: the duality tolerance is absolute
+# (1e-8), and the form check's polyfit overflows on a loss range near the float
+# limit.  The third checks that the reverse-KL fit scales its abscissa: gaps of
+# 1e-300 times weights 1/y = 3.8e-151 underflow to a zero column, which
+# polyfit's column scaling would divide by.
+DEFECT = pytest.mark.xfail(strict=True, reason="the certificate does not scale with the losses")
+
+
 @pytest.mark.parametrize("changes", [
-    {"losses": [0.0, 1.0, 1e9]},
-    {"losses": [0.0, 1.0, 1e300]},
-    {"losses": [0.0, 1e-300, 1e-300], "rho": 1e300, "divergence": "reverse_kl"},
-], ids=["gap", "overflow", "lstsq"])
+    pytest.param({"losses": [0.0, 1.0, 1e9]}, marks=DEFECT, id="gap"),
+    pytest.param({"losses": [0.0, 1.0, 1e300]}, marks=DEFECT, id="overflow"),
+    pytest.param({"losses": [0.0, 1e-300, 1e-300], "rho": 1e300, "divergence": "reverse_kl"},
+                 id="lstsq"),
+])
 def test_known_defect_large_losses(changes):
     _check(_probe_record(**changes), expect=0)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from reweightopt.dro import _RECORD
-from reweightopt.experiment import _GENERATORS, _METHODS, _SCHEMA
+from reweightopt.experiment import _GENERATORS, _METHODS, _MODELS, _SCHEMA, _Choice
 from reweightopt.sweep import _SPECS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -24,16 +24,19 @@ def test_readme_block_runs(index):
 
 
 def _schema_keys(section):
+    """The keys of a table, of its nested tables and of every table of its choices."""
     for kinds in section:
         for key, kind in kinds.items():
             yield key
-            if type(kind) is tuple:
-                yield from _schema_keys(kind)
+            for nested in kind.tables.values() if type(kind) is _Choice else [kind]:
+                if type(nested) is tuple:
+                    yield from _schema_keys(nested)
 
 
 def test_config_notes_name_every_schema_key():
     for heading, sections in [
-        ("Experiment config schema", [_SCHEMA, *_GENERATORS.values(), *_METHODS.values()]),
+        ("Experiment config schema",
+         [_SCHEMA, *_GENERATORS.values(), *_METHODS.values(), *_MODELS.values()]),
         ("Sweep file", _SPECS.values()),
         ("Worst-case-distribution instances", [_RECORD]),
     ]:

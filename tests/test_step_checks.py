@@ -28,7 +28,6 @@ from reweightopt.weighting import (
     Divergence,
     WeightingRule,
     batch_weights,
-    saturation_fraction,
     weighted_objective,
 )
 
@@ -280,7 +279,8 @@ class TestFiniteScans:
 
 class TestRuleReport:
     """``WeightingRule.report`` checks a row's losses once, then reports what
-    the three public functions, each with its own check, give."""
+    the two public functions, each with its own check, give, and the
+    fraction of losses at the clip."""
 
     @pytest.mark.parametrize("divergence", list(Divergence))
     def test_equals_the_public_functions(self, divergence):
@@ -289,7 +289,8 @@ class TestRuleReport:
         objective, w, sat = rule.report(losses)
         assert np.array_equal(w, batch_weights(losses, rule))
         assert objective == weighted_objective(losses, w)
-        assert sat == saturation_fraction(losses, rule)
+        saturated = 0.0 if divergence is Divergence.NONE else np.mean(np.array(losses) >= rule.tau)
+        assert sat == float(saturated)
 
     def test_rejects_non_finite_losses(self):
         with pytest.raises(ValueError, match=r"non-finite loss values at indices \[1\]"):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from reweightopt import datagen
+from reweightopt import datagen, experiment
 from reweightopt.experiment import ConfigError, run_experiment
 from reweightopt.optim import TrainingDivergenceError
 from reweightopt.sweep import GridResult, SweepSpec, sweep, validate_sweep_spec
@@ -125,6 +125,21 @@ def test_out_of_range_later_point_fails_before_any_point_trains(monkeypatch):
     with pytest.raises(ConfigError, match=r"^method: beta_ma must lie in \(0, 1\)"):
         sweep(spec, cfg)
     assert calls == []
+
+
+def test_weighter_and_train_config_built_once_per_run(monkeypatch):
+    # validation builds both to check them, and the run trains with those objects
+    calls = []
+    weighter, train_config = experiment._build_weighter, experiment.TrainConfig
+    monkeypatch.setattr(experiment, "_build_weighter",
+                        lambda cfg: calls.append(1) or weighter(cfg))
+    monkeypatch.setattr(experiment, "TrainConfig",
+                        lambda **train: calls.append(1) or train_config(**train))
+    run_experiment(base_config())
+    assert len(calls) == 2
+    calls.clear()
+    sweep(SweepSpec({"tau": [1.0, 3.0], "lr_mult": [1.0]}, "accuracy"), base_config())
+    assert len(calls) == 2 * (1 + 2)  # the base config, then each point
 
 
 def test_unknown_selection_split_fails_when_every_point_would_diverge():

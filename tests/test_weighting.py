@@ -7,7 +7,6 @@ from reweightopt.weighting import (
     Divergence,
     WeightingRule,
     batch_weights,
-    saturation_fraction,
     weighted_objective,
 )
 
@@ -168,5 +167,5 @@ def test_rule_validation():
 
 def test_saturation_fraction():
     rule = WeightingRule(Divergence.KL, 2.0)
-    assert saturation_fraction([0.0, 1.0, 2.0, 3.0], rule) == 0.5
-    assert saturation_fraction([0.0, 1.0], WeightingRule(Divergence.NONE)) == 0.0
+    assert rule.report([0.0, 1.0, 2.0, 3.0])[2] == 0.5
+    assert WeightingRule(Divergence.NONE).report([0.0, 1.0])[2] == 0.0
