@@ -16,14 +16,15 @@ traceback (exit 1); it is never reported as a config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 
 from .experiment import (
-    _SPLITS, ConfigError, _check_section, _config_errors, export_trace, parse_trace,
-    run_experiment, validate_config,
+    _SPLITS, ConfigError, _build, _check_section, _checked, _config_errors, _seed, _train,
+    export_trace, parse_trace, validate_config,
 )
 from .optim import TrainingDivergenceError
 from .sweep import sweep, validate_sweep_spec
@@ -43,10 +44,11 @@ def _load_json(path: str) -> dict:
 
 
 def _cmd_train(args) -> int:
-    config = validate_config(_load_json(args.config))
+    config, weighter, train_config = _checked(_load_json(args.config))
     if args.seed is not None:
-        config["train"]["seed"] = args.seed
-    trace, summary = run_experiment(config)
+        _seed(args.seed, "train.seed")
+        train_config = dataclasses.replace(train_config, seed=args.seed)
+    trace, summary = _train((config, weighter, train_config), _build(config))
     output = args.output or config.get("output")
     if output:
         export_trace(trace, output)

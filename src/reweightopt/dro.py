@@ -473,26 +473,27 @@ def optimal_weight_form_check(
         dev = float(np.max(np.abs(qs - ps / ps.sum() * qs.sum())))
         return FormCheckReport(dev <= tol, dev, None)
 
+    # the abscissa (the losses, or reverse KL's exact gaps to max(l)) is divided exactly into
+    # (-2, 2) by a power of two, which polyfit's column scaling undoes bit for bit; unscaled,
+    # the column norms overflow near the float limit or underflow (tiny gaps, tiny weights)
+    x = l.max() - l if inst.divergence is Divergence.REVERSE_KL else l
+    scale = 2.0 ** (math.frexp(np.max(np.abs(x)))[1] - 1)
+    x = x / scale
     if inst.divergence is Divergence.KL:
-        slope, intercept = np.polyfit(l, np.log(qs) - np.log(ps), 1)
-        fitted = ps * np.exp(slope * l + intercept)
-        param = 1.0 / slope if slope != 0 else math.inf
+        slope, intercept = np.polyfit(x, np.log(qs) - np.log(ps), 1)
+        fitted = ps * np.exp(slope * x + intercept)
+        param = scale / slope if slope != 0 else math.inf
     elif inst.divergence is Divergence.CHI2:
-        slope, intercept = np.polyfit(l, qs / ps, 1)
-        fitted = ps * (slope * l + intercept)
-        param = -intercept / slope if slope != 0 else -math.inf  # eta of q ~ p * (l - eta)
+        slope, intercept = np.polyfit(x, qs / ps, 1)
+        fitted = ps * (slope * x + intercept)
+        param = -intercept / slope * scale if slope != 0 else -math.inf  # eta of q ~ p * (l - eta)
     else:
-        # fit p/q against the exact gaps max(l) - l; regressing on l itself
-        # cancels catastrophically when eta - max(l) is below float resolution.
-        # p/q spans many orders of magnitude, so weight by 1/y for a
-        # relative-error fit.  The gaps are divided exactly, by a power of
-        # two, into [0, 1): tiny gaps times tiny weights would underflow to a
-        # zero column, which polyfit's column scaling divides by
-        scale = 2.0 ** math.frexp(np.ptp(l))[1]
-        gaps = (l.max() - l) / scale
+        # fit p/q against the gaps: regressing on l itself cancels catastrophically when
+        # eta - max(l) is below float resolution.  p/q spans many orders of magnitude,
+        # so weight by 1/y for a relative-error fit
         y = ps / qs
-        slope, intercept = np.polyfit(gaps, y, 1, w=1.0 / y)
-        fitted = ps / (intercept + slope * gaps)
+        slope, intercept = np.polyfit(x, y, 1, w=1.0 / y)
+        fitted = ps / (intercept + slope * x)
         param = l.max() + intercept / slope * scale if slope != 0 else math.inf
     fitted = fitted / fitted.sum() * qs.sum()
     dev = float(np.max(np.abs(qs - fitted) / fitted))

@@ -76,7 +76,6 @@ class Trace:
 
     metric_names: tuple
     records: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict, compare=False)
 
     def append(self, record: TraceRecord) -> None:
         for prev in reversed(self.records):
@@ -116,16 +115,23 @@ def _number(value, where: str, types=(int, float), what="a number"):
         raise ConfigError(f"{where}: expected a number within the float range, got a larger one")
 
 
-def _integer(value, where: str, low=None, what="an integer"):
-    """An integer, at least ``low`` if given."""
+def _integer(value, where: str):
     _number(value, where, (int,), "an integer")
-    if low is not None and value < low:
-        raise ConfigError(f"{where}: expected {what}, got {value!r}")
 
 
-def _seed(value, where: str):
-    """A non-negative integer, the only seeds numpy's generators take."""
-    _integer(value, where, 0, "a non-negative integer")
+def _at_least(low, what: str, kind=_integer):
+    """The kind of a value of ``kind`` that is at least ``low`` (a nan is not)."""
+
+    def check(value, where: str):
+        kind(value, where)
+        if not value >= low:
+            raise ConfigError(f"{where}: expected {what}, got {value!r}")
+
+    return check
+
+
+_seed = _at_least(0, "a non-negative integer")  # the only seeds numpy's generators take
+_positive = _at_least(1, "a positive integer")
 
 
 def _fraction(value, where: str, interval="[0, 1)"):
@@ -145,8 +151,8 @@ def _name(value, where: str, names):
         raise ConfigError(f"{where}: expected {'|'.join(names)}, got {value!r}")
 
 
-def _list(value, where: str, kind=_number, what="a list of numbers", length=None):
-    if type(value) is not list or length not in (None, len(value)):
+def _list(value, where: str, kind=_number, what="a list of numbers", lengths=None):
+    if type(value) is not list or lengths is not None and len(value) not in lengths:
         raise ConfigError(f"{where}: expected {what}, got {value!r}")
     # floats are numbers, so a list of them is checked whole: a record's losses may number 10^5
     if kind is not _number or set(map(type, value)) - {float}:
@@ -181,11 +187,13 @@ _GENERATORS = {  # the tables of dataset.params
         {},
     ),
 }
+# the generator, model kind and metrics of regression data; the others' data is class labels
+_REGRESSION = {"rare_feature_regression", "linear", "mse", "rare_l2", "frequent_l2"}
 _MODELS = {
     "linear": ({"kind": None}, {}),
     "softmax": ({"kind": None}, {}),
     "mlp": ({"kind": None, "init_seed": _seed,
-             "hidden": lambda v, where: _list(v, where, _integer, "a list of integers")},
+             "hidden": lambda v, where: _list(v, where, _positive, "1 or 2 integers", (1, 2))},
             {"init_scale": _number}),
 }
 _METHODS = {
@@ -194,7 +202,8 @@ _METHODS = {
     "ma": ({"name": None, "lam": _number, "beta_ma": _number}, {}),
 }
 _STAGES = {
-    "subsample": ({"n_max": _integer, "imbalance_factor": _number, "seed": _seed}, {}),
+    "subsample": ({"n_max": _positive, "imbalance_factor": _at_least(1, "a number >= 1", _number),
+                   "seed": _seed}, {}),
     "split": ({"seed": _seed}, {"test_fraction": _fraction, "holdout_fraction": _fraction}),
     "flip_train": ({"fraction": lambda v, where: _fraction(v, where, "[0, 1]"), "seed": _seed},
                    {}),
@@ -202,7 +211,9 @@ _STAGES = {
 _SCHEMA = (
     {
         "dataset": _Choice("generator", {
-            name: ({"generator": None, "params": params}, _STAGES)
+            # subsample and flip_train draw per class, so regression data takes only a split
+            name: ({"generator": None, "params": params},
+                   {"split": _STAGES["split"]} if name in _REGRESSION else _STAGES)
             for name, params in _GENERATORS.items()
         }),
         "model": _Choice("kind", _MODELS),
@@ -211,10 +222,10 @@ _SCHEMA = (
             {"optimizer": None, "steps": _integer, "batch_size": _integer, "seed": _seed,
              "lr_base": _number},
             {"schedule": None, "beta1": _number, "beta2": _number, "eps": _number,
-             "box": lambda v, where: _list(v, where, _number, "a list of two numbers", 2)},
+             "box": lambda v, where: _list(v, where, _number, "a list of two numbers", (2,))},
         ),
     },
-    {"eval_every": lambda v, where: _integer(v, where, 1, "a positive integer"),
+    {"eval_every": _positive,
      "metrics": _metrics, "output": _string},
 )
 
@@ -262,14 +273,20 @@ def _checked(config: dict):
     cfg.setdefault("metrics", [])
     weighter = _build_weighter(cfg["method"])
     with _config_errors("train"):
-        return cfg, weighter, TrainConfig(**cfg["train"])
+        train_config = TrainConfig(**cfg["train"])
+    data = "regression" if cfg["dataset"]["generator"] in _REGRESSION else "classification"
+    pairs = [("model.kind", cfg["model"]["kind"])] + [("metrics", m) for m in cfg["metrics"]]
+    for where, name in pairs:
+        if (name in _REGRESSION) != (data == "regression"):
+            raise ConfigError(f"{where}: {name} does not apply to the generator's {data} data")
+    return cfg, weighter, train_config
 
 
 def validate_config(config: dict) -> dict:
-    """Check a config before anything runs: the schema, then the method's
-    and train values (by building the weighter and the ``TrainConfig``).
-    Returns a deep copy with defaults filled in.  Only the dataset stages
-    and the model are left to ``_build``, which reports them in that order."""
+    """Check a config before anything runs: the schema, the method's and
+    train values (by building the weighter and the ``TrainConfig``), then
+    that the model kind and metrics apply to the data.  Returns a deep copy
+    with defaults filled in.  ``_build`` reports the faults of the drawn data."""
     return _checked(config)[0]
 
 
@@ -330,8 +347,7 @@ def _build_datasets(ds_cfg: dict) -> dict:
         splits = {name: views[name] for name in selected}
     if "flip_train" in ds_cfg:
         fl = ds_cfg["flip_train"]
-        with _config_errors("dataset.flip_train"):
-            splits["train"] = datagen.flip_labels(splits["train"], fl["fraction"], fl["seed"])
+        splits["train"] = datagen.flip_labels(splits["train"], fl["fraction"], fl["seed"])
     return splits
 
 
@@ -348,8 +364,6 @@ def _build_model(model_cfg: dict, dataset: Dataset) -> ModelState:
             seed=model_cfg["init_seed"],
             scale=model_cfg.get("init_scale"),
         )
-    if kind is ModelKind.LINEAR and dataset.is_classification:
-        raise ValueError("a linear model needs a regression dataset")
     return zero_state(kind, dataset.dim, num_classes)
 
 
@@ -391,16 +405,10 @@ def direction_l2(theta, theta_star, index_set) -> float:
 def _metric_value(name: str, model: ModelState, dataset: Dataset, losses, predicted) -> float:
     """A metric of one split, from its eval pass's losses and predictions."""
     if name in ("mse", "accuracy"):
-        # _build_model pairs linear models with regression data only
-        if (name == "mse") != (model.kind is ModelKind.LINEAR):
-            raise ConfigError(f"metrics: {name} does not apply to a {model.kind.value} model")
         # a linear model's losses are its squared prediction errors
         return float(np.mean(losses if name == "mse" else predicted == dataset.targets))
-    if name in ("rare_l2", "frequent_l2"):
-        key = "rare_indices" if name == "rare_l2" else "frequent_indices"
-        if "theta_star" not in dataset.meta or key not in dataset.meta:
-            raise ConfigError(f"metrics: {name} needs theta_star/{key} in dataset metadata")
-        return direction_l2(model.theta, dataset.meta["theta_star"], dataset.meta[key])
+    key = "rare_indices" if name == "rare_l2" else "frequent_indices"
+    return direction_l2(model.theta, dataset.meta["theta_star"], dataset.meta[key])
 
 
 _SPLITS = ("train", "holdout", "test")  # the order of a trace's rows per eval step
@@ -424,13 +432,13 @@ _last_build: tuple[str, _Built] | None = None
 
 def _build(cfg: dict) -> _Built:
     """Build a validated config's data, initial state and step-0 eval pass,
-    reporting the faults only they can tell: the dataset stages', then the
-    model's.  The result depends only on ``dataset``, ``model`` and
-    ``train.optimizer``, so one build serves every config that matches
-    ``cfg`` there.  The last successful build is kept and returned again
-    for such a config (one build only, which grows with the data: 1.3 MB at
-    the c06 size, 85.6 MB for 10 classes of 20000 rows at dim 50), which
-    leaves every result unchanged; a build that raises keeps nothing."""
+    reporting the faults of the drawn data: the dataset stages', then a
+    non-finite initial model.  The result depends only on ``dataset``,
+    ``model`` and ``train.optimizer``, so one build serves every config that
+    matches ``cfg`` there.  The last successful build is kept and returned
+    again for such a config (one build only, which grows with the data:
+    1.3 MB at the c06 size, 85.6 MB for 10 classes of 20000 rows at dim 50),
+    which leaves every result unchanged; a build that raises keeps nothing."""
     global _last_build
     key = json.dumps([cfg["dataset"], cfg["model"], cfg["train"]["optimizer"]], sort_keys=True)
     if _last_build is not None and _last_build[0] == key:
@@ -470,14 +478,7 @@ def _train(checked: tuple, built: _Built):
     cfg, weighter, train_config = checked
     state = built.state
     metric_names = tuple(cfg["metrics"])
-    trace = Trace(
-        metric_names,
-        meta={
-            "method": cfg["method"]["name"],
-            "batching": "epoch_shuffle_without_replacement",
-            "splits": {name: ds.n for name, ds in built.splits.items()},
-        },
-    )
+    trace = Trace(metric_names)
 
     def record(step: int, passes):
         """Append the rows of one eval step; ``passes`` yields (split, (losses, predicted))."""
@@ -537,12 +538,10 @@ def _summarize(trace: Trace, metric_names) -> dict:
             continue
         last = rows[-1]
         summary["final"][split] = {"step": last.step, "objective": last.objective, **last.metrics}
-    for m in metric_names:
-        rows = trace.rows("holdout")
-        if not rows:
-            continue
+    holdout = trace.rows("holdout")
+    for m in (metric_names if holdout else ()):
         sign = METRIC_DIRECTIONS[m]
-        best = max(rows, key=lambda r: sign * r.metrics[m])
+        best = max(holdout, key=lambda r: sign * r.metrics[m])
         summary["holdout_best"][m] = {"step": best.step, "value": best.metrics[m]}
     return summary
 

@@ -51,7 +51,6 @@ __all__ = [
     "forward_losses",
     "backward_weighted",
     "weighted_grad",
-    "logits",
     "predict",
     "finite_diff_grad",
 ]
@@ -247,15 +246,9 @@ def _forward(model: ModelState, x: np.ndarray):
     return z, acts, layers
 
 
-def logits(model: ModelState, inputs: np.ndarray) -> np.ndarray:
-    """Class scores (B, C) for classifiers, predictions (B,) for linear."""
-    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    return _forward(model, x)[0]
-
-
 def predict(model: ModelState, inputs: np.ndarray) -> np.ndarray:
     """Predicted values (linear) or argmax class labels (classifiers)."""
-    out = logits(model, inputs)
+    out = _forward(model, np.atleast_2d(np.asarray(inputs, dtype=np.float64)))[0]
     return out if model.kind is ModelKind.LINEAR else np.argmax(out, axis=1)
 
 

@@ -82,6 +82,10 @@ class GridResult:
 def validate_sweep_spec(spec: dict, base_config: dict) -> SweepSpec:
     """Build a SweepSpec from the grid and select of a sweep file, checked
     against the schema of ``base_config``'s method, filling default grids."""
+    if not isinstance(base_config, dict):
+        raise ConfigError("base: expected an object")
+    if not isinstance(base_config.get("method", {}), dict):
+        raise ConfigError("base.method: expected an object")
     method = base_config.get("method", {}).get("name")
     _name(method, "base.method.name", _SPECS)
     _check_section(spec, "sweep", _SPECS[method])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from reweightopt import experiment
+from reweightopt import cli, experiment
 from reweightopt.cli import cli_main
 from reweightopt.sweep import sweep
 
@@ -58,6 +58,31 @@ def test_train_seed_override_changes_run(tmp_path):
     cli_main(["train", str(cfg), "--output", str(out3)])
     assert out1.read_bytes() == out3.read_bytes()
     assert out1.read_bytes() != out2.read_bytes()
+    seeded = write_config(tmp_path, "seeded.json", train={
+        "optimizer": "sgd", "lr_base": 1.0, "steps": 30, "batch_size": 32, "seed": 1})
+    cli_main(["train", str(seeded), "--output", str(out3)])
+    assert out2.read_bytes() == out3.read_bytes()
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "1"]])
+def test_train_checks_its_config_once(tmp_path, monkeypatch, seed):
+    calls = []
+    checked = experiment._checked
+
+    def counted(config):
+        calls.append(config)
+        return checked(config)
+
+    for module in (experiment, cli):
+        monkeypatch.setattr(module, "_checked", counted)
+    assert cli_main(["train", str(write_config(tmp_path)), *seed]) == 0
+    assert len(calls) == 1
+
+
+def test_train_negative_seed_override_exits_2(tmp_path, capsys):
+    assert cli_main(["train", str(write_config(tmp_path)), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: train.seed: expected a non-negative integer, got -1\n")
 
 
 def test_oracle_suite_passes(capsys):
@@ -271,9 +296,11 @@ def test_missing_file_exits_2():
                              "separation": 3.0, "seed": 0}},
       "metrics": ["accuracy"]}, "model"),
     ({"metrics": ["accuracy"]}, "accuracy"),
-    ({"dataset": {"generator": "gaussian_mixture_classification",
+    ({"model": {"kind": "softmax"},
+      "dataset": {"generator": "gaussian_mixture_classification",
                   "params": {"num_classes": 0, "n_per_class": 10, "dim": 4,
-                             "separation": 3.0, "seed": 0}}}, "dataset"),
+                             "separation": 3.0, "seed": 0}},
+      "metrics": ["accuracy"]}, "dataset.params:"),
     # hidden/init_seed/init_scale are mlp-only, never silently ignored
     ({"model": {"kind": "softmax", "hidden": [32], "init_seed": 5, "init_scale": 9.0},
       "dataset": {"generator": "gaussian_mixture_classification",

@@ -15,7 +15,6 @@ from reweightopt.models import (
     backward_weighted,
     finite_diff_grad,
     forward_losses,
-    logits,
     param_count,
     per_sample_loss,
     predict,
@@ -254,7 +253,7 @@ class TestClassifierContext:
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_losses_match_scipy_cross_entropy(self, scale):
         model, batch, _ = self._case(ModelKind.SOFTMAX, scale, 12)
-        z = logits(model, batch.inputs)
+        z = models._forward(model, batch.inputs)[0]
         want = scipy_logsumexp(z, axis=1) - z[np.arange(64), batch.targets]
         assert np.array_equal(forward_losses(model, batch)[0], want)
         assert np.array_equal(per_sample_loss(model, batch), want)
@@ -305,7 +304,7 @@ class TestClassifierContext:
             (dz1.T @ x).ravel(), dz1.sum(axis=0), (dz2.T @ h1).ravel(), dz2.sum(axis=0),
             (delta.T @ h2).ravel(), delta.sum(axis=0),
         ])
-        assert np.array_equal(logits(model, x), z)
+        assert np.array_equal(models._forward(model, x)[0], z)
         _, ctx = forward_losses(model, batch)
         assert np.array_equal(backward_weighted(model, batch, ctx, w), want)
 

@@ -165,6 +165,16 @@ def test_validate_sweep_spec_errors():
         SweepSpec({"tau": []}, "accuracy")
 
 
+@pytest.mark.parametrize("base, message", [
+    ({"method": "rgd"}, "base.method: expected an object"),
+    ("rgd", "base: expected an object"),
+    ({}, r"base\.method\.name: expected rgd\|term\|ma, got None"),
+])
+def test_validate_sweep_spec_malformed_base(base, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        validate_sweep_spec({"select": {"metric": "mse"}}, base)
+
+
 def test_tau_sweep_on_label_noise_beats_unclipped_comparator():
     # small-scale version of the noisy-label setup: the selected clipped run
     # must beat the batch-tilted baseline trained at the same budget
