@@ -23,11 +23,11 @@ import sys
 from pathlib import Path
 
 from .experiment import (
-    _SPLITS, ConfigError, _build, _check_section, _checked, _config_errors, _seed, _train,
-    export_trace, parse_trace, validate_config,
+    _SPLITS, ConfigError, _build, _check_section, _checked, _config_errors, _seed, _trace_format,
+    _train, export_trace, parse_trace, validate_config,
 )
 from .optim import TrainingDivergenceError
-from .sweep import sweep, validate_sweep_spec
+from .sweep import _sweep, validate_sweep_spec
 from .verify import DUALITY_TOL, GRAD_TOL, check_instances, dro_suite, gradcheck_suite
 
 
@@ -48,8 +48,10 @@ def _cmd_train(args) -> int:
     if args.seed is not None:
         _seed(args.seed, "train.seed")
         train_config = dataclasses.replace(train_config, seed=args.seed)
-    trace, summary = _train((config, weighter, train_config), _build(config))
+    if args.output:
+        _trace_format(args.output, "--output")
     output = args.output or config.get("output")
+    trace, summary = _train((config, weighter, train_config), _build(config))
     if output:
         export_trace(trace, output)
         print(f"trace written to {output}")
@@ -64,9 +66,10 @@ def _cmd_sweep(args) -> int:
     _check_section(payload, "sweep", ({"base": None, "select": None}, {"grid": None}))
     base = validate_config(payload.pop("base"))
     if args.seed is not None:
+        _seed(args.seed, "train.seed")
         base["train"]["seed"] = args.seed
     spec = validate_sweep_spec(payload, base)
-    best, results = sweep(spec, base)
+    best, results = _sweep(spec, base)
     axis_names = tuple(spec.axes.keys())
     header = list(axis_names) + ["status", spec.select_metric]
     print("\t".join(header))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -119,6 +120,12 @@ def _integer(value, where: str):
     _number(value, where, (int,), "an integer")
 
 
+def _finite(value, where: str):
+    _number(value, where)
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+
+
 def _at_least(low, what: str, kind=_integer):
     """The kind of a value of ``kind`` that is at least ``low`` (a nan is not)."""
 
@@ -143,6 +150,20 @@ def _fraction(value, where: str, interval="[0, 1)"):
 def _string(value, where: str):
     if type(value) is not str:
         raise ConfigError(f"{where}: expected a string, got {value!r}")
+
+
+def _trace_format(path, where: str) -> str:
+    """The format ``export_trace`` writes to ``path``, as its suffix says in any
+    case (csv without one); another suffix is a fault of ``where``."""
+    fmt = Path(path).suffix.lstrip(".").lower() or "csv"
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"{where}: unsupported trace format {fmt!r}")
+    return fmt
+
+
+def _trace_path(value, where: str):
+    _string(value, where)
+    _trace_format(value, where)
 
 
 def _name(value, where: str, names):
@@ -182,8 +203,8 @@ class _Choice(NamedTuple):
 _GENERATORS = {  # the tables of dataset.params
     "rare_feature_regression": ({"seed": _seed}, {}),
     "gaussian_mixture_classification": (
-        {"num_classes": _integer, "n_per_class": _integer, "dim": _integer,
-         "separation": _number, "seed": _seed},
+        {"num_classes": _at_least(2, "an integer >= 2"), "n_per_class": _positive,
+         "dim": _positive, "separation": _finite, "seed": _seed},
         {},
     ),
 }
@@ -194,7 +215,7 @@ _MODELS = {
     "softmax": ({"kind": None}, {}),
     "mlp": ({"kind": None, "init_seed": _seed,
              "hidden": lambda v, where: _list(v, where, _positive, "1 or 2 integers", (1, 2))},
-            {"init_scale": _number}),
+            {"init_scale": _finite}),
 }
 _METHODS = {
     "rgd": ({"name": None, "rule": ({"divergence": None}, {"tau": _number})}, {}),
@@ -226,7 +247,7 @@ _SCHEMA = (
         ),
     },
     {"eval_every": _positive,
-     "metrics": _metrics, "output": _string},
+     "metrics": _metrics, "output": _trace_path},
 )
 
 
@@ -553,10 +574,7 @@ _STAT_COLUMNS = ("w_min", "w_mean", "w_max", "w_sat_frac")
 def export_trace(trace: Trace, path) -> None:
     """Write a trace as CSV or JSON, as the path's suffix says (CSV without
     one); both round-trip at full precision."""
-    path = Path(path)
-    fmt = path.suffix.lstrip(".").lower() or "csv"
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unsupported trace format {fmt!r}")
+    fmt = _trace_format(path, str(path))
     columns = _FIXED_COLUMNS + tuple(trace.metric_names) + _STAT_COLUMNS
     rows = [
         (r.step, r.split, r.objective, *(r.metrics[m] for m in trace.metric_names),

@@ -283,7 +283,8 @@ def forward_losses(model: ModelState, batch: Batch):
     """
     _check_batch(model, batch)
     if model.kind is ModelKind.LINEAR:
-        r = batch.inputs @ model.theta - batch.targets
+        r = batch.inputs @ model.theta
+        r -= batch.targets
         return r * r, (r, None, None)
     out, acts, layers = _forward(model, batch.inputs)
     losses, e, _, _ = _cross_entropy(out, batch.targets)
@@ -291,15 +292,15 @@ def forward_losses(model: ModelState, batch: Batch):
     return losses, (e.T.copy(), acts, layers)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _eval_pass(model: ModelState, batch: Batch):
     """``per_sample_loss`` and ``predict`` of a batch from one forward pass,
     quiet on overflow as the step is: the caller checks the losses."""
     _check_batch(model, batch)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _forward(model, batch.inputs)[0]
-        if model.kind is ModelKind.LINEAR:
-            return (out - batch.targets) ** 2, out
-        losses, _, zt, is_max = _cross_entropy(out, batch.targets)
+    out = _forward(model, batch.inputs)[0]
+    if model.kind is ModelKind.LINEAR:
+        return (out - batch.targets) ** 2, out
+    losses, _, zt, is_max = _cross_entropy(out, batch.targets)
     # np.argmax(z, axis=1), the first maximal logit: the top rank among the maximal
     # classes, each class ranked C - class, in a vector max over N instead of
     # np.argmax's per-row loop over C entries
@@ -315,15 +316,17 @@ def _eval_pass(model: ModelState, batch: Batch):
 def backward_weighted(model: ModelState, batch: Batch, ctx, weights) -> np.ndarray:
     """Backward pass: (1/B) * sum_i w_i * grad(loss_i), weights constant;
     ``ctx`` is what ``forward_losses`` returned for this model and batch."""
-    w = _flat(weights)
-    if w.shape[0] != batch.size:
-        raise ValueError(f"{w.shape[0]} weights for batch of {batch.size}")
-    scale = w / batch.size
-    out, acts, layers = ctx  # the residual (linear) or exp(z - max z) (classifiers)
     x = batch.inputs
+    w = _flat(weights)
+    if w.shape[0] != x.shape[0]:
+        raise ValueError(f"{w.shape[0]} weights for batch of {x.shape[0]}")
+    scale = w / float(x.shape[0])  # the same bits as an int divisor, in less time
+    out, acts, layers = ctx  # the residual (linear) or exp(z - max z) (classifiers)
 
     if model.kind is ModelKind.LINEAR:
-        return x.T @ (2.0 * scale * out)
+        scale *= 2.0
+        scale *= out
+        return x.T @ scale
 
     n, c = out.shape
     delta = out / out.sum(axis=1, keepdims=True)

@@ -27,13 +27,22 @@ numpy's per-row loop over C entries.  Its float sums over classes add
 as ``class_sum`` does, in the order numpy's ``sum(axis=1)`` takes on the
 row-major (N, C) array, so the results are bit-identical to the
 row-major reductions.
+
+``clip`` is numpy's clip ufunc, the one ``ndarray.clip(lo, hi)`` ends in
+after a Python-level wrapper that costs more than the clip itself on the
+step's short vectors; it gives the same bits, -0.0 and nan included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["class_sum", "logsumexp", "logsumexp_classes"]
+try:
+    from numpy._core.umath import clip
+except ImportError:  # numpy 1.x
+    from numpy.core.umath import clip
+
+__all__ = ["class_sum", "clip", "logsumexp", "logsumexp_classes"]
 
 _PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE
 

@@ -27,11 +27,21 @@ weights and the gradient (converting all but a 1-D float64 array),
 ``lr_at`` the step against the horizon, the Adam core ``_adam`` the
 moments.
 Values a step makes itself are stored unchecked.  Its divergence
-signals, the losses and the new theta, are scanned once each by counting
-the finite entries: exact (an all-finite vector passes even when its sum
-would overflow) and quiet.  Only a scan that finds a non-finite entry
-lists them, for the step, message and sample indices of
+signals, the losses and the new theta, are scanned once each
+(``_all_finite``): a vector's dot product with itself is finite only if
+every entry is, and only when it is not are the finite entries counted,
+so the scan is exact (an all-finite vector passes even when its squares
+overflow) and quiet.  Only a scan that finds a non-finite entry lists
+them, for the step, message and sample indices of
 :class:`TrainingDivergenceError`.
+
+The fixed cost of a call is kept small: ``rgd_step``, ``sgd_step`` and
+``adam_step`` enter numpy's quiet error state through ``np.errstate``'s
+decorator form (cheaper than a ``with`` block built per call, and it
+restores the caller's state however the call ends); the weights' clip
+and the box call the clip ufunc ``numerics.clip`` (``ndarray.clip``
+without its Python wrapper, the same bits); and the step writes its own
+temporaries in place.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from enum import Enum
 import numpy as np
 
 from .models import Batch, ModelState, _flat, _unchecked, backward_weighted, forward_losses
-from .numerics import logsumexp
+from .numerics import clip, logsumexp
 # batch_weights is bound here only for the benchmark's layer_targets()
 from .weighting import WeightingRule, batch_weights  # noqa: F401
 
@@ -262,35 +272,46 @@ def _gradient(state: OptimizerState, gradient) -> np.ndarray:
     return g
 
 
+def _all_finite(vec: np.ndarray) -> bool:
+    """Whether every entry of the float64 vector ``vec`` is finite, exactly and
+    quietly: vec . vec is finite only then, and only when it is not (a
+    non-finite entry, or an all-finite vector whose squares overflow) are the
+    finite entries counted."""
+    return math.isfinite(vec.dot(vec)) or np.count_nonzero(np.isfinite(vec)) == vec.size
+
+
 def _updated(state: OptimizerState, theta, box, t: int, m, v) -> OptimizerState:
     """Project and store theta; a non-finite gradient or update diverges here.
 
     This is the step's one scan of theta.  theta is a fresh float64 array
     of theta's length, and m, v are read-only: stored unchecked.
     """
-    if np.count_nonzero(np.isfinite(theta)) != theta.size:
+    if not _all_finite(theta):
         raise TrainingDivergenceError(t, "non-finite parameter update")
     if box is not None:
-        theta = theta.clip(box[0], box[1])
+        clip(theta, box[0], box[1], out=theta)
     theta.setflags(write=False)
     model = object.__new__(ModelState)  # state.model with the new theta, as _unchecked
     model.__dict__.update(state.model.__dict__, theta=theta)
     return _unchecked(OptimizerState, model=model, t=t, m=m, v=v)
 
 
+# an update that overflows reaches theta, where _updated reports it
+@np.errstate(over="ignore", invalid="ignore")
 def sgd_step(state: OptimizerState, gradient, lr: float, box=None) -> OptimizerState:
     """theta <- project(theta - lr * gradient)."""
-    g = _gradient(state, gradient)
-    # an update that overflows reaches theta, where _updated reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _sgd(state, g, lr, box)
+    return _sgd(state, _gradient(state, gradient), lr, box)
 
 
 def _sgd(state: OptimizerState, g: np.ndarray, lr: float, box) -> OptimizerState:
     """``sgd_step`` of a checked gradient, under the caller's errstate."""
-    return _updated(state, state.model.theta - lr * g, box, state.t + 1, state.m, state.v)
+    update = np.multiply(lr, g)
+    theta = np.subtract(state.model.theta, update, out=update)
+    return _updated(state, theta, box, state.t + 1, state.m, state.v)
 
 
+# inf/nan from a non-finite gradient reach theta, where _updated reports them
+@np.errstate(over="ignore", invalid="ignore")
 def adam_step(
     state: OptimizerState,
     gradient,
@@ -301,10 +322,7 @@ def adam_step(
     box=None,
 ) -> OptimizerState:
     """Standard bias-corrected Adam update."""
-    g = _gradient(state, gradient)
-    # inf/nan from a non-finite gradient reach theta, where _updated reports them
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _adam(state, g, lr, beta1, beta2, eps, box)
+    return _adam(state, _gradient(state, gradient), lr, beta1, beta2, eps, box)
 
 
 def _adam(state: OptimizerState, g: np.ndarray, lr: float, beta1, beta2, eps, box):
@@ -336,14 +354,9 @@ def _adam(state: OptimizerState, g: np.ndarray, lr: float, beta1, beta2, eps, bo
     return _updated(state, theta, box, t, m, v)
 
 
-def _base_step(state, direction, config: TrainConfig) -> OptimizerState:
-    lr = lr_at(config.schedule, config.lr_base, state.t + 1, config.steps)
-    # rgd_step's errstate covers the update: neither public step's checks nor errstate
-    if config.optimizer == "adam":
-        return _adam(state, direction, lr, config.beta1, config.beta2, config.eps, config.box)
-    return _sgd(state, direction, lr, config.box)
-
-
+# overflow in a step is not an accident: it is the divergence signal, which
+# the loss scan and _updated report as TrainingDivergenceError
+@np.errstate(over="ignore", invalid="ignore")
 def rgd_step(state: OptimizerState, batch: Batch, weighter, config: TrainConfig):
     """One reweighted step; returns (new_state, StepInfo).
 
@@ -356,16 +369,18 @@ def rgd_step(state: OptimizerState, batch: Batch, weighter, config: TrainConfig)
     at step ``state.t + 1``; an overflow on the way there stays quiet.
     """
     t = state.t + 1
-    # overflow here is not an accident: it is the divergence signal, which
-    # the loss scan below and _updated report as TrainingDivergenceError
-    with np.errstate(over="ignore", invalid="ignore"):
-        losses, ctx = forward_losses(state.model, batch)
-        if np.count_nonzero(np.isfinite(losses)) != losses.size:
-            bad = np.flatnonzero(~np.isfinite(losses))
-            raise TrainingDivergenceError(t, "non-finite loss", bad)
-        weights, weighter = weighter.step_weights(losses, t)
-        direction = backward_weighted(state.model, batch, ctx, weights)
-        state = _base_step(state, direction, config)
+    losses, ctx = forward_losses(state.model, batch)
+    if not _all_finite(losses):
+        bad = np.flatnonzero(~np.isfinite(losses))
+        raise TrainingDivergenceError(t, "non-finite loss", bad)
+    weights, weighter = weighter.step_weights(losses, t)
+    direction = backward_weighted(state.model, batch, ctx, weights)
+    lr = lr_at(config.schedule, config.lr_base, t, config.steps)
+    # the base update through the cores: the direction is checked and the errstate entered
+    if config.optimizer == "adam":
+        state = _adam(state, direction, lr, config.beta1, config.beta2, config.eps, config.box)
+    else:
+        state = _sgd(state, direction, lr, config.box)
     return state, _unchecked(
         StepInfo, losses=losses, weights=weights, direction=direction, weighter=weighter
     )

@@ -114,7 +114,11 @@ def sweep(spec: SweepSpec, base_config: dict):
     The selection value is the final metric on the selection split.
     Failed points never win; if every point fails, best_config is None.
     """
-    base = validate_config(base_config)
+    return _sweep(spec, validate_config(base_config))
+
+
+def _sweep(spec: SweepSpec, base: dict):
+    """``sweep`` of a base config that ``validate_config`` returned."""
     if spec.select_metric not in base["metrics"]:
         raise ConfigError(
             f"selection metric {spec.select_metric!r} missing from config metrics"

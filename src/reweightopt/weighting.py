@@ -23,6 +23,8 @@ from enum import Enum
 
 import numpy as np
 
+from .numerics import clip
+
 __all__ = [
     "Divergence",
     "WeightingRule",
@@ -96,13 +98,15 @@ def batch_weights(losses, rule: WeightingRule) -> np.ndarray:
 def _apply(arr: np.ndarray, rule: WeightingRule) -> np.ndarray:
     if rule.divergence is Divergence.NONE:
         return np.ones_like(arr)
-    clipped = arr.clip(0.0, rule.tau)
+    clipped = clip(arr, 0.0, rule.tau)  # a fresh array, which the forms below overwrite
     if rule.divergence is Divergence.KL:
         # divide rather than multiply by a precomputed 1/(tau+1): saturation
         # at u >= tau must equal exp(tau/(tau+1)) bit-for-bit
-        return np.exp(clipped / (rule.tau + 1.0))
+        clipped /= rule.tau + 1.0
+        return np.exp(clipped, out=clipped)
     if rule.divergence is Divergence.CHI2:
-        return clipped + rule.tau
+        clipped += rule.tau
+        return clipped
     if rule.divergence is Divergence.REVERSE_KL:
         # minimum() repairs the 1-ulp overshoot of 1/(1 - tau/(tau+1)) at
         # saturation; the exact value there is tau+1

@@ -1,9 +1,10 @@
+import importlib
 import json
 
 import numpy as np
 import pytest
 
-from reweightopt import cli, experiment
+from reweightopt import cli, datagen, experiment
 from reweightopt.cli import cli_main
 from reweightopt.sweep import sweep
 
@@ -300,7 +301,7 @@ def test_missing_file_exits_2():
       "dataset": {"generator": "gaussian_mixture_classification",
                   "params": {"num_classes": 0, "n_per_class": 10, "dim": 4,
                              "separation": 3.0, "seed": 0}},
-      "metrics": ["accuracy"]}, "dataset.params:"),
+      "metrics": ["accuracy"]}, "dataset.params.num_classes:"),
     # hidden/init_seed/init_scale are mlp-only, never silently ignored
     ({"model": {"kind": "softmax", "hidden": [32], "init_seed": 5, "init_scale": 9.0},
       "dataset": {"generator": "gaussian_mixture_classification",
@@ -340,19 +341,6 @@ def test_train_bad_dataset_value_exits_2(tmp_path, capsys, split, flip, message)
                        metrics=["accuracy"])
     assert cli_main(["train", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
-
-
-@pytest.mark.parametrize("separation", [float("nan"), float("inf")], ids=["nan", "inf"])
-def test_train_non_finite_separation_exits_2(tmp_path, capsys, separation):
-    dataset = {"generator": "gaussian_mixture_classification",
-               "params": {"num_classes": 3, "n_per_class": 10, "dim": 4,
-                          "separation": separation, "seed": 0}}
-    cfg = write_config(tmp_path, dataset=dataset, model={"kind": "softmax"},
-                       metrics=["accuracy"])
-    assert cli_main(["train", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith(
-        "config error: dataset.params: inputs contain non-finite entries"
-    )
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
@@ -437,3 +425,93 @@ def test_train_with_overflowing_eval_losses_exits_1(tmp_path, capsys):
                                         "batch_size": 255, "seed": 0})
     assert cli_main(["train", str(cfg)]) == 1
     assert "diverged at step 1: non-finite train loss" in capsys.readouterr().err
+
+
+def _count(monkeypatch, name, *modules):
+    """Count the calls of ``modules[0].<name>``, patched in every module that binds it."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "1"]])
+def test_sweep_checks_its_base_once(tmp_path, monkeypatch, seed):
+    base = json.loads(write_config(tmp_path).read_text())
+    base["dataset"]["split"] = {"seed": 1, "holdout_fraction": 0.2}
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({
+        "base": base, "grid": {"tau": [0.25, 0.5], "lr_mult": [1.0]}, "select": {"metric": "mse"},
+    }))
+    sweep_module = importlib.import_module("reweightopt.sweep")  # the package binds sweep()
+    calls = _count(monkeypatch, "_checked", experiment, cli, sweep_module)
+    assert cli_main(["sweep", str(spec_path), *seed]) == 0
+    assert len(calls) == 3  # the base, then each of the 2 points
+
+
+def test_sweep_negative_seed_override_exits_2(tmp_path, capsys):
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({
+        "base": json.loads(write_config(tmp_path).read_text()), "select": {"metric": "mse"},
+    }))
+    assert cli_main(["sweep", str(spec_path), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: train.seed: expected a non-negative integer, got -1\n")
+
+
+@pytest.mark.parametrize("config_output, flag, message", [
+    ("trace.txt", [], "output: unsupported trace format 'txt'"),
+    (None, ["--output", "x.txt"], "--output: unsupported trace format 'txt'"),
+    ("trace.csv", ["--output", "trace.CSV.gz"], "--output: unsupported trace format 'gz'"),
+])
+def test_train_unsupported_trace_suffix_exits_2_before_training(
+        tmp_path, monkeypatch, capsys, config_output, flag, message):
+    overrides = {} if config_output is None else {"output": str(tmp_path / config_output)}
+    cfg = write_config(tmp_path, **overrides)
+    calls = _count(monkeypatch, "rgd_step", experiment)
+    assert cli_main(["train", str(cfg), *flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.rstrip().endswith(message)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["trace", "trace.csv", "TRACE.CSV", "trace.json", "trace.Json"])
+def test_train_trace_suffix_in_any_case(tmp_path, name):
+    out = tmp_path / name
+    assert cli_main(["train", str(write_config(tmp_path)), "--output", str(out)]) == 0
+    text = out.read_text()
+    assert text.startswith("[" if name.lower().endswith(".json") else "step,split,objective")
+
+
+@pytest.mark.parametrize("path, value, message", [
+    ("dataset.params.separation", float("nan"), "expected a finite number, got nan"),
+    ("dataset.params.separation", float("inf"), "expected a finite number, got inf"),
+    ("dataset.params.separation", float("-inf"), "expected a finite number, got -inf"),
+    ("model.init_scale", float("nan"), "expected a finite number, got nan"),
+    ("model.init_scale", float("inf"), "expected a finite number, got inf"),
+    ("dataset.params.num_classes", 1, "expected an integer >= 2, got 1"),
+    ("dataset.params.n_per_class", 0, "expected a positive integer, got 0"),
+    ("dataset.params.dim", 0, "expected a positive integer, got 0"),
+])
+def test_train_generator_fault_exits_2_before_drawing(tmp_path, monkeypatch, capsys,
+                                                      path, value, message):
+    cfg = {"dataset": {"generator": "gaussian_mixture_classification",
+                       "params": {"num_classes": 3, "n_per_class": 10, "dim": 4,
+                                  "separation": 3.0, "seed": 0}},
+           "model": {"kind": "mlp", "hidden": [4], "init_seed": 0, "init_scale": 1.0},
+           "metrics": ["accuracy"]}
+    *parents, key = path.split(".")
+    section = cfg
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    calls = _count(monkeypatch, "gaussian_mixture_classification", datagen)
+    assert cli_main(["train", str(write_config(tmp_path, **cfg))]) == 2
+    assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+    assert calls == []

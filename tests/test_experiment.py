@@ -595,8 +595,9 @@ class TestKeptBuild:
     @pytest.mark.parametrize("change, message", [
         (lambda cfg: cfg["dataset"]["params"].update(n_per_class=2),
          r"^dataset\.split: degenerate split"),
+        # a finite scale whose initial theta overflows
         (lambda cfg: cfg.update(model={"kind": "mlp", "hidden": [4], "init_seed": 0,
-                                       "init_scale": math.nan}),
+                                       "init_scale": 1e308}),
          r"^model: theta contains non-finite"),
     ], ids=["dataset", "model"])
     def test_a_failed_build_keeps_nothing(self, change, message):
@@ -605,7 +606,7 @@ class TestKeptBuild:
         cfg = mixture_config()
         change(cfg)
         for _ in range(2):
-            with pytest.raises(ConfigError, match=message):
+            with pytest.raises(ConfigError, match=message), np.errstate(over="ignore"):
                 run_experiment(cfg)
             assert experiment._last_build is kept
 
@@ -862,11 +863,12 @@ class TestConfigBoundary:
             run_experiment(cfg)
 
     @pytest.mark.parametrize("change, message", [
-        (lambda ds: ds["params"].update(num_classes=1), r"^dataset\.params: need num_classes"),
+        (lambda ds: ds["params"].update(num_classes=1),
+         r"^dataset\.params\.num_classes: expected an integer >= 2, got 1$"),
         (lambda ds: ds["params"].update(separation=math.nan),
-         r"^dataset\.params: inputs contain non-finite"),
+         r"^dataset\.params\.separation: expected a finite number, got nan$"),
         (lambda ds: ds["params"].update(separation=math.inf),
-         r"^dataset\.params: inputs contain non-finite"),
+         r"^dataset\.params\.separation: expected a finite number, got inf$"),
         (lambda ds: ds.update(subsample={"n_max": 80, "imbalance_factor": 2.0, "seed": 1}),
          r"^dataset\.subsample: class 0 has 40 samples, need 80"),
         (lambda ds: ds.update(generator="rare_feature_regression", params={"seed": 0},

@@ -1,4 +1,5 @@
-"""The numpy log-sum-exp is bit-identical to scipy.special.logsumexp."""
+"""The numpy log-sum-exp is bit-identical to scipy.special.logsumexp, and the
+clip ufunc to ``ndarray.clip``."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp as scipy_logsumexp
 
-from reweightopt.numerics import class_sum, logsumexp
+from reweightopt.numerics import class_sum, clip, logsumexp
 
 
 def _same(a, axis=None):
@@ -130,3 +131,20 @@ def test_class_sum_is_numpy_row_sum_bit_for_bit(a):
     want = a.sum(axis=1)
     got = class_sum(np.ascontiguousarray(a.T))
     assert got.dtype == want.dtype and got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 3.0), (-2.0, 2.0), (-0.0, 0.0), (0.0, 1e308)])
+def test_clip_ufunc_is_ndarray_clip_bit_for_bit(lo, hi):
+    # whichever module it was imported from, it is numpy's clip ufunc
+    assert isinstance(clip, np.ufunc) and clip.__name__ == "clip"
+    a = np.array([
+        0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, lo, hi, -lo, -hi,
+        np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+        np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf),
+        lo - 1.0, hi + 1.0, 0.5 * (lo + hi), 5e-324, -5e-324, 1e308, -1e308,
+    ])
+    want = a.clip(lo, hi)
+    got = clip(a, lo, hi)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    out = a.copy()
+    assert clip(out, lo, hi, out=out) is out and out.tobytes() == want.tobytes()

@@ -7,12 +7,16 @@ scans its losses and its new theta once each.  These tests pin the
 errors a caller sees, and that the scans are exact and quiet.
 """
 
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reweightopt import models
+from reweightopt import models, optim
 from reweightopt.datagen import Dataset
 from reweightopt.models import Batch, ModelKind, ModelState, random_state, zero_state
 from reweightopt.optim import (
@@ -297,3 +301,100 @@ class TestRuleReport:
             KL.report([0.5, np.nan, 1.0])
         with pytest.raises(ValueError, match="at least one entry"):
             KL.report([])
+
+
+class TestErrorState:
+    """The step's functions enter numpy's quiet error state through the
+    ``np.errstate`` decorator, and leave the caller's state as it was,
+    however they end."""
+
+    CALLER = {"divide": "warn", "over": "raise", "under": "print", "invalid": "call"}
+
+    def _diverging(self, optimizer):
+        state = init_state(ModelState(ModelKind.LINEAR, [1e200], 1), optimizer)
+        batch = Batch([[1e200], [0.5]], [0.0, 0.0])  # the first loss overflows
+        return state, batch, TrainConfig(optimizer=optimizer, steps=3, batch_size=2)
+
+    @pytest.mark.parametrize("call", [
+        lambda self: rgd_step(*self._diverging("sgd")[:2], KL, self._diverging("sgd")[2]),
+        lambda self: rgd_step(*self._diverging("adam")[:2], KL, self._diverging("adam")[2]),
+        lambda self: sgd_step(self._diverging("sgd")[0], [np.inf], 0.1),
+        lambda self: adam_step(self._diverging("adam")[0], [np.nan], 0.1),
+    ], ids=["rgd_step-sgd", "rgd_step-adam", "sgd_step", "adam_step"])
+    def test_unchanged_after_a_divergence(self, call):
+        with np.errstate(call=lambda *args: None, **self.CALLER):
+            before = np.geterr()
+            with pytest.raises(TrainingDivergenceError):
+                call(self)
+            assert np.geterr() == before
+
+    def test_unchanged_after_an_eval_pass(self):
+        model = ModelState(ModelKind.LINEAR, [1e200], 1)
+        with np.errstate(call=lambda *args: None, **self.CALLER):
+            before = np.geterr()
+            losses, _ = models._eval_pass(model, Batch([[1e200]], [0.0]))
+            assert np.isinf(losses).all() and np.geterr() == before
+            with pytest.raises(ValueError, match="batch dim"):
+                models._eval_pass(model, Batch([[1.0, 2.0]], [0.0]))
+            assert np.geterr() == before
+
+    @pytest.mark.parametrize("vec, finite", [
+        ([0.5, -2.0, 0.0], True),
+        ([1.5e308, -1.5e308, 5e-324], True),  # the squares overflow, every entry is finite
+        ([1.0, np.inf], False), ([-np.inf, 1.0], False), ([np.nan, 0.0], False),
+        ([1e308, np.nan], False), ([np.inf, -np.inf], False),
+    ])
+    def test_finite_scan_is_exact(self, vec, finite):
+        vec = np.array(vec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert optim._all_finite(vec) == finite
+
+
+_OVERFLOWING_STEPS = textwrap.dedent("""
+    import numpy as np
+    from reweightopt.models import Batch, ModelKind, ModelState, random_state, zero_state
+    from reweightopt.optim import (
+        TrainConfig, TrainingDivergenceError, adam_step, init_state, rgd_step, sgd_step,
+    )
+    from reweightopt.weighting import WeightingRule
+
+    models = {
+        "linear": ModelState(ModelKind.LINEAR, [1e200, 1.0], 2),
+        "softmax": zero_state(ModelKind.SOFTMAX, 2, 3).with_theta(np.full(9, 1e200)),
+        "mlp": random_state(ModelKind.MLP, 2, 3, (4,), seed=0),
+    }
+    # each batch's first row overflows its model's forward pass or, for the
+    # tanh-bounded mlp, an update at the large learning rate
+    rows = [[1e200, 1.0], [0.5, 0.25]]
+    outcomes = []
+    for kind, model in models.items():
+        targets = [0.0, 1.0] if kind == "linear" else [0, 2]
+        for optimizer in ("sgd", "adam"):
+            state = init_state(model, optimizer)
+            config = TrainConfig(optimizer=optimizer, lr_base=1e308, steps=2, batch_size=2)
+            for weighter in (WeightingRule("none"), WeightingRule("kl", 2.0)):
+                try:
+                    for _ in range(2):
+                        state, _ = rgd_step(state, Batch(rows, targets), weighter, config)
+                except TrainingDivergenceError as exc:
+                    outcomes.append(exc.step)
+    for step, gradient in ((sgd_step, [np.inf] * 2), (adam_step, [1e308, np.nan])):
+        try:
+            step(init_state(models["linear"], "adam"), gradient, 1e308)
+        except TrainingDivergenceError as exc:
+            outcomes.append(exc.step)
+    print(len(outcomes))
+""")
+
+
+def test_overflowing_steps_raise_only_divergence_under_warnings_as_errors():
+    # -W error::RuntimeWarning turns any numpy warning the step lets out into an exception
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _OVERFLOWING_STEPS],
+        capture_output=True, text=True, env={"PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["14"]

@@ -102,6 +102,19 @@ def test_selection_metric_must_be_tracked():
         sweep(spec, base_config())
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda cfg: cfg.update(banana=1), r"^config: unknown key\(s\) \['banana'\]"),
+    (lambda cfg: cfg["train"].update(seed=-1), r"^train\.seed: expected a non-negative integer"),
+], ids=["unknown-key", "negative-seed"])
+def test_a_raw_base_is_checked(change, message):
+    # the sweep command checks its base itself; a direct caller's base is checked here
+    cfg = base_config()
+    change(cfg)
+    spec = SweepSpec({"tau": [1.0], "lr_mult": [1.0]}, "accuracy")
+    with pytest.raises(ConfigError, match=message):
+        sweep(spec, cfg)
+
+
 @pytest.mark.parametrize("split", ["holdut", "test"])
 def test_unknown_selection_split_fails_before_any_point_trains(monkeypatch, split):
     # base_config has train and holdout splits only
