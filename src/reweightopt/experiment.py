@@ -426,8 +426,11 @@ def direction_l2(theta, theta_star, index_set) -> float:
 def _metric_value(name: str, model: ModelState, dataset: Dataset, losses, predicted) -> float:
     """A metric of one split, from its eval pass's losses and predictions."""
     if name in ("mse", "accuracy"):
-        # a linear model's losses are its squared prediction errors
-        return float(np.mean(losses if name == "mse" else predicted == dataset.targets))
+        # a linear model's losses are its squared prediction errors; each mean is
+        # np.mean's sum or count over the size, without its Python wrapper
+        if name == "mse":
+            return float(losses.sum()) / losses.size
+        return float(np.count_nonzero(predicted == dataset.targets) / predicted.size)
     key = "rare_indices" if name == "rare_l2" else "frequent_indices"
     return direction_l2(model.theta, dataset.meta["theta_star"], dataset.meta[key])
 
@@ -521,7 +524,7 @@ def _train(checked: tuple, built: _Built):
                     float(objective),
                     metrics,
                     float(np.min(w)),
-                    float(np.mean(w)),
+                    float(w.sum()) / w.size,  # np.mean(w), bit for bit
                     float(np.max(w)),
                     float(sat),
                 )
@@ -529,16 +532,15 @@ def _train(checked: tuple, built: _Built):
 
     record(0, built.step0.items())
     train_ds = built.splits["train"]
-    stream = minibatch_stream(
-        train_ds.n, train_config.batch_size, train_config.steps, train_config.seed
-    )
+    eval_every, steps = cfg["eval_every"], train_config.steps
+    stream = minibatch_stream(train_ds.n, train_config.batch_size, steps, train_config.seed)
     for step, idx in enumerate(stream, start=1):
         state, info = rgd_step(state, models._rows(train_ds, idx), weighter, train_config)
         weighter = info.weighter
         # free the step's arrays now: held into the next step they shift where numpy
         # puts the eval temporaries, which slowed the mlp-sweep benchmark by up to 20%
         del info
-        if step % cfg["eval_every"] == 0 or step == train_config.steps:
+        if step % eval_every == 0 or step == steps:
             record(step, (
                 (name, models._eval_pass(state.model, built.splits[name]))
                 for name in built.step0

@@ -22,6 +22,10 @@ the same sum s when some row has a tie or a non-finite result
 (``numerics.logsumexp_classes``).  The backward pass gets exp(z - max z)
 row-major, so its sums keep their order.
 
+Every matrix product is ``ndarray.dot``: the same BLAS call as the ``@``
+operator, with the same bits, without the matmul ufunc's dispatch, which
+costs more than the product itself at a step's sizes.
+
 Gradients are hand-derived (no autodiff).  ``weighted_grad`` computes the
 weighted mean of per-sample gradients in a single forward/backward pass;
 the weights are plain constants, so the result is exactly
@@ -231,17 +235,17 @@ def _forward(model: ModelState, x: np.ndarray):
     """Return (logits_or_preds, activations, layers) for gradient reuse;
     ``layers`` is the (W, b) views of theta, None for linear models."""
     if model.kind is ModelKind.LINEAR:
-        return x @ model.theta, [x], None
+        return x.dot(model.theta), [x], None
     layers = _unpack_mlp(model)
     acts = [x]
     a = x
     for w, b in layers[:-1]:
-        a = a @ w.T
+        a = a.dot(w.T)
         a += b
         np.tanh(a, out=a)
         acts.append(a)
     w, b = layers[-1]
-    z = a @ w.T
+    z = a.dot(w.T)
     z += b
     return z, acts, layers
 
@@ -255,21 +259,27 @@ def predict(model: ModelState, inputs: np.ndarray) -> np.ndarray:
 def _cross_entropy(z: np.ndarray, y: np.ndarray):
     """Cross entropy per row of the logits ``z`` (N, C) against the labels
     ``y``, with exp(z - max z) (written over ``z``), the logits and the
-    mask of each row's maximal logits, all three class-major (C, N).
+    mask of each row's maximal logits, all three class-major (C, N), and
+    the flat index of each row's label in ``z``, i * C + y_i.
 
-    After one transposed copy of ``z``, the max, the maximal mask, the
-    log-sum-exp and the picked logit are each a few vector operations over
+    The picked logits are one gather through the flat index, before ``z``
+    is overwritten.  After one transposed copy of ``z``, the max, the
+    maximal mask and the log-sum-exp are each a few vector operations over
     all N rows, instead of numpy's per-row loop over C entries.  The
     losses equal the row-major reductions bit for bit (see ``numerics``).
     """
+    n, c = z.shape
+    label = np.arange(0, n * c, c)
+    label += y
+    picked = z.take(label)
     zt = z.T.copy()
     zmax = zt.max(axis=0)
     is_max = zt == zmax
     e = np.subtract(zt, zmax, out=z.reshape(zt.shape))
     np.exp(e, out=e)
     losses = logsumexp_classes(zt, zmax, is_max, e)
-    losses -= zt[y, np.arange(zt.shape[1])]
-    return losses, e, zt, is_max
+    losses -= picked
+    return losses, e, zt, is_max, label
 
 
 def forward_losses(model: ModelState, batch: Batch):
@@ -278,18 +288,18 @@ def forward_losses(model: ModelState, batch: Batch):
     ``ctx`` carries what a subsequent ``backward_weighted`` call reuses
     instead of recomputing the forward pass or re-slicing theta: for a
     linear model the residual x.theta - y, for classifiers the shifted
-    exponentials exp(z - max z) (row-major), the activations and the
-    (W, b) layer views.
+    exponentials exp(z - max z) (row-major), the activations, the (W, b)
+    layer views and the flat label index.
     """
     _check_batch(model, batch)
     if model.kind is ModelKind.LINEAR:
-        r = batch.inputs @ model.theta
+        r = batch.inputs.dot(model.theta)
         r -= batch.targets
-        return r * r, (r, None, None)
+        return r * r, (r, None, None, None)
     out, acts, layers = _forward(model, batch.inputs)
-    losses, e, _, _ = _cross_entropy(out, batch.targets)
+    losses, e, _, _, label = _cross_entropy(out, batch.targets)
     # row-major again, so that the backward pass sums over classes in numpy's order
-    return losses, (e.T.copy(), acts, layers)
+    return losses, (e.T.copy(), acts, layers, label)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -300,7 +310,7 @@ def _eval_pass(model: ModelState, batch: Batch):
     out = _forward(model, batch.inputs)[0]
     if model.kind is ModelKind.LINEAR:
         return (out - batch.targets) ** 2, out
-    losses, _, zt, is_max = _cross_entropy(out, batch.targets)
+    losses, _, zt, is_max, _ = _cross_entropy(out, batch.targets)
     # np.argmax(z, axis=1), the first maximal logit: the top rank among the maximal
     # classes, each class ranked C - class, in a vector max over N instead of
     # np.argmax's per-row loop over C entries
@@ -321,18 +331,15 @@ def backward_weighted(model: ModelState, batch: Batch, ctx, weights) -> np.ndarr
     if w.shape[0] != x.shape[0]:
         raise ValueError(f"{w.shape[0]} weights for batch of {x.shape[0]}")
     scale = w / float(x.shape[0])  # the same bits as an int divisor, in less time
-    out, acts, layers = ctx  # the residual (linear) or exp(z - max z) (classifiers)
+    out, acts, layers, label = ctx  # out: the residual (linear) or exp(z - max z)
 
     if model.kind is ModelKind.LINEAR:
         scale *= 2.0
         scale *= out
-        return x.T @ scale
+        return x.T.dot(scale)
 
-    n, c = out.shape
     delta = out / out.sum(axis=1, keepdims=True)
-    # delta[i, y_i] -= 1 through flat indices, cheaper than a 2-D index pair
-    label = np.arange(0, n * c, c)
-    label += batch.targets
+    # delta[i, y_i] -= 1 through the forward pass's flat label index
     delta.reshape(-1)[label] -= 1.0
     delta *= scale[:, None]
 
@@ -341,9 +348,9 @@ def backward_weighted(model: ModelState, batch: Batch, ctx, weights) -> np.ndarr
     # walk output layer back to the first layer, collecting (b, W) pieces in
     # reverse; one concatenate at the end keeps softmax as cheap as the mlp
     for li in range(len(layers) - 1, -1, -1):
-        grads += [dz.sum(axis=0), (dz.T @ acts[li]).ravel()]
+        grads += [dz.sum(axis=0), dz.T.dot(acts[li]).ravel()]
         if li > 0:
-            dz = (dz @ layers[li][0]) * (1.0 - acts[li] ** 2)
+            dz = dz.dot(layers[li][0]) * (1.0 - acts[li] ** 2)
     return np.concatenate(grads[::-1])
 
 
@@ -393,10 +400,14 @@ def random_state(
 ) -> ModelState:
     """Seeded Gaussian initialization; default scale 1/sqrt(input_dim).
 
-    Used for the mlp, whose all-zero point is a saddle.
+    Used for the mlp, whose all-zero point is a saddle.  A scale so large
+    that some entry overflows is refused by ``ModelState`` as a theta with
+    non-finite entries, without a RuntimeWarning on the way.
     """
     rng = np.random.default_rng(seed)
     n = param_count(kind, input_dim, num_classes, hidden)
     if scale is None:
         scale = 1.0 / np.sqrt(input_dim)
-    return ModelState(kind, scale * rng.standard_normal(n), input_dim, num_classes, hidden)
+    with np.errstate(over="ignore"):
+        theta = scale * rng.standard_normal(n)
+    return ModelState(kind, theta, input_dim, num_classes, hidden)

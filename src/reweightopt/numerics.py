@@ -28,12 +28,19 @@ as ``class_sum`` does, in the order numpy's ``sum(axis=1)`` takes on the
 row-major (N, C) array, so the results are bit-identical to the
 row-major reductions.
 
+``_all_finite`` tells whether every entry of a float64 vector is finite,
+exactly and quietly: vec . vec is finite only if every entry is, and only
+when it is not (a non-finite entry, or an all-finite vector whose squares
+overflow) are the finite entries counted.
+
 ``clip`` is numpy's clip ufunc, the one ``ndarray.clip(lo, hi)`` ends in
 after a Python-level wrapper that costs more than the clip itself on the
 step's short vectors; it gives the same bits, -0.0 and nan included.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -80,13 +87,18 @@ def logsumexp_classes(a, a_max, is_max, e):
     s = _pairwise(e - is_max)
     out = np.log1p(s)
     out += a_max
-    n = a.shape[1]
-    if np.count_nonzero(is_max) == n and np.count_nonzero(np.isfinite(out)) == n:
+    if np.count_nonzero(is_max) == a.shape[1] and _all_finite(out):
         return out
     # the tie count in the narrowest integer type that holds C: exact, and
     # faster than casting every bool to float
     m = is_max.sum(axis=0, dtype=np.min_scalar_type(a.shape[0])).astype(np.float64)
     return _bhh(a_max, m, s, lambda: class_sum(np.exp(a)))
+
+
+def _all_finite(vec: np.ndarray) -> bool:
+    """Whether every entry of the float64 vector ``vec`` is finite (see the
+    module docstring)."""
+    return math.isfinite(vec.dot(vec)) or np.count_nonzero(np.isfinite(vec)) == vec.size
 
 
 def _bhh(a_max, m, s, sum_exp):
@@ -126,16 +138,19 @@ def _pairwise(a):
         return np.add.reduce(a, axis=0)
     if c <= _PAIRWISE_BLOCK:
         end = c - c % 8
-        r = a[:8]  # accumulator k adds rows k, k + 8, k + 16, ... below end
-        if end > 8:
-            r = r + a[8:16]
+        # accumulator k adds rows k, k + 8, k + 16, ... below end, and the eight
+        # add up as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        if end == 8:  # one row each: the first fold reads them from a
+            r = a[0:8:2] + a[1:8:2]
+        else:
+            r = a[:8] + a[8:16]
             for i in range(16, end, 8):
                 r += a[i : i + 8]
-        r = r[0::2] + r[1::2]  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+            r = r[0::2] + r[1::2]
         r = r[0::2] + r[1::2]
         out = r[0] + r[1]
-        for row in a[end:]:
-            out += row
+        for i in range(end, c):
+            out += a[i]
         return out
     half = c // 2
     half -= half % 8

@@ -27,12 +27,9 @@ weights and the gradient (converting all but a 1-D float64 array),
 ``lr_at`` the step against the horizon, the Adam core ``_adam`` the
 moments.
 Values a step makes itself are stored unchecked.  Its divergence
-signals, the losses and the new theta, are scanned once each
-(``_all_finite``): a vector's dot product with itself is finite only if
-every entry is, and only when it is not are the finite entries counted,
-so the scan is exact (an all-finite vector passes even when its squares
-overflow) and quiet.  Only a scan that finds a non-finite entry lists
-them, for the step, message and sample indices of
+signals, the losses and the new theta, are scanned once each, exactly
+and quietly (``numerics._all_finite``).  Only a scan that finds a
+non-finite entry lists them, for the step, message and sample indices of
 :class:`TrainingDivergenceError`.
 
 The fixed cost of a call is kept small: ``rgd_step``, ``sgd_step`` and
@@ -53,7 +50,7 @@ from enum import Enum
 import numpy as np
 
 from .models import Batch, ModelState, _flat, _unchecked, backward_weighted, forward_losses
-from .numerics import clip, logsumexp
+from .numerics import _all_finite, clip, logsumexp
 # batch_weights is bound here only for the benchmark's layer_targets()
 from .weighting import WeightingRule, batch_weights  # noqa: F401
 
@@ -179,8 +176,9 @@ class BaselineState:
 
     def step_weights(self, losses: np.ndarray, t: int):
         """z <- beta * z + (1 - beta) * mean(exp(lam * loss)); w = exp(lam * loss) / z."""
-        e = np.exp(self.lam * losses)  # rgd_step's errstate keeps an overflow quiet
-        batch_mean = float(np.mean(e))
+        e = self.lam * losses
+        np.exp(e, out=e)  # rgd_step's errstate keeps an overflow quiet
+        batch_mean = float(e.sum()) / e.size  # np.mean's sum and divide, without its wrapper
         if not math.isfinite(batch_mean):  # an entry overflowed, or only their sum
             bad = np.flatnonzero(~np.isfinite(e))
             if bad.size:
@@ -191,21 +189,23 @@ class BaselineState:
             z = self.beta_ma * self.z + (1.0 - self.beta_ma) * batch_mean
         if z <= 0:
             raise TrainingDivergenceError(t, f"non-positive normalizer z={z}")
-        return e / z, _unchecked(BaselineState, lam=self.lam, beta_ma=self.beta_ma, z=z)
+        e /= z
+        return e, _unchecked(BaselineState, lam=self.lam, beta_ma=self.beta_ma, z=z)
 
     def report(self, losses):
         losses = np.asarray(losses, dtype=np.float64)
+        # each mean is np.mean's: the same sum over the size, bit for bit
         with np.errstate(over="ignore"):
             e = np.exp(self.lam * losses)
-            z = self.z if self.z is not None else float(np.mean(e))
+            z = self.z if self.z is not None else float(e.sum()) / e.size
         if not np.isfinite(z):  # the batch mean overflowed: the same ratios e / z, shifted
             e = np.exp(self.lam * (losses - np.max(losses)))
-            z = float(np.mean(e))
+            z = float(e.sum()) / e.size
         w = e / z
         over = np.isinf(e)  # exp(lam * loss) overflowed, the running z did not
         with np.errstate(over="ignore"):
             w[over] = np.exp(self.lam * losses[over] - math.log(z))
-        return float(np.mean(losses)), w, 0.0
+        return float(losses.sum()) / losses.size, w, 0.0
 
     _report = report  # it checks nothing, so it is its own unchecked core
 
@@ -222,7 +222,9 @@ class Tilt:
             raise ValueError("t_tilt must be finite and positive")
 
     def step_weights(self, losses: np.ndarray, t: int):
-        return losses.size * self._probs(losses), self
+        p = self._probs(losses)
+        p *= losses.size
+        return p, self
 
     def report(self, losses):
         return term_objective(losses, self.t_tilt), term_weights(losses, self.t_tilt), 0.0
@@ -231,9 +233,11 @@ class Tilt:
 
     def _probs(self, ell: np.ndarray) -> np.ndarray:
         """``term_weights`` of the float64 vector ``ell`` at this tilt."""
-        shifted = self.t_tilt * ell - self.t_tilt * ell.max()
-        e = np.exp(shifted)
-        return e / e.sum()
+        e = self.t_tilt * ell
+        e -= self.t_tilt * ell.max()
+        np.exp(e, out=e)
+        e /= e.sum()
+        return e
 
 
 @dataclass(frozen=True)
@@ -270,14 +274,6 @@ def _gradient(state: OptimizerState, gradient) -> np.ndarray:
     if g.size != state.model.theta.size:
         raise ValueError(f"gradient has {g.size} entries, theta {state.model.theta.size}")
     return g
-
-
-def _all_finite(vec: np.ndarray) -> bool:
-    """Whether every entry of the float64 vector ``vec`` is finite, exactly and
-    quietly: vec . vec is finite only then, and only when it is not (a
-    non-finite entry, or an all-finite vector whose squares overflow) are the
-    finite entries counted."""
-    return math.isfinite(vec.dot(vec)) or np.count_nonzero(np.isfinite(vec)) == vec.size
 
 
 def _updated(state: OptimizerState, theta, box, t: int, m, v) -> OptimizerState:

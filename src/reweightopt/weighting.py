@@ -69,8 +69,10 @@ class WeightingRule:
     def _report(self, ell: np.ndarray):
         """``report`` of a float64 vector of finite losses, unchecked."""
         w = _apply(ell, self)
-        # the fraction of samples whose loss hit the upper clip (u >= tau)
-        sat = 0.0 if self.divergence is Divergence.NONE else float(np.mean(ell >= self.tau))
+        # the fraction of samples whose loss hit the upper clip (u >= tau): np.mean's bits
+        sat = 0.0
+        if self.divergence is not Divergence.NONE:
+            sat = float(np.count_nonzero(ell >= self.tau) / ell.size)
         return _objective(ell, w), w, sat
 
 
@@ -130,9 +132,11 @@ def weighted_objective(losses, weights) -> float:
 
 
 def _objective(ell: np.ndarray, w: np.ndarray) -> float:
+    # float(a.sum()) / a.size is np.mean(a) of a float64 vector bit for bit: the
+    # same sum, divided by the count, without np.mean's Python wrapper
     with np.errstate(over="ignore"):
-        mean = float(np.mean(w * ell))
+        mean = float((w * ell).sum()) / ell.size
     if not math.isfinite(mean):
         scale = float(np.max(np.abs(ell)))
-        mean = float(np.mean(w * (ell / scale))) * scale
+        mean = float((w * (ell / scale)).sum()) / ell.size * scale
     return mean

@@ -1,5 +1,8 @@
 import importlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,6 +482,25 @@ def test_train_unsupported_trace_suffix_exits_2_before_training(
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.rstrip().endswith(message)
     assert calls == []
+
+
+def test_train_overflowing_init_scale_exits_2_under_warnings_as_errors(tmp_path):
+    # a finite init_scale of 1e308 overflows theta as it is drawn; -W error turns
+    # any RuntimeWarning on the way into a traceback
+    cfg = write_config(
+        tmp_path, metrics=["accuracy"],
+        dataset={"generator": "gaussian_mixture_classification",
+                 "params": {"num_classes": 3, "n_per_class": 10, "dim": 4,
+                            "separation": 3.0, "seed": 0}},
+        model={"kind": "mlp", "hidden": [4], "init_seed": 0, "init_scale": 1e308},
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "reweightopt.cli", "train", str(cfg)],
+        capture_output=True, text=True, env={"PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == "config error: model: theta contains non-finite entries\n"
 
 
 @pytest.mark.parametrize("name", ["trace", "trace.csv", "TRACE.CSV", "trace.json", "trace.Json"])

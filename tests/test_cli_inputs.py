@@ -33,7 +33,7 @@ FILE = "input.json"  # the file each case writes and the CLI reads
 BIG = 10**400  # a JSON integer of 401 digits, beyond the float range
 # wrong kinds, out-of-range numbers, and names that some None-kind key takes
 VALUES = [
-    None, True, False, 0, 1, 2, -1, 0.5, -0.5, 1.5, 1e-300, 1e300, -1e300, BIG, -BIG,
+    None, True, False, 0, 1, 2, -1, 0.5, -0.5, 1.5, 1e-300, 1e300, -1e300, 1e308, BIG, -BIG,
     math.nan, math.inf, -math.inf, "", "x", "0.1", [], [1], [0.5, 1.5], ["1"], [True],
     [[1.0]], [BIG], {}, {"x": 1},
     "kl", "none", "sgd", "adam", "constant", "mlp", "softmax", "linear", "rgd", "term",

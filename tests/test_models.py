@@ -322,6 +322,20 @@ class TestClassifierContext:
         assert len(calls) == 1
 
 
+# rows: a minibatch, or an eval split of the benchmark's workloads
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.integers(1, 700), st.sampled_from([1250, 4375, 5000])),
+       st.integers(1, 70), st.integers(1, 70), st.integers(0, 2**32 - 1))
+def test_dot_is_the_matmul_operator_bit_for_bit(m, k, n, seed):
+    # the passes multiply with ndarray.dot, in these orientations: layer inputs by
+    # W.T, dz.T by activations, dz by W, and the linear model's two vector products
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, k)) * np.exp(rng.uniform(-30.0, 30.0))
+    w, dz = rng.standard_normal((n, k)), rng.standard_normal((m, n))
+    for left, right in [(a, w.T), (dz.T, a), (dz, w), (a, w[0]), (a.T, dz[:, 0])]:
+        assert _bits(left.dot(right)) == _bits(left @ right)
+
+
 def _row_major_cross_entropy(z, y):
     """Reference: the cross entropy and exp(z - max z) by row-major reductions."""
     zmax = z.max(axis=1, keepdims=True)
@@ -342,6 +356,26 @@ def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
+@st.composite
+def _labelled_logits(draw):
+    """(N, C) logits and labels, N = 1..700 and C = 2..300: Gaussian at a drawn
+    scale, with copied row maxima (ties), signed zeros and -inf planted at a
+    drawn rate, the -inf only off each row's label."""
+    n, c = draw(st.integers(1, 700)), draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((n, c)) * draw(st.sampled_from([1e-3, 1.0, 30.0, 1e150]))
+    y = rng.integers(0, c, n)
+    rows = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0])))
+    z[rows, rng.integers(0, c, rows.size)] = z[rows].max(axis=1)
+    rate = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    for value in (0.0, -0.0, -np.inf):
+        planted = rng.random((n, c)) < rate
+        if value == -np.inf:
+            planted[np.arange(n), y] = False
+        z[planted] = value
+    return z, y
+
+
 class TestClassMajorCrossEntropy:
     """forward_losses and _eval_pass equal the row-major kernel and np.argmax bit for bit."""
 
@@ -352,7 +386,7 @@ class TestClassMajorCrossEntropy:
         batch = Batch(np.zeros((n, 1)), y)
         with np.errstate(all="ignore"):
             want, want_e = _row_major_cross_entropy(z, y)
-            losses, (e, _, _) = forward_losses(model, batch)
+            losses, (e, _, _, _) = forward_losses(model, batch)
         eval_losses, predicted = models._eval_pass(model, batch)
         assert _bits(losses) == _bits(want) and _bits(eval_losses) == _bits(want)
         assert _bits(e) == _bits(want_e) and e.flags.c_contiguous
@@ -380,6 +414,24 @@ class TestClassMajorCrossEntropy:
         # a zero-initialized softmax: every logit 0, every class maximal
         self._check(np.zeros((6, c)), np.arange(6) % c, monkeypatch)
         self._check(np.full((6, c), -0.0), np.arange(6) % c, monkeypatch)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_labelled_logits())
+    def test_flat_label_gather_matches_the_2d_gather(self, case):
+        # the picked logit through the flat label index i * C + y_i, taken before
+        # the logits are overwritten, against the class-major 2-D gather
+        z, y = case
+        n = z.shape[0]
+        zt = np.ascontiguousarray(z.T)
+        with np.errstate(all="ignore"):
+            zmax = zt.max(axis=0)
+            is_max = zt == zmax
+            want = logsumexp_classes(zt, zmax, is_max, np.exp(zt - zmax))
+            want -= zt[y, np.arange(n)]
+            losses, _, _, _, label = models._cross_entropy(z.copy(), y)
+        assert _bits(label) == _bits(np.arange(n) * z.shape[1] + y)
+        assert _bits(z.reshape(-1)[label]) == _bits(zt[y, np.arange(n)])
+        assert _bits(losses) == _bits(want)
 
     def test_eval_pass_peak_memory(self):
         # the forward pass adds the bias and applies tanh in place, and the
@@ -428,7 +480,7 @@ def _lse_and_cross_entropy_match(z, y):
         is_max = zt == zmax
         got = logsumexp_classes(zt, zmax, is_max, np.exp(zt - zmax))
         want = logsumexp(z, axis=1)
-        losses, e, _, _ = models._cross_entropy(z.copy(), y)
+        losses, e, _, _, _ = models._cross_entropy(z.copy(), y)
         want_losses, want_e = _row_major_cross_entropy(z, y)
     assert _bits(got) == _bits(want)
     assert _bits(losses) == _bits(want_losses)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from reweightopt import dro
+from reweightopt import dro, experiment, weighting
 from reweightopt.dro import (
     DiscreteDistribution,
     DroInstance,
@@ -21,7 +22,9 @@ from reweightopt.dro import (
 )
 from reweightopt.models import Batch, ModelKind, per_sample_loss, random_state, weighted_grad
 from reweightopt.optim import (
+    BaselineState,
     TrainConfig,
+    TrainingDivergenceError,
     adam_step,
     init_state,
     lr_at,
@@ -490,3 +493,71 @@ def _check_grid_oracle_against_a_full_scan(divergence, seed, rho, ties, data):
         g = grid_points - 1
         assert np.array_equal(q_sup, np.round(q_sup * g) / g)
         assert _lattice_divergence(q_sup[None, :], p_sup, divergence)[0] <= rho + 1e-12
+
+
+# The eval rows and the ma weights take a mean as np.mean's sum (or count) over
+# the size, without np.mean's Python wrapper; each is pinned here bit for bit
+# against np.mean, on vectors with infinite entries, sums that overflow and masks.
+MEANS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+_EXTREME = st.sampled_from([np.inf, -np.inf, 1e308, -1e308, 0.0, -0.0])
+_float_vectors = hnp.arrays(np.float64, st.integers(1, 300), elements=st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), _EXTREME))
+_finite_vectors = hnp.arrays(np.float64, st.integers(1, 300), elements=st.one_of(
+    st.floats(0.0, 1e308), st.sampled_from([1e308, 0.0, 1.0])))
+
+
+def _same(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@MEANS
+@given(_float_vectors)
+def test_float_mean_is_the_sum_over_the_size(a):
+    with np.errstate(all="ignore"):  # inf - inf and overflowing sums
+        assert _same(float(a.sum()) / a.size, np.mean(a))
+
+
+@MEANS
+@given(hnp.arrays(np.bool_, st.integers(1, 5000)))
+def test_bool_mean_is_the_count_over_the_size(a):
+    assert _same(float(np.count_nonzero(a) / a.size), np.mean(a))
+
+
+@MEANS
+@given(_finite_vectors, st.floats(1.0, 1e6), st.floats(1e-3, 1e6), st.sampled_from(REAL))
+def test_eval_row_means_match_np_mean(ell, weight, tau, divergence):
+    # losses are finite in an eval row; their weighted sum may overflow
+    w = np.full(ell.size, weight)
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(w * ell))
+    if not math.isfinite(mean):
+        scale = float(np.max(np.abs(ell)))
+        mean = float(np.mean(w * (ell / scale))) * scale
+    assert _same(weighting._objective(ell, w), mean)
+    rule = WeightingRule(divergence, tau)
+    assert _same(rule._report(ell)[2], float(np.mean(ell >= rule.tau)))
+    with np.errstate(over="ignore"):
+        assert _same(experiment._metric_value("mse", None, None, ell, None), np.mean(ell))
+    predicted = (ell > ell[0]).astype(np.intp)
+    dataset = Batch(np.zeros((ell.size, 1)), np.zeros(ell.size, dtype=np.int64))
+    assert _same(experiment._metric_value("accuracy", None, dataset, None, predicted),
+                 np.mean(predicted == dataset.targets))
+
+
+@MEANS
+@given(_finite_vectors.map(lambda a: a / 1e306), st.floats(1e-3, 10.0))
+def test_ma_means_match_np_mean(losses, lam):
+    # exp(lam * loss) overflows for large losses; the step reports an entry that
+    # does, and its mean is np.mean's until then
+    with np.errstate(over="ignore"):
+        e = np.exp(lam * losses)
+        want = float(np.mean(e))
+    weighter = BaselineState(lam, 0.5)
+    try:
+        with np.errstate(over="ignore"):
+            _, after = weighter.step_weights(losses, 1)
+    except TrainingDivergenceError:
+        assert not np.isfinite(e).all()
+    else:
+        assert _same(after.z, want)
+    assert _same(weighter.report(losses)[0], np.mean(losses))

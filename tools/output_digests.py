@@ -222,7 +222,7 @@ def kernel_digests():
             models._forward = lambda model, x: (z.copy(), [x], models._unpack_mlp(model))
             model = models.ModelState("softmax", np.zeros(2 * c), 1, c)
             batch = models.Batch(np.zeros((64, 1)), y)
-            losses, (e, _, _) = models.forward_losses(model, batch)
+            losses, (e, _, _, _) = models.forward_losses(model, batch)
             eval_losses, predicted = models._eval_pass(model, batch)
             if not np.isfinite(losses).all():
                 raise SystemExit(f"the {c}-class logits give a non-finite loss")
