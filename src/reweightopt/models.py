@@ -37,6 +37,7 @@ certify the analytic gradients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -112,8 +113,11 @@ class ModelState:
             raise ValueError("theta contains non-finite entries")
 
     def with_theta(self, theta: np.ndarray) -> "ModelState":
-        """This model with new parameters, checked like a new ``ModelState``;
-        optimizer steps store their already scanned theta unchecked."""
+        """This model with new parameters, checked like a new ``ModelState``.
+
+        Optimizer steps and the gradient oracle rebind theta they have
+        made and scanned themselves unchecked instead (``_rebound``).
+        """
         return ModelState(self.kind, theta, self.input_dim, self.num_classes, self.hidden)
 
 
@@ -175,6 +179,16 @@ def _unchecked(cls, **fields):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+def _rebound(model: ModelState, theta: np.ndarray) -> ModelState:
+    """``model.with_theta(theta)`` without its checks, for a fresh float64
+    theta of the model's length that the caller has found finite; theta
+    is made read-only and stored as it is."""
+    theta.setflags(write=False)
+    rebound = object.__new__(ModelState)
+    rebound.__dict__.update(model.__dict__, theta=theta)
+    return rebound
 
 
 def _rows(batch: Batch, idx) -> Batch:
@@ -366,17 +380,19 @@ def weighted_grad(model: ModelState, batch: Batch, weights) -> np.ndarray:
 
 
 def finite_diff_grad(objective, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient oracle, (f(t+h e_j) - f(t-h e_j)) / 2h."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    """Central-difference gradient oracle, (f(t+h e_j) - f(t-h e_j)) / 2h,
+    for a finite step h > 0."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be a positive finite real, got {h}")
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     grad = np.empty_like(theta)
+    bump = np.zeros_like(theta)  # h e_j, one coordinate at a time
     for j in range(theta.size):
-        bump = np.zeros_like(theta)
         bump[j] = h
         f_plus = objective(theta + bump)
         f_minus = objective(theta - bump)
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+        bump[j] = 0.0
+        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
             raise FloatingPointError(f"objective non-finite at coordinate {j}")
         grad[j] = (f_plus - f_minus) / (2.0 * h)
     return grad

@@ -49,7 +49,9 @@ from enum import Enum
 
 import numpy as np
 
-from .models import Batch, ModelState, _flat, _unchecked, backward_weighted, forward_losses
+from .models import (
+    Batch, ModelState, _flat, _rebound, _unchecked, backward_weighted, forward_losses,
+)
 from .numerics import _all_finite, clip, logsumexp
 # batch_weights is bound here only for the benchmark's layer_targets()
 from .weighting import WeightingRule, batch_weights  # noqa: F401
@@ -286,10 +288,7 @@ def _updated(state: OptimizerState, theta, box, t: int, m, v) -> OptimizerState:
         raise TrainingDivergenceError(t, "non-finite parameter update")
     if box is not None:
         clip(theta, box[0], box[1], out=theta)
-    theta.setflags(write=False)
-    model = object.__new__(ModelState)  # state.model with the new theta, as _unchecked
-    model.__dict__.update(state.model.__dict__, theta=theta)
-    return _unchecked(OptimizerState, model=model, t=t, m=m, v=v)
+    return _unchecked(OptimizerState, model=_rebound(state.model, theta), t=t, m=m, v=v)
 
 
 # an update that overflows reaches theta, where _updated reports it

@@ -7,6 +7,13 @@ print one line per check and fail on any tolerance breach.  Each DRO instance
 of ``dro_suite`` or ``check_instances`` gets one certificate: D(q || p) <= rho,
 the tilting form and the duality gap between E_q[l] and the solution's dual
 bound (a certificate only for feasible q, hence the constraint check).
+
+``gradcheck_suite`` compares ``weighted_grad`` with central differences of
+the weighted objective, whose inputs are checked once per trial, when
+the model, the batch and the weights are built.  Each perturbed theta
+then gets one finiteness scan and is rebound unchecked, as an optimizer
+step rebinds its theta; its losses, from the forward pass alone, get one
+finiteness scan before ``weighted_objective``'s arithmetic.
 """
 
 from __future__ import annotations
@@ -24,8 +31,11 @@ from .dro import (
     chi2_dro_value,
     revkl_dro_value,
 )
-from .models import Batch, ModelKind, finite_diff_grad, per_sample_loss, random_state, weighted_grad
-from .weighting import weighted_objective
+from .models import (
+    Batch, ModelKind, _rebound, finite_diff_grad, per_sample_loss, random_state, weighted_grad,
+)
+from .numerics import _all_finite
+from .weighting import _objective, as_loss_vector
 
 # bound here only so that the benchmark's layer_targets() can trace it
 from .dro import kl_dro_dual  # noqa: F401
@@ -155,9 +165,15 @@ def gradcheck_suite(trials: int = 50, seed: int = 0) -> dict:
             weights = rng.uniform(0.5, 2.0, size=batch.size)
             analytic = weighted_grad(model, batch, weights)
 
+            # theta is a fresh float64 vector of the trial's length: scanned
+            # and rebound unchecked; _objective gives weighted_objective's bits
             def objective(theta):
-                losses = per_sample_loss(model.with_theta(theta), batch)
-                return weighted_objective(losses, weights)
+                if not _all_finite(theta):
+                    raise ValueError("theta contains non-finite entries")
+                losses = per_sample_loss(_rebound(model, theta), batch)
+                if not _all_finite(losses):
+                    as_loss_vector(losses)  # raises, naming the non-finite losses
+                return _objective(losses, weights)
 
             numeric = finite_diff_grad(objective, model.theta)
             denom = max(float(np.linalg.norm(numeric)), 1e-10)

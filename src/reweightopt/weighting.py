@@ -131,11 +131,12 @@ def weighted_objective(losses, weights) -> float:
     return _objective(ell, w)
 
 
+# errstate's decorator form: cheaper than a with block built per call
+@np.errstate(over="ignore")
 def _objective(ell: np.ndarray, w: np.ndarray) -> float:
     # float(a.sum()) / a.size is np.mean(a) of a float64 vector bit for bit: the
     # same sum, divided by the count, without np.mean's Python wrapper
-    with np.errstate(over="ignore"):
-        mean = float((w * ell).sum()) / ell.size
+    mean = float((w * ell).sum()) / ell.size
     if not math.isfinite(mean):
         scale = float(np.max(np.abs(ell)))
         mean = float((w * (ell / scale)).sum()) / ell.size * scale

@@ -156,9 +156,10 @@ class TestFiniteDiff:
         grad = finite_diff_grad(lambda t: 3.5, np.array([1.0, -1.0, 0.5]), 1e-5)
         assert np.array_equal(grad, np.zeros(3))
 
-    def test_bad_h(self):
-        with pytest.raises(ValueError):
-            finite_diff_grad(lambda t: 0.0, np.zeros(2), 0.0)
+    @pytest.mark.parametrize("h", [0.0, -1e-5, math.nan, math.inf])
+    def test_bad_h(self, h):
+        with pytest.raises(ValueError, match="h must be a positive finite real"):
+            finite_diff_grad(lambda t: 3.5, np.array([1.0, -1.0]), h)
 
     def test_nonfinite_objective(self):
         with pytest.raises(FloatingPointError):

@@ -1,12 +1,17 @@
-"""The one DRO certificate behind dro_suite and check_instances."""
+"""The one DRO certificate behind dro_suite and check_instances, and the
+gradient oracle behind gradcheck_suite."""
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reweightopt import verify
 from reweightopt.dro import DiscreteDistribution, DroSolution, instance_to_json, random_instance
-from reweightopt.weighting import Divergence
+from reweightopt.models import ModelKind, per_sample_loss, weighted_grad
+from reweightopt.weighting import Divergence, weighted_objective
 
 SOLVER_NAMES = ("kl_dro_primal", "chi2_dro_value", "revkl_dro_value")
 
@@ -79,3 +84,102 @@ def test_every_divergence_gets_a_duality_certificate(monkeypatch):
     monkeypatch.setattr(verify, "revkl_dro_value", loose)
     report = verify.check_instances(_records())
     assert report["failures"] == ["instance 2: reverse_kl duality gap 1.000e-06"]
+
+
+def _reference_gradcheck(trials, seed):
+    """``gradcheck_suite``'s report through the checked route: every perturbed
+    theta goes through ``with_theta``, ``per_sample_loss`` and
+    ``weighted_objective``, with a fresh h e_j per coordinate."""
+    rng = np.random.default_rng(seed)
+    report = {"trials": trials, "max_rel_err": {}, "failures": []}
+    for kind in ModelKind:
+        worst = 0.0
+        for trial in range(trials):
+            model, batch = verify._random_model_and_batch(kind, rng)
+            weights = rng.uniform(0.5, 2.0, size=batch.size)
+            analytic = weighted_grad(model, batch, weights)
+
+            def objective(theta):
+                return weighted_objective(per_sample_loss(model.with_theta(theta), batch), weights)
+
+            h = 1e-5
+            numeric = np.empty_like(model.theta)
+            for j in range(model.theta.size):
+                bump = np.zeros_like(model.theta)
+                bump[j] = h
+                f_plus, f_minus = objective(model.theta + bump), objective(model.theta - bump)
+                assert np.isfinite(f_plus) and np.isfinite(f_minus)
+                numeric[j] = (f_plus - f_minus) / (2.0 * h)
+            denom = max(float(np.linalg.norm(numeric)), 1e-10)
+            rel = float(np.linalg.norm(analytic - numeric)) / denom
+            worst = max(worst, rel)
+            if rel > verify.GRAD_TOL:
+                report["failures"].append(f"{kind.value} trial {trial}: rel err {rel:.3e}")
+        report["max_rel_err"][kind.value] = worst
+    report["passed"] = not report["failures"]
+    return report
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_gradcheck_report_is_the_checked_route_byte_for_byte(seed):
+    assert repr(verify.gradcheck_suite(1, seed)) == repr(_reference_gradcheck(1, seed))
+
+
+def test_gradcheck_suite_fails_a_wrong_gradient(monkeypatch):
+    exact = verify.weighted_grad
+
+    def off(model, batch, weights):  # the largest entry 0.1% off: rel err >= 1e-3 / sqrt(P)
+        grad = exact(model, batch, weights)
+        grad[np.argmax(np.abs(grad))] *= 1.0 + 1e-3
+        return grad
+
+    monkeypatch.setattr(verify, "weighted_grad", off)
+    report = verify.gradcheck_suite(1, 0)
+    assert not report["passed"]
+    for kind in ModelKind:
+        assert any(f.startswith(f"{kind.value} trial 0: rel err") for f in report["failures"])
+
+
+def _recorded(monkeypatch, name, spoil=None, at=0):
+    """Patch ``verify.<name>`` to record the arguments of every call; the
+    ``at``-th call (from 1) goes to ``spoil`` instead.  Returns the record."""
+    exact, calls = getattr(verify, name), []
+
+    def patched(*args):
+        calls.append(args)
+        return spoil(*args) if len(calls) == at else exact(*args)
+
+    monkeypatch.setattr(verify, name, patched)
+    return calls
+
+
+def test_a_non_finite_loss_at_a_perturbed_theta_raises(monkeypatch):
+    def spoil(model, batch):
+        losses = per_sample_loss(model, batch)
+        losses[-1] = np.inf
+        return losses
+
+    calls = _recorded(monkeypatch, "per_sample_loss", spoil, at=3)
+    with pytest.raises(ValueError, match="non-finite loss values at indices"):
+        verify.gradcheck_suite(1, 0)
+    assert len(calls) == 3
+
+
+def test_a_non_finite_theta_raises(monkeypatch):
+    def spoil(objective, theta):
+        return objective(np.full(theta.size, np.nan))
+
+    _recorded(monkeypatch, "finite_diff_grad", spoil, at=1)
+    with pytest.raises(ValueError, match="theta contains non-finite entries"):
+        verify.gradcheck_suite(1, 0)
+
+
+def test_the_traced_bindings_count_the_oracle_calls(monkeypatch):
+    # the benchmark traces the oracle by patching these module attributes:
+    # one finite_diff_grad per kind and trial, two forward passes per coordinate
+    grads = _recorded(monkeypatch, "finite_diff_grad")
+    losses = _recorded(monkeypatch, "per_sample_loss")
+    assert verify.gradcheck_suite(2, 5)["passed"]
+    assert len(grads) == 2 * len(ModelKind)
+    assert len(losses) == sum(2 * theta.size for _, theta in grads)
