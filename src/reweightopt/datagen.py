@@ -115,11 +115,7 @@ def long_tailed_counts(num_classes: int, n_max: int, imbalance_factor: float) ->
     if imbalance_factor < 1:
         raise ValueError("imbalance factor must be >= 1")
     mu = 1.0 / imbalance_factor
-    counts = [
-        max(1, int(np.rint(n_max * mu ** (i / (num_classes - 1)))))
-        for i in range(num_classes)
-    ]
-    return counts
+    return [max(1, int(np.rint(n_max * mu ** (i / (num_classes - 1))))) for i in range(num_classes)]
 
 
 def gaussian_mixture_classification(
@@ -181,12 +177,12 @@ def _take(dataset: Dataset, rows: np.ndarray, meta: dict) -> Dataset:
 
 
 def subsample_long_tailed(dataset: Dataset, counts, seed: int) -> Dataset:
-    """Keep the first counts[c] seeded-shuffled samples of each class."""
-    if not dataset.is_classification:
-        raise ValueError("long-tailed subsampling needs a classification dataset")
+    """Keep the first counts[c] seeded-shuffled samples of each class;
+    ``Dataset.num_classes`` refuses regression data."""
+    num_classes = dataset.num_classes
     counts = [int(c) for c in counts]
-    if len(counts) != dataset.num_classes:
-        raise ValueError(f"{len(counts)} counts for {dataset.num_classes} classes")
+    if len(counts) != num_classes:
+        raise ValueError(f"{len(counts)} counts for {num_classes} classes")
     return _take(dataset, *_subsample_rows(dataset.targets, dataset.meta, counts, seed))
 
 
@@ -208,12 +204,10 @@ def flip_labels(dataset: Dataset, fraction: float, seed: int) -> Dataset:
     """Relabel floor(fraction * n) samples uniformly among the other classes.
 
     The flip mask lands in the metadata for diagnostics; training code
-    never sees it.
+    never sees it.  ``Dataset.num_classes`` refuses regression data.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("flip fraction must lie in [0, 1]")
-    if not dataset.is_classification:
-        raise ValueError("label flipping needs a classification dataset")
     num_classes = dataset.num_classes
     rng = np.random.default_rng(seed)
     n_flip = int(fraction * dataset.n)

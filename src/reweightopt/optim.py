@@ -229,9 +229,14 @@ class Tilt:
         return p, self
 
     def report(self, losses):
-        return term_objective(losses, self.t_tilt), term_weights(losses, self.t_tilt), 0.0
+        ell = np.asarray(losses, dtype=np.float64).reshape(-1)
+        return self._objective(ell), self._probs(ell), 0.0
 
     _report = report  # it checks nothing, so it is its own unchecked core
+
+    def _objective(self, ell: np.ndarray) -> float:
+        """``term_objective`` of the float64 vector ``ell`` at this tilt."""
+        return float((logsumexp(self.t_tilt * ell) - math.log(ell.size)) / self.t_tilt)
 
     def _probs(self, ell: np.ndarray) -> np.ndarray:
         """``term_weights`` of the float64 vector ``ell`` at this tilt."""
@@ -382,15 +387,12 @@ def rgd_step(state: OptimizerState, batch: Batch, weighter, config: TrainConfig)
 
 
 def term_objective(losses, t_tilt: float) -> float:
-    """Tilted batch objective (1/t) * log mean exp(t * loss)."""
-    if not (math.isfinite(t_tilt) and t_tilt > 0):
-        raise ValueError("t_tilt must be finite and positive")
-    ell = np.asarray(losses, dtype=np.float64).reshape(-1)
-    return float((logsumexp(t_tilt * ell) - math.log(ell.size)) / t_tilt)
+    """Tilted batch objective (1/t) * log mean exp(t * loss); ``Tilt`` checks t."""
+    return Tilt(t_tilt)._objective(np.asarray(losses, dtype=np.float64).reshape(-1))
 
 
 def term_weights(losses, t_tilt: float) -> np.ndarray:
-    """Softmax weights p_i = exp(t*l_i) / sum_j exp(t*l_j); sums to 1."""
+    """Softmax weights p_i = exp(t*l_i) / sum_j exp(t*l_j), summing to 1; ``Tilt`` checks t."""
     return Tilt(t_tilt)._probs(np.asarray(losses, dtype=np.float64).reshape(-1))
 
 

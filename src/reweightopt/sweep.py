@@ -17,11 +17,10 @@ every point from them; each point's results equal its own
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from .experiment import METRIC_DIRECTIONS, ConfigError, _build, _checked, _train, validate_config
-from .experiment import _check_section, _list, _name, _number, _string
+from .experiment import _check_section, _finite, _list, _name, _string
 # bound here only for the benchmark, which reads and patches sweep.run_experiment
 from .experiment import run_experiment  # noqa: F401
 from .optim import TrainingDivergenceError
@@ -42,30 +41,29 @@ _DEFAULT_GRIDS = {
     "beta_ma": [0.25, 0.5, 0.75],
 }
 
-# The schema of a sweep file less its base config (see experiment._SCHEMA), per base method
+# The keys of a sweep file less its base config (see experiment._SCHEMA), per
+# base method; SweepSpec checks their values
 _SPECS = {
-    method: ({"select": ({"metric": _string}, {"split": _string})},
-             {"grid": ({}, dict.fromkeys(axes, _list))})
+    method: ({"select": ({"metric": None}, {"split": None})},
+             {"grid": ({}, dict.fromkeys(axes))})
     for method, axes in _METHOD_AXES.items()
 }
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Axes (name -> value list), selection metric, and selection split."""
+    """Axes (name -> value list), selection metric, and selection split: the
+    one check of a sweep's values (finite, as nan has no sort order)."""
 
     axes: dict
     select_metric: str
     select_split: str = "holdout"
 
     def __post_init__(self):
-        if not self.axes or any(len(v) == 0 for v in self.axes.values()):
-            raise ConfigError("sweep grid must be nonempty on every axis")
         for name, values in self.axes.items():
-            for value in values:
-                _number(value, f"sweep.grid.{name}")
-                if not math.isfinite(value):  # nan has no sort order
-                    raise ConfigError(f"sweep.grid.{name}: expected finite numbers, got {value!r}")
+            _list(values, f"sweep.grid.{name}", _finite)
+        if not self.axes or not all(self.axes.values()):
+            raise ConfigError("sweep grid must be nonempty on every axis")
         _string(self.select_split, "sweep.select.split")
         _name(self.select_metric, "sweep.select.metric", METRIC_DIRECTIONS)
 
@@ -90,7 +88,7 @@ def validate_sweep_spec(spec: dict, base_config: dict) -> SweepSpec:
     _name(method, "base.method.name", _SPECS)
     _check_section(spec, "sweep", _SPECS[method])
     grid, select = spec.get("grid", {}), spec["select"]
-    axes = {name: list(grid.get(name, _DEFAULT_GRIDS[name])) for name in _METHOD_AXES[method]}
+    axes = {a: grid[a] if a in grid else list(_DEFAULT_GRIDS[a]) for a in _METHOD_AXES[method]}
     return SweepSpec(axes, select["metric"], select.get("split", "holdout"))
 
 
@@ -147,5 +145,4 @@ def _sweep(spec: SweepSpec, base: dict):
         # strict improvement only: earlier (lexicographically smaller) ties win
         if best is None or key > best[0]:
             best = (key, point, run[0])
-    best_config = best[2] if best is not None else None
-    return best_config, results
+    return (best[2] if best is not None else None), results

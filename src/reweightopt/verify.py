@@ -82,6 +82,13 @@ def _certify(inst, where: str):
     return sol, gap, form.max_rel_dev, failures
 
 
+def _check_arguments(**ranges):
+    """Refuse an argument (name=(value, low)) outside [low, inf), or nan, naming it."""
+    for name, (value, low) in ranges.items():
+        if not low <= value < np.inf:
+            raise ValueError(f"{name} must lie in [{low}, inf), got {value}")
+
+
 def dro_suite(
     trials: int = 200,
     n_max: int = 10,
@@ -92,6 +99,8 @@ def dro_suite(
 ) -> dict:
     """Certified kl solutions over random instances, grid-checked for n <= 3
     together with their chi2 and reverse-KL variants (reported as ``variant``)."""
+    _check_arguments(trials=(trials, 1), n_max=(n_max, 2), rho_max=(rho_max, 0),
+                     grid_points=(grid_points, 2))
     rng = np.random.default_rng(seed)
     # brute-force accuracy is grid-limited; 2e-3 is calibrated at 2001 points
     grid_tol = GRID_TOL * 2000.0 / (grid_points - 1)
@@ -156,6 +165,7 @@ def _random_model_and_batch(kind: ModelKind, rng: np.random.Generator):
 
 def gradcheck_suite(trials: int = 50, seed: int = 0) -> dict:
     """Analytic weighted gradients vs central differences, per model kind."""
+    _check_arguments(trials=(trials, 1))
     rng = np.random.default_rng(seed)
     report = {"trials": trials, "max_rel_err": {}, "failures": []}
     for kind in ModelKind:

@@ -81,9 +81,7 @@ def as_loss_vector(values) -> np.ndarray:
 
     Rejects empty input and any NaN/Inf entry.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
+    arr = np.asarray(values, dtype=np.float64).reshape(-1)
     if arr.size == 0:
         raise ValueError("loss vector must contain at least one entry")
     if not np.all(np.isfinite(arr)):
@@ -109,11 +107,9 @@ def _apply(arr: np.ndarray, rule: WeightingRule) -> np.ndarray:
     if rule.divergence is Divergence.CHI2:
         clipped += rule.tau
         return clipped
-    if rule.divergence is Divergence.REVERSE_KL:
-        # minimum() repairs the 1-ulp overshoot of 1/(1 - tau/(tau+1)) at
-        # saturation; the exact value there is tau+1
-        return np.minimum(1.0 / (1.0 - clipped / (rule.tau + 1.0)), rule.tau + 1.0)
-    raise ValueError(f"unknown divergence {rule.divergence!r}")
+    # reverse_kl, the last of the four: minimum() repairs the 1-ulp overshoot
+    # of 1/(1 - tau/(tau+1)) at saturation; the exact value there is tau+1
+    return np.minimum(1.0 / (1.0 - clipped / (rule.tau + 1.0)), rule.tau + 1.0)
 
 
 def weighted_objective(losses, weights) -> float:

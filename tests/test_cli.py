@@ -430,6 +430,33 @@ def test_train_with_overflowing_eval_losses_exits_1(tmp_path, capsys):
     assert "diverged at step 1: non-finite train loss" in capsys.readouterr().err
 
 
+def test_sweep_where_every_point_diverges_exits_1(tmp_path, capsys):
+    # lr_base * 1.0 makes the first update of either tau overflow
+    base = json.loads(write_config(tmp_path).read_text())
+    base["dataset"]["split"] = {"seed": 1, "holdout_fraction": 0.2}
+    base["train"].update(lr_base=1.7e308, batch_size=1)
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({
+        "base": base, "grid": {"tau": [0.25, 0.5], "lr_mult": [1.0]}, "select": {"metric": "mse"},
+    }))
+    output = tmp_path / "best.json"
+    with np.errstate(over="ignore"):
+        assert cli_main(["sweep", str(spec_path), "--output", str(output)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "no grid point finished; nothing selected\n"
+    assert [line.split("\t")[2] for line in captured.out.splitlines()[1:]] == ["failed"] * 2
+    assert not output.exists()
+
+
+def test_train_output_into_a_missing_directory_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "missing" / "trace.csv"
+    assert cli_main(["train", str(cfg), "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("io error: ") and str(out) in captured.err
+    assert not out.parent.exists()
+
+
 def _count(monkeypatch, name, *modules):
     """Count the calls of ``modules[0].<name>``, patched in every module that binds it."""
     calls = []

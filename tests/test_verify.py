@@ -183,3 +183,29 @@ def test_the_traced_bindings_count_the_oracle_calls(monkeypatch):
     assert verify.gradcheck_suite(2, 5)["passed"]
     assert len(grads) == 2 * len(ModelKind)
     assert len(losses) == sum(2 * theta.size for _, theta in grads)
+
+
+@pytest.mark.parametrize("suite, kwargs, name", [
+    (verify.dro_suite, {"grid_points": 1}, "grid_points"),
+    (verify.dro_suite, {"n_max": 1}, "n_max"),
+    (verify.dro_suite, {"rho_max": -1.0}, "rho_max"),
+    (verify.dro_suite, {"rho_max": float("nan")}, "rho_max"),
+    (verify.dro_suite, {"rho_max": float("inf")}, "rho_max"),
+    (verify.dro_suite, {"trials": -3}, "trials"),
+    (verify.dro_suite, {"trials": 0}, "trials"),
+    (verify.gradcheck_suite, {"trials": -5}, "trials"),
+    (verify.gradcheck_suite, {"trials": 0}, "trials"),
+])
+def test_suite_refuses_an_argument_it_cannot_honour_before_drawing(monkeypatch, suite, kwargs,
+                                                                   name):
+    draws = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \["):
+        suite(**kwargs)
+    assert draws == []
+
+
+def test_suite_arguments_at_their_lower_bounds_run():
+    report = verify.dro_suite(trials=1, n_max=2, rho_max=0.0, grid_points=2)
+    assert report["trials"] == 1 and report["grid_checked"] == 1
+    assert verify.gradcheck_suite(trials=1)["trials"] == 1
