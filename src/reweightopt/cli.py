@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -28,7 +27,9 @@ from .experiment import (
 )
 from .optim import TrainingDivergenceError
 from .sweep import _sweep, validate_sweep_spec
-from .verify import DUALITY_TOL, GRAD_TOL, check_instances, dro_suite, gradcheck_suite
+from .verify import (
+    DUALITY_TOL, GRAD_TOL, _range_error, check_instances, dro_suite, gradcheck_suite,
+)
 
 
 def _load_json(path: str) -> dict:
@@ -91,10 +92,23 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _check_flags(*flags):
-    for flag, value, low in flags:
-        if not low <= value < math.inf:  # also rejects nan
-            raise ConfigError(f"{flag} must lie in [{low}, inf), got {value}")
+# each suite argument's flag and its argparse dest
+_FLAGS = {
+    "n_max": ("--n", "n"), "grid_points": ("--grid", "grid"), "trials": ("--trials", "trials"),
+    "rho_max": ("--rho-max", "rho_max"),
+}
+
+
+def _suite_arguments(args, *names) -> dict:
+    """The named suite arguments from their flags, refused as config errors
+    under the flag names when the suite would refuse them; --seed >= 0."""
+    values = {name: getattr(args, _FLAGS[name][1]) for name in names}
+    error = _range_error(**values)
+    if error:
+        raise ConfigError(f"{_FLAGS[error[0]][0]} {error[1]}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must lie in [0, inf), got {args.seed}")
+    return values
 
 
 def _cmd_oracle(args) -> int:
@@ -110,14 +124,8 @@ def _cmd_oracle(args) -> int:
             print(f"FAIL {line}", file=sys.stderr)
         print("oracle instances: " + ("PASS" if report["passed"] else "FAIL"))
         return 0 if report["passed"] else 1
-    _check_flags(("--n", args.n, 2), ("--grid", args.grid, 2), ("--trials", args.trials, 1),
-                 ("--rho-max", args.rho_max, 0.0), ("--seed", args.seed, 0))
     report = dro_suite(
-        trials=args.trials,
-        n_max=args.n,
-        rho_max=args.rho_max,
-        seed=args.seed,
-        grid_points=args.grid,
+        **_suite_arguments(args, "n_max", "grid_points", "trials", "rho_max"), seed=args.seed
     )
     print(f"instances           : {report['trials']}")
     print(f"max duality gap     : {report['max_duality_gap']:.3e} (tol {DUALITY_TOL:.0e})")
@@ -133,8 +141,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    _check_flags(("--trials", args.trials, 1), ("--seed", args.seed, 0))
-    report = gradcheck_suite(trials=args.trials, seed=args.seed)
+    report = gradcheck_suite(**_suite_arguments(args, "trials"), seed=args.seed)
     for kind, err in report["max_rel_err"].items():
         print(f"{kind:8s}: max rel err {err:.3e} (tol {GRAD_TOL:.0e})")
     for line in report["failures"]:

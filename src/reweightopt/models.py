@@ -32,7 +32,11 @@ the weights are plain constants, so the result is exactly
 (1/B) * sum_i w_i * grad(loss_i), never the gradient of w(loss)*loss.
 
 ``finite_diff_grad`` is the independent central-difference oracle used to
-certify the analytic gradients.
+certify the analytic gradients.  Once per call it checks h and theta;
+per evaluation, the one coordinate it moves in its work copy of theta.
+``_trial_losses`` is ``per_sample_loss`` for its evaluations: the batch's
+fit, the label index and the (W, b) views are made once per call, so an
+evaluation runs the forward arithmetic alone.
 """
 
 from __future__ import annotations
@@ -68,7 +72,21 @@ class ModelKind(str, Enum):
 
 
 def param_count(kind: ModelKind, input_dim: int, num_classes: int, hidden: tuple[int, ...]) -> int:
+    """The length of theta for a model of this shape; refuses a shape that
+    no model has, naming what is wrong: the one check of a model's shape,
+    made by ``ModelState`` and, before they draw, ``zero_state`` and
+    ``random_state``."""
     kind = ModelKind(kind)
+    if input_dim < 1:
+        raise ValueError("input_dim must be >= 1")
+    if kind is not ModelKind.LINEAR and num_classes < 2:
+        raise ValueError("classifiers need num_classes >= 2")
+    if kind is ModelKind.MLP and not 1 <= len(hidden) <= 2:
+        raise ValueError("mlp supports one or two hidden layers")
+    if kind is not ModelKind.MLP and hidden:
+        raise ValueError(f"a {kind.value} model has no hidden layers")
+    if any(h < 1 for h in hidden):
+        raise ValueError("hidden widths must be >= 1")
     if kind is ModelKind.LINEAR:
         return input_dim
     total = 0
@@ -96,16 +114,6 @@ class ModelState:
         theta = np.array(self.theta, dtype=np.float64).reshape(-1)
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if self.kind is not ModelKind.LINEAR and self.num_classes < 2:
-            raise ValueError("classifiers need num_classes >= 2")
-        if self.kind is ModelKind.MLP and not 1 <= len(self.hidden) <= 2:
-            raise ValueError("mlp supports one or two hidden layers")
-        if self.kind is not ModelKind.MLP and self.hidden:
-            raise ValueError(f"a {self.kind.value} model has no hidden layers")
-        if any(h < 1 for h in self.hidden):
-            raise ValueError("hidden widths must be >= 1")
         expected = param_count(self.kind, self.input_dim, self.num_classes, self.hidden)
         if theta.size != expected:
             raise ValueError(f"theta has {theta.size} entries, expected {expected}")
@@ -115,8 +123,8 @@ class ModelState:
     def with_theta(self, theta: np.ndarray) -> "ModelState":
         """This model with new parameters, checked like a new ``ModelState``.
 
-        Optimizer steps and the gradient oracle rebind theta they have
-        made and scanned themselves unchecked instead (``_rebound``).
+        Optimizer steps rebind theta they have made and scanned
+        themselves unchecked instead (``_rebound``).
         """
         return ModelState(self.kind, theta, self.input_dim, self.num_classes, self.hidden)
 
@@ -229,12 +237,12 @@ def _check_batch(model: ModelState, batch: Batch) -> None:
         raise ValueError("class label out of range")
 
 
-def _unpack_mlp(model: ModelState):
-    """Split the flat vector into (W, b) pairs, hidden layers then output."""
+def _unpack_mlp(model: ModelState, theta: np.ndarray):
+    """Split ``theta``, a flat vector of the model's length, into (W, b)
+    views, hidden layers then output."""
     layers = []
     offset = 0
     prev = model.input_dim
-    theta = model.theta
     for h in model.hidden + (model.num_classes,):
         w = theta[offset : offset + h * prev].reshape(h, prev)
         offset += h * prev
@@ -245,12 +253,9 @@ def _unpack_mlp(model: ModelState):
     return layers
 
 
-def _forward(model: ModelState, x: np.ndarray):
-    """Return (logits_or_preds, activations, layers) for gradient reuse;
-    ``layers`` is the (W, b) views of theta, None for linear models."""
-    if model.kind is ModelKind.LINEAR:
-        return x.dot(model.theta), [x], None
-    layers = _unpack_mlp(model)
+def _forward(layers, x: np.ndarray):
+    """The classifier's forward pass through the (W, b) views ``layers``:
+    (logits, activations), the activations kept for the backward pass."""
     acts = [x]
     a = x
     for w, b in layers[:-1]:
@@ -261,20 +266,29 @@ def _forward(model: ModelState, x: np.ndarray):
     w, b = layers[-1]
     z = a.dot(w.T)
     z += b
-    return z, acts, layers
+    return z, acts
 
 
 def predict(model: ModelState, inputs: np.ndarray) -> np.ndarray:
     """Predicted values (linear) or argmax class labels (classifiers)."""
-    out = _forward(model, np.atleast_2d(np.asarray(inputs, dtype=np.float64)))[0]
-    return out if model.kind is ModelKind.LINEAR else np.argmax(out, axis=1)
+    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    if model.kind is ModelKind.LINEAR:
+        return x.dot(model.theta)
+    return np.argmax(_forward(_unpack_mlp(model, model.theta), x)[0], axis=1)
 
 
-def _cross_entropy(z: np.ndarray, y: np.ndarray):
+def _label_index(y: np.ndarray, c: int) -> np.ndarray:
+    """The flat index i * C + y_i of each row's label in (N, C) logits."""
+    label = np.arange(0, y.size * c, c)
+    label += y
+    return label
+
+
+def _cross_entropy(z: np.ndarray, label: np.ndarray):
     """Cross entropy per row of the logits ``z`` (N, C) against the labels
-    ``y``, with exp(z - max z) (written over ``z``), the logits and the
-    mask of each row's maximal logits, all three class-major (C, N), and
-    the flat index of each row's label in ``z``, i * C + y_i.
+    at the flat indices ``label`` (``_label_index``), with exp(z - max z)
+    (written over ``z``), the logits and the mask of each row's maximal
+    logits, all three class-major (C, N).
 
     The picked logits are one gather through the flat index, before ``z``
     is overwritten.  After one transposed copy of ``z``, the max, the
@@ -282,9 +296,6 @@ def _cross_entropy(z: np.ndarray, y: np.ndarray):
     all N rows, instead of numpy's per-row loop over C entries.  The
     losses equal the row-major reductions bit for bit (see ``numerics``).
     """
-    n, c = z.shape
-    label = np.arange(0, n * c, c)
-    label += y
     picked = z.take(label)
     zt = z.T.copy()
     zmax = zt.max(axis=0)
@@ -293,7 +304,7 @@ def _cross_entropy(z: np.ndarray, y: np.ndarray):
     np.exp(e, out=e)
     losses = logsumexp_classes(zt, zmax, is_max, e)
     losses -= picked
-    return losses, e, zt, is_max, label
+    return losses, e, zt, is_max
 
 
 def forward_losses(model: ModelState, batch: Batch):
@@ -310,8 +321,10 @@ def forward_losses(model: ModelState, batch: Batch):
         r = batch.inputs.dot(model.theta)
         r -= batch.targets
         return r * r, (r, None, None, None)
-    out, acts, layers = _forward(model, batch.inputs)
-    losses, e, _, _, label = _cross_entropy(out, batch.targets)
+    layers = _unpack_mlp(model, model.theta)
+    out, acts = _forward(layers, batch.inputs)
+    label = _label_index(batch.targets, model.num_classes)
+    losses, e, _, _ = _cross_entropy(out, label)
     # row-major again, so that the backward pass sums over classes in numpy's order
     return losses, (e.T.copy(), acts, layers, label)
 
@@ -321,10 +334,13 @@ def _eval_pass(model: ModelState, batch: Batch):
     """``per_sample_loss`` and ``predict`` of a batch from one forward pass,
     quiet on overflow as the step is: the caller checks the losses."""
     _check_batch(model, batch)
-    out = _forward(model, batch.inputs)[0]
     if model.kind is ModelKind.LINEAR:
+        out = batch.inputs.dot(model.theta)
         return (out - batch.targets) ** 2, out
-    losses, _, zt, is_max, _ = _cross_entropy(out, batch.targets)
+    out = _forward(_unpack_mlp(model, model.theta), batch.inputs)[0]
+    losses, _, zt, is_max = _cross_entropy(
+        out, _label_index(batch.targets, model.num_classes)
+    )
     # np.argmax(z, axis=1), the first maximal logit: the top rank among the maximal
     # classes, each class ranked C - class, in a vector max over N instead of
     # np.argmax's per-row loop over C entries
@@ -379,19 +395,57 @@ def weighted_grad(model: ModelState, batch: Batch, weights) -> np.ndarray:
     return backward_weighted(model, batch, ctx, weights)
 
 
+def _trial_losses(model: ModelState, batch: Batch):
+    """``per_sample_loss`` of ``batch`` as a function of theta, bit for bit,
+    for the many thetas of one ``finite_diff_grad`` call.
+
+    The batch's fit to the model and the flat label index are made here,
+    once; the (W, b) views once per theta array, at its first call, so a
+    caller that moves entries of one work vector in place pays per call
+    for the forward arithmetic alone.  Each theta must be a finite
+    float64 vector of the model's length: the caller scans it.
+    """
+    _check_batch(model, batch)
+    x, y = batch.inputs, batch.targets
+    if model.kind is ModelKind.LINEAR:
+        return lambda theta: np.square(x.dot(theta) - y)
+    label = _label_index(y, model.num_classes)
+    over, layers = None, None  # the array the views are over, and the views
+
+    def losses(theta):
+        nonlocal over, layers
+        if theta is not over:
+            over, layers = theta, _unpack_mlp(model, theta)
+        return _cross_entropy(_forward(layers, x)[0], label)[0]
+
+    return losses
+
+
 def finite_diff_grad(objective, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient oracle, (f(t+h e_j) - f(t-h e_j)) / 2h,
-    for a finite step h > 0."""
+    for a finite step h > 0 and a finite theta.
+
+    ``objective`` gets one work copy of theta each time, its entry j moved
+    in place to t_j + h, then to t_j - h, and restored after: it may read
+    its argument during the call but not keep or write it.  The caller's
+    theta is left as it was.
+    """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be a positive finite real, got {h}")
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    grad = np.empty_like(theta)
-    bump = np.zeros_like(theta)  # h e_j, one coordinate at a time
-    for j in range(theta.size):
-        bump[j] = h
-        f_plus = objective(theta + bump)
-        f_minus = objective(theta - bump)
-        bump[j] = 0.0
+    work = np.array(theta, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(work)):
+        raise ValueError("theta contains non-finite entries")
+    grad = np.empty_like(work)
+    for j in range(work.size):
+        t = work.item(j)
+        plus, minus = t + h, t - h
+        if not (math.isfinite(plus) and math.isfinite(minus)):
+            raise ValueError("theta contains non-finite entries")
+        work[j] = plus
+        f_plus = objective(work)
+        work[j] = minus
+        f_minus = objective(work)
+        work[j] = t
         if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
             raise FloatingPointError(f"objective non-finite at coordinate {j}")
         grad[j] = (f_plus - f_minus) / (2.0 * h)
@@ -420,8 +474,8 @@ def random_state(
     that some entry overflows is refused by ``ModelState`` as a theta with
     non-finite entries, without a RuntimeWarning on the way.
     """
-    rng = np.random.default_rng(seed)
     n = param_count(kind, input_dim, num_classes, hidden)
+    rng = np.random.default_rng(seed)
     if scale is None:
         scale = 1.0 / np.sqrt(input_dim)
     with np.errstate(over="ignore"):

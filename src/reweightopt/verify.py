@@ -9,11 +9,18 @@ the tilting form and the duality gap between E_q[l] and the solution's dual
 bound (a certificate only for feasible q, hence the constraint check).
 
 ``gradcheck_suite`` compares ``weighted_grad`` with central differences of
-the weighted objective, whose inputs are checked once per trial, when
-the model, the batch and the weights are built.  Each perturbed theta
-then gets one finiteness scan and is rebound unchecked, as an optimizer
-step rebinds its theta; its losses, from the forward pass alone, get one
-finiteness scan before ``weighted_objective``'s arithmetic.
+the weighted objective.  Once per trial: the model, the batch and the
+weights are built and checked, the batch's fit to the model and the flat
+label index are made (``models._trial_losses``), ``finite_diff_grad``
+scans its one work copy of theta, over which the (W, b) views are built,
+and the quiet error state of the weighted mean is entered.  Per
+evaluation: the moved coordinate theta_j +- h must be finite, the losses
+of the forward pass alone get one finiteness scan before
+``weighted_objective``'s arithmetic, and the two objective values must be
+finite.
+
+Each suite argument's range is defined once, in ``_LEAST``; the CLI
+checks its flags against it (``_range_error``) before a suite runs.
 """
 
 from __future__ import annotations
@@ -31,14 +38,13 @@ from .dro import (
     chi2_dro_value,
     revkl_dro_value,
 )
-from .models import (
-    Batch, ModelKind, _rebound, finite_diff_grad, per_sample_loss, random_state, weighted_grad,
-)
+from .models import Batch, ModelKind, _trial_losses, finite_diff_grad, random_state, weighted_grad
 from .numerics import _all_finite
-from .weighting import _objective, as_loss_vector
+from .weighting import _weighted_mean, as_loss_vector
 
-# bound here only so that the benchmark's layer_targets() can trace it
+# bound here only so that the benchmark's layer_targets() can trace them
 from .dro import kl_dro_dual  # noqa: F401
+from .models import per_sample_loss  # noqa: F401
 
 __all__ = [
     "dro_suite",
@@ -82,11 +88,24 @@ def _certify(inst, where: str):
     return sol, gap, form.max_rel_dev, failures
 
 
-def _check_arguments(**ranges):
-    """Refuse an argument (name=(value, low)) outside [low, inf), or nan, naming it."""
-    for name, (value, low) in ranges.items():
-        if not low <= value < np.inf:
-            raise ValueError(f"{name} must lie in [{low}, inf), got {value}")
+# each suite argument's range is [least, inf)
+_LEAST = {"trials": 1, "n_max": 2, "rho_max": 0.0, "grid_points": 2}
+
+
+def _range_error(**values):
+    """(name, what is wrong) of the first argument outside its range, nan
+    included; None when every one lies in it."""
+    for name, value in values.items():
+        if not _LEAST[name] <= value < np.inf:
+            return name, f"must lie in [{_LEAST[name]}, inf), got {value}"
+    return None
+
+
+def _check_arguments(**values):
+    """Refuse an argument outside its range, naming it."""
+    error = _range_error(**values)
+    if error:
+        raise ValueError(" ".join(error))
 
 
 def dro_suite(
@@ -99,8 +118,7 @@ def dro_suite(
 ) -> dict:
     """Certified kl solutions over random instances, grid-checked for n <= 3
     together with their chi2 and reverse-KL variants (reported as ``variant``)."""
-    _check_arguments(trials=(trials, 1), n_max=(n_max, 2), rho_max=(rho_max, 0),
-                     grid_points=(grid_points, 2))
+    _check_arguments(trials=trials, n_max=n_max, rho_max=rho_max, grid_points=grid_points)
     rng = np.random.default_rng(seed)
     # brute-force accuracy is grid-limited; 2e-3 is calibrated at 2001 points
     grid_tol = GRID_TOL * 2000.0 / (grid_points - 1)
@@ -165,7 +183,7 @@ def _random_model_and_batch(kind: ModelKind, rng: np.random.Generator):
 
 def gradcheck_suite(trials: int = 50, seed: int = 0) -> dict:
     """Analytic weighted gradients vs central differences, per model kind."""
-    _check_arguments(trials=(trials, 1))
+    _check_arguments(trials=trials)
     rng = np.random.default_rng(seed)
     report = {"trials": trials, "max_rel_err": {}, "failures": []}
     for kind in ModelKind:
@@ -174,18 +192,18 @@ def gradcheck_suite(trials: int = 50, seed: int = 0) -> dict:
             model, batch = _random_model_and_batch(kind, rng)
             weights = rng.uniform(0.5, 2.0, size=batch.size)
             analytic = weighted_grad(model, batch, weights)
+            losses_at = _trial_losses(model, batch)
 
-            # theta is a fresh float64 vector of the trial's length: scanned
-            # and rebound unchecked; _objective gives weighted_objective's bits
+            # theta: finite_diff_grad's scanned work vector, moved at one finite
+            # coordinate; _weighted_mean gives weighted_objective's bits
             def objective(theta):
-                if not _all_finite(theta):
-                    raise ValueError("theta contains non-finite entries")
-                losses = per_sample_loss(_rebound(model, theta), batch)
+                losses = losses_at(theta)
                 if not _all_finite(losses):
                     as_loss_vector(losses)  # raises, naming the non-finite losses
-                return _objective(losses, weights)
+                return _weighted_mean(losses, weights)
 
-            numeric = finite_diff_grad(objective, model.theta)
+            with np.errstate(over="ignore"):  # _weighted_mean's, entered once per trial
+                numeric = finite_diff_grad(objective, model.theta)
             denom = max(float(np.linalg.norm(numeric)), 1e-10)
             rel = float(np.linalg.norm(analytic - numeric)) / denom
             worst = max(worst, rel)

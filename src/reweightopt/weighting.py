@@ -127,9 +127,9 @@ def weighted_objective(losses, weights) -> float:
     return _objective(ell, w)
 
 
-# errstate's decorator form: cheaper than a with block built per call
-@np.errstate(over="ignore")
-def _objective(ell: np.ndarray, w: np.ndarray) -> float:
+def _weighted_mean(ell: np.ndarray, w: np.ndarray) -> float:
+    """``_objective`` for a caller that has entered np.errstate(over="ignore")
+    itself, once for many calls."""
     # float(a.sum()) / a.size is np.mean(a) of a float64 vector bit for bit: the
     # same sum, divided by the count, without np.mean's Python wrapper
     mean = float((w * ell).sum()) / ell.size
@@ -137,3 +137,7 @@ def _objective(ell: np.ndarray, w: np.ndarray) -> float:
         scale = float(np.max(np.abs(ell)))
         mean = float((w * (ell / scale)).sum()) / ell.size * scale
     return mean
+
+
+# errstate's decorator form: cheaper than a with block built per call
+_objective = np.errstate(over="ignore")(_weighted_mean)

@@ -14,7 +14,7 @@ import pytest
 
 from reweightopt import datagen, dro, experiment
 from reweightopt.experiment import ConfigError, parse_trace
-from reweightopt.models import ModelState, random_state
+from reweightopt.models import ModelState, random_state, zero_state
 from reweightopt.optim import BaselineState, TrainingDivergenceError
 from reweightopt.weighting import Divergence
 
@@ -74,6 +74,15 @@ DIRECT = {
     "hidden layer of no unit": (
         lambda _: ModelState("mlp", np.zeros(3), 2, 3, (0,)),
         ValueError, "hidden widths must be >= 1"),
+    "random mlp of a negative width": (
+        lambda _: random_state("mlp", 4, 3, (-1,)),
+        ValueError, "hidden widths must be >= 1"),
+    "zero mlp of a negative width": (
+        lambda _: zero_state("mlp", 4, 3, (-1,)),
+        ValueError, "hidden widths must be >= 1"),
+    "random mlp of a negative first width": (
+        lambda _: random_state("mlp", 4, 3, (-1, 5)),
+        ValueError, "hidden widths must be >= 1"),
     "ma normalizer that underflows": (
         lambda _: BaselineState(1.0, 0.5).step_weights(np.array([-800.0]), 1),
         TrainingDivergenceError, "training diverged at step 1: non-positive normalizer z=0.0"),
@@ -88,6 +97,18 @@ def test_library_check_raises_its_message(tmp_path, name):
     with pytest.raises(exception, match="^" + re.escape(message)) as info:
         call(tmp_path)
     assert not isinstance(info.value, ConfigError)
+
+
+@pytest.mark.parametrize("hidden", [(-1,), (0,), (-1, 5), (5, -2)])
+@pytest.mark.parametrize("build", [random_state, zero_state])
+def test_a_state_of_a_bad_width_is_refused_before_anything_is_drawn(monkeypatch, build, hidden):
+    # the shape is checked before theta's length is used to draw or allocate it
+    made = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: made.append(args))
+    monkeypatch.setattr(np, "zeros", lambda *args: made.append(args))
+    with pytest.raises(ValueError, match="^hidden widths must be >= 1$"):
+        build("mlp", 4, 3, hidden)
+    assert made == []
 
 
 def _config(**changes):

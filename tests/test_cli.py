@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reweightopt import cli, datagen, experiment
+from reweightopt import cli, datagen, experiment, verify
 from reweightopt.cli import cli_main
 from reweightopt.sweep import sweep
 
@@ -394,6 +394,43 @@ def test_oracle_malformed_instance_exits_2(tmp_path, capsys, record):
 def test_suite_arguments_out_of_range_exit_2(capsys, argv):
     assert cli_main(argv) == 2
     assert f"config error: {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "--trials", "1", "--n", "1"], "--n must lie in [2, inf), got 1"),
+    (["oracle", "--trials", "1", "--grid", "0"], "--grid must lie in [2, inf), got 0"),
+    (["oracle", "--trials", "1", "--rho-max", "-1"], "--rho-max must lie in [0.0, inf), got -1.0"),
+    (["oracle", "--trials", "1", "--rho-max", "inf"], "--rho-max must lie in [0.0, inf), got inf"),
+    (["oracle", "--trials", "0", "--n", "1"], "--n must lie in [2, inf), got 1"),
+    (["oracle", "--trials", "1", "--seed", "-1"], "--seed must lie in [0, inf), got -1"),
+    (["gradcheck", "--trials", "0"], "--trials must lie in [1, inf), got 0"),
+    (["gradcheck", "--seed", "-2"], "--seed must lie in [0, inf), got -2"),
+])
+def test_suite_flag_out_of_range_message(monkeypatch, capsys, argv, message):
+    # refused before the suite draws anything
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("drew"))
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_suite_flags_take_the_suites_ranges(monkeypatch, capsys):
+    monkeypatch.setitem(verify._LEAST, "trials", 3)
+    assert cli_main(["gradcheck", "--trials", "2"]) == 2
+    assert capsys.readouterr().err == "config error: --trials must lie in [3, inf), got 2\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["oracle", "--trials", "1"], "kl_dro_primal"),
+    (["gradcheck", "--trials", "1"], "weighted_grad"),
+])
+def test_a_suites_internal_error_is_not_a_config_error(monkeypatch, capsys, argv, name):
+    def broken(*args):
+        raise ValueError("internal invariant broken")
+
+    monkeypatch.setattr(verify, name, broken)
+    with pytest.raises(ValueError, match="internal invariant broken"):
+        cli_main(argv)
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_report_malformed_trace_exits_2(tmp_path, capsys):

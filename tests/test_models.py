@@ -165,6 +165,47 @@ class TestFiniteDiff:
         with pytest.raises(FloatingPointError):
             finite_diff_grad(lambda t: math.inf, np.zeros(2), 1e-5)
 
+    @pytest.mark.parametrize("theta", [[0.0, math.nan], [math.inf, 1.0], [1.7e308, 0.0]])
+    def test_nonfinite_theta(self, theta):
+        # a non-finite entry, or a coordinate that h moves past the largest float
+        seen = []
+        with pytest.raises(ValueError, match="^theta contains non-finite entries$"):
+            finite_diff_grad(lambda t: seen.append(t) or 0.0, np.array(theta), 1e308)
+        assert seen == []
+
+    def test_moves_one_coordinate_of_a_copy_and_leaves_the_callers_theta(self):
+        theta = np.array([1.5, -0.0, 2.0**-1074, -3.0])
+        before = theta.tobytes()
+        seen = []
+
+        def objective(t):
+            assert not np.shares_memory(t, theta)
+            seen.append(t.copy())
+            return float(t @ np.arange(1.0, 5.0))
+
+        grad = finite_diff_grad(objective, theta, 0.25)
+        assert theta.tobytes() == before
+        assert np.array_equal(grad, np.arange(1.0, 5.0))
+        for j in range(theta.size):
+            for moved, seen_theta in zip((theta[j] + 0.25, theta[j] - 0.25), seen[2 * j : 2 * j + 2]):
+                want = theta.copy()
+                want[j] = moved
+                assert seen_theta.tobytes() == want.tobytes()
+
+    def test_leaves_the_callers_theta_when_the_objective_raises(self):
+        theta = np.array([1.0, 2.0, 3.0])
+        calls = []
+
+        def objective(t):
+            calls.append(1)
+            if len(calls) == 4:
+                raise RuntimeError("stop")
+            return 0.0
+
+        with pytest.raises(RuntimeError, match="stop"):
+            finite_diff_grad(objective, theta, 1e-5)
+        assert np.array_equal(theta, [1.0, 2.0, 3.0]) and len(calls) == 4
+
 
 class TestModelState:
     def test_param_counts(self):
@@ -254,7 +295,7 @@ class TestClassifierContext:
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_losses_match_scipy_cross_entropy(self, scale):
         model, batch, _ = self._case(ModelKind.SOFTMAX, scale, 12)
-        z = models._forward(model, batch.inputs)[0]
+        z = models._forward(models._unpack_mlp(model, model.theta), batch.inputs)[0]
         want = scipy_logsumexp(z, axis=1) - z[np.arange(64), batch.targets]
         assert np.array_equal(forward_losses(model, batch)[0], want)
         assert np.array_equal(per_sample_loss(model, batch), want)
@@ -305,7 +346,7 @@ class TestClassifierContext:
             (dz1.T @ x).ravel(), dz1.sum(axis=0), (dz2.T @ h1).ravel(), dz2.sum(axis=0),
             (delta.T @ h2).ravel(), delta.sum(axis=0),
         ])
-        assert np.array_equal(models._forward(model, x)[0], z)
+        assert np.array_equal(models._forward(models._unpack_mlp(model, t), x)[0], z)
         _, ctx = forward_losses(model, batch)
         assert np.array_equal(backward_weighted(model, batch, ctx, w), want)
 
@@ -313,7 +354,7 @@ class TestClassifierContext:
     def test_theta_is_unpacked_once_per_step(self, hidden, monkeypatch):
         calls = []
         unpack = models._unpack_mlp
-        monkeypatch.setattr(models, "_unpack_mlp", lambda m: calls.append(m) or unpack(m))
+        monkeypatch.setattr(models, "_unpack_mlp", lambda *a: calls.append(a) or unpack(*a))
         kind = ModelKind.MLP if hidden else ModelKind.SOFTMAX
         model = random_state(kind, 6, 4, hidden, seed=16)
         rng = np.random.default_rng(16)
@@ -381,7 +422,7 @@ class TestClassMajorCrossEntropy:
     """forward_losses and _eval_pass equal the row-major kernel and np.argmax bit for bit."""
 
     def _check(self, z, y, monkeypatch):
-        monkeypatch.setattr(models, "_forward", lambda model, x: (z.copy(), [x], None))
+        monkeypatch.setattr(models, "_forward", lambda layers, x: (z.copy(), [x]))
         n, c = z.shape
         model = zero_state(ModelKind.SOFTMAX, 1, c)
         batch = Batch(np.zeros((n, 1)), y)
@@ -429,7 +470,8 @@ class TestClassMajorCrossEntropy:
             is_max = zt == zmax
             want = logsumexp_classes(zt, zmax, is_max, np.exp(zt - zmax))
             want -= zt[y, np.arange(n)]
-            losses, _, _, _, label = models._cross_entropy(z.copy(), y)
+            label = models._label_index(y, z.shape[1])
+            losses, _, _, _ = models._cross_entropy(z.copy(), label)
         assert _bits(label) == _bits(np.arange(n) * z.shape[1] + y)
         assert _bits(z.reshape(-1)[label]) == _bits(zt[y, np.arange(n)])
         assert _bits(losses) == _bits(want)
@@ -481,7 +523,7 @@ def _lse_and_cross_entropy_match(z, y):
         is_max = zt == zmax
         got = logsumexp_classes(zt, zmax, is_max, np.exp(zt - zmax))
         want = logsumexp(z, axis=1)
-        losses, e, _, _, _ = models._cross_entropy(z.copy(), y)
+        losses, e, _, _ = models._cross_entropy(z.copy(), models._label_index(y, z.shape[1]))
         want_losses, want_e = _row_major_cross_entropy(z, y)
     assert _bits(got) == _bits(want)
     assert _bits(losses) == _bits(want_losses)

@@ -1,6 +1,6 @@
-"""tools/output_digests.py prints the same digests on every run, and on the
-stack named in the first line of tools/output_digests.txt it prints the
-digests recorded there."""
+"""tools/output_digests.py prints the same digests on every run, and on any
+stack named in the leading ``# `` lines of tools/output_digests.txt it
+prints the digests recorded there."""
 
 import itertools
 import os
@@ -37,11 +37,26 @@ def test_digests_repeat_exactly(digests):
     assert all(len(line.split()[1]) == 64 for line in lines)
 
 
+def _recorded():
+    """(the stacks on which every recorded line was produced, the lines)."""
+    lines = RECORDED.read_text().splitlines()
+    stacks = list(itertools.takewhile(lambda line: line.startswith("# "), lines))
+    return stacks, lines[len(stacks):]
+
+
+def test_the_recorded_file_names_its_stacks():
+    stacks, recorded = _recorded()
+    assert stacks and all(stack.startswith("# numpy ") for stack in stacks)
+    assert len(set(stacks)) == len(stacks)
+    assert not any(line.startswith("#") for line in recorded)
+
+
 def test_digests_match_the_recorded_file(digests):
     header, *lines = digests.splitlines()
-    recorded_header, *recorded = RECORDED.read_text().splitlines()
-    if header != recorded_header:
-        pytest.skip(f"digests recorded on {recorded_header[2:]!r}, this stack is {header[2:]!r}")
+    stacks, recorded = _recorded()
+    if header not in stacks:
+        listed = [stack[2:] for stack in stacks]
+        pytest.skip(f"digests recorded on {listed!r}, this stack is {header[2:]!r}")
     differ = [
         f"  recorded {want!r}\n  now      {got!r}"
         for want, got in itertools.zip_longest(recorded, lines)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reweightopt import verify
+from reweightopt import models, verify
 from reweightopt.dro import DiscreteDistribution, DroSolution, instance_to_json, random_instance
 from reweightopt.models import ModelKind, per_sample_loss, weighted_grad
 from reweightopt.weighting import Divergence, weighted_objective
@@ -154,35 +154,103 @@ def _recorded(monkeypatch, name, spoil=None, at=0):
     return calls
 
 
+def _recorded_evaluations(monkeypatch, spoil=None, at=0):
+    """Patch ``verify._trial_losses`` so that every loss evaluator it builds
+    records a copy of each theta it is called with, in one list; the
+    ``at``-th evaluation (from 1) returns ``spoil(losses)``.  Returns
+    (each built context's model and its theta's bytes at the build, the
+    recorded thetas)."""
+    build, contexts, thetas = verify._trial_losses, [], []
+
+    def patched(model, batch):
+        contexts.append((model, model.theta.tobytes()))
+        losses_at = build(model, batch)
+
+        def evaluate(theta):
+            thetas.append(theta.copy())
+            losses = losses_at(theta)
+            return spoil(losses) if len(thetas) == at else losses
+
+        return evaluate
+
+    monkeypatch.setattr(verify, "_trial_losses", patched)
+    return contexts, thetas
+
+
 def test_a_non_finite_loss_at_a_perturbed_theta_raises(monkeypatch):
-    def spoil(model, batch):
-        losses = per_sample_loss(model, batch)
+    def spoil(losses):
         losses[-1] = np.inf
         return losses
 
-    calls = _recorded(monkeypatch, "per_sample_loss", spoil, at=3)
+    _, calls = _recorded_evaluations(monkeypatch, spoil, at=3)
     with pytest.raises(ValueError, match="non-finite loss values at indices"):
         verify.gradcheck_suite(1, 0)
     assert len(calls) == 3
 
 
 def test_a_non_finite_theta_raises(monkeypatch):
-    def spoil(objective, theta):
-        return objective(np.full(theta.size, np.nan))
+    def spoil(objective, theta):  # a finite theta whose first coordinate + h overflows
+        return models.finite_diff_grad(objective, np.full(theta.size, 1.7e308), 1e308)
 
     _recorded(monkeypatch, "finite_diff_grad", spoil, at=1)
+    _, calls = _recorded_evaluations(monkeypatch)
     with pytest.raises(ValueError, match="theta contains non-finite entries"):
         verify.gradcheck_suite(1, 0)
+    assert calls == []
 
 
 def test_the_traced_bindings_count_the_oracle_calls(monkeypatch):
     # the benchmark traces the oracle by patching these module attributes:
     # one finite_diff_grad per kind and trial, two forward passes per coordinate
     grads = _recorded(monkeypatch, "finite_diff_grad")
-    losses = _recorded(monkeypatch, "per_sample_loss")
+    _, thetas = _recorded_evaluations(monkeypatch)
     assert verify.gradcheck_suite(2, 5)["passed"]
     assert len(grads) == 2 * len(ModelKind)
-    assert len(losses) == sum(2 * theta.size for _, theta in grads)
+    assert len(thetas) == sum(2 * theta.size for _, theta in grads)
+
+
+def test_each_trial_builds_its_context_once(monkeypatch):
+    # the batch's fit, the label index and the (W, b) views: once per kind and
+    # trial for the oracle, besides the one forward pass of weighted_grad
+    counts = dict.fromkeys(("_check_batch", "_label_index", "_unpack_mlp"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(models, name, counting(name, getattr(models, name)))
+    contexts, thetas = _recorded_evaluations(monkeypatch)
+    trials = 3
+    assert verify.gradcheck_suite(trials, 7)["passed"]
+    assert [model.kind for model, _ in contexts] == [k for k in ModelKind for _ in range(trials)]
+    classifiers = (len(ModelKind) - 1) * trials
+    assert counts == {"_check_batch": 2 * len(contexts), "_label_index": 2 * classifiers,
+                      "_unpack_mlp": 2 * classifiers}
+    assert len(thetas) > 2 * len(contexts)
+
+
+def test_no_trial_theta_changes(monkeypatch):
+    # every evaluation sees the trial's theta moved at one coordinate by +-h, and
+    # the model's theta keeps its bytes
+    contexts, thetas = _recorded_evaluations(monkeypatch)
+    grads = _recorded(monkeypatch, "finite_diff_grad")
+    assert verify.gradcheck_suite(2, 11)["passed"]
+    before = [built for _, built in contexts]
+    assert [model.theta.tobytes() for model, _ in contexts] == before
+    assert [theta.tobytes() for _, theta in grads] == before
+    start = 0
+    for model, _ in contexts:
+        theta = model.theta
+        for j in range(theta.size):
+            for sign, seen in zip((1.0, -1.0), thetas[start : start + 2]):
+                moved = theta.copy()
+                moved[j] = theta[j] + sign * 1e-5
+                assert seen.tobytes() == moved.tobytes()
+            start += 2
+    assert start == len(thetas)
 
 
 @pytest.mark.parametrize("suite, kwargs, name", [

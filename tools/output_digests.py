@@ -43,14 +43,19 @@ Each line reads ``<name> <sha256>``.  The outputs are:
   data (both parts of each), and ``flip_labels`` of the classification
   train part.
 
-The first line, starting with ``#``, names the stack the digests depend
+The first line, starting with ``# ``, names the stack the digests depend
 on: the numpy version, the platform with the CPU targets numpy dispatches
-to, and the BLAS.  ``tools/output_digests.txt`` holds the output recorded
-on one stack, and ``tests/test_output_digests.py`` compares this script's
-output with it line by line on that stack.  A change that alters a digest
-on purpose regenerates the file:
+to, and the BLAS.  ``tools/output_digests.txt`` holds the recorded
+digests after one such ``# `` line for each stack on which the script
+printed every one of them, and ``tests/test_output_digests.py`` compares
+this script's output with them line by line on any listed stack.  A
+change that alters a digest on purpose regenerates the file, which then
+names only the stack it was made on:
 
     PYTHONPATH=src python tools/output_digests.py > tools/output_digests.txt
+
+A stack on which a run prints every recorded line is added as one more
+leading ``# `` line.
 
 The script takes no flags.  To check that a change keeps these outputs
 byte-identical on a stack other than the recorded one, run it against
@@ -219,7 +224,7 @@ def kernel_digests():
         for c in (2, 9, 10, 17, 130):
             z, y = _logits(rng, 64, c)
             # the softmax model's forward pass, replaced by the given logits
-            models._forward = lambda model, x: (z.copy(), [x], models._unpack_mlp(model))
+            models._forward = lambda layers, x: (z.copy(), [x])
             model = models.ModelState("softmax", np.zeros(2 * c), 1, c)
             batch = models.Batch(np.zeros((64, 1)), y)
             losses, (e, _, _, _) = models.forward_losses(model, batch)
