@@ -8,9 +8,9 @@ run by the generators, is the one check of the rows.  The datasets
 derived from them are stored unchecked, with a label range bounding theirs.
 
 ``subsample_long_tailed`` and ``split`` choose their rows with one seeded
-index helper and then gather them.  ``experiment`` builds a run's splits
-from the same helpers (``_subsample_rows``, ``_split_rows``) as row
-indices, so that it gathers the inputs only once.
+index helper and then gather them (``_take``).  ``experiment`` composes a
+run's splits from the same helpers (``_subsample_rows``, ``_split_rows``)
+as row indices of the generated dataset, and gathers each split once.
 """
 
 from __future__ import annotations
@@ -108,11 +108,11 @@ def long_tailed_counts(num_classes: int, n_max: int, imbalance_factor: float) ->
     n_i = round(n_max * mu^(i/(C-1))) with mu = 1/IF, so the endpoints
     satisfy n_0 = n_max and n_{C-1} = max(1, round(n_max / IF)).
     """
-    if num_classes < 2:
+    if not num_classes >= 2:  # each check written so that nan fails it
         raise ValueError("need at least 2 classes")
-    if n_max < 1:
+    if not n_max >= 1:
         raise ValueError("n_max must be >= 1")
-    if imbalance_factor < 1:
+    if not imbalance_factor >= 1:
         raise ValueError("imbalance factor must be >= 1")
     mu = 1.0 / imbalance_factor
     return [max(1, int(np.rint(n_max * mu ** (i / (num_classes - 1))))) for i in range(num_classes)]

@@ -318,9 +318,9 @@ def _build_datasets(ds_cfg: dict) -> dict:
     Each split equals what the public ``datagen`` calls give: the generator,
     ``subsample_long_tailed``, ``split`` with the test fraction (seed), then
     ``split`` of the rest with the holdout fraction (seed + 1), and
-    ``flip_labels`` on the train split.  Here the rows are selected by index
-    and the inputs gathered once, in trace order, into one read-only array:
-    each split's inputs are a row view of it, stored unchecked.
+    ``flip_labels`` on the train split.  Here each split's rows of the
+    generated dataset are composed as indices, so that each split gathers
+    its rows once (``datagen._take``) and no row is gathered twice.
     """
     with _config_errors("dataset.params"):
         full = getattr(datagen, ds_cfg["generator"])(**ds_cfg["params"])
@@ -351,21 +351,7 @@ def _build_datasets(ds_cfg: dict) -> dict:
                 )
             selected["train"] = rows[train[0]], train[1]
             selected[name] = rows[other[0]], other[1]
-    if len(selected) == 1 and "subsample" not in ds_cfg:
-        splits = {"train": full}  # no row is selected: nothing to gather
-    else:
-        order = [name for name in _SPLITS if name in selected]
-        rows = np.concatenate([selected[name][0] for name in order])
-        gathered = models._rows(full, rows)  # read-only, with full's label range
-        views, start = {}, 0
-        for name in order:
-            stop = start + selected[name][0].size
-            views[name] = models._unchecked(
-                Dataset, inputs=gathered.inputs[start:stop], targets=gathered.targets[start:stop],
-                label_range=gathered.label_range, meta=selected[name][1],
-            )
-            start = stop
-        splits = {name: views[name] for name in selected}
+    splits = {name: datagen._take(full, rows, meta) for name, (rows, meta) in selected.items()}
     if "flip_train" in ds_cfg:
         fl = ds_cfg["flip_train"]
         splits["train"] = datagen.flip_labels(splits["train"], fl["fraction"], fl["seed"])

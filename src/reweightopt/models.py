@@ -77,15 +77,15 @@ def param_count(kind: ModelKind, input_dim: int, num_classes: int, hidden: tuple
     made by ``ModelState`` and, before they draw, ``zero_state`` and
     ``random_state``."""
     kind = ModelKind(kind)
-    if input_dim < 1:
+    if not input_dim >= 1:  # each check written so that nan fails it
         raise ValueError("input_dim must be >= 1")
-    if kind is not ModelKind.LINEAR and num_classes < 2:
+    if kind is not ModelKind.LINEAR and not num_classes >= 2:
         raise ValueError("classifiers need num_classes >= 2")
     if kind is ModelKind.MLP and not 1 <= len(hidden) <= 2:
         raise ValueError("mlp supports one or two hidden layers")
     if kind is not ModelKind.MLP and hidden:
         raise ValueError(f"a {kind.value} model has no hidden layers")
-    if any(h < 1 for h in hidden):
+    if not all(h >= 1 for h in hidden):
         raise ValueError("hidden widths must be >= 1")
     if kind is ModelKind.LINEAR:
         return input_dim

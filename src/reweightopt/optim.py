@@ -121,7 +121,7 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not (math.isfinite(self.lr_base) and self.lr_base > 0):
             raise ValueError("lr_base must be positive")
-        if self.steps < 0 or self.batch_size < 1:
+        if not (self.steps >= 0 and self.batch_size >= 1):  # written so that nan fails it
             raise ValueError("steps must be >= 0 and batch_size >= 1")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("adam betas must lie in [0, 1)")
@@ -173,8 +173,8 @@ class BaselineState:
             raise ValueError("lam must be finite and positive")
         if not (0.0 < self.beta_ma < 1.0):
             raise ValueError("beta_ma must lie in (0, 1)")
-        if self.z is not None and self.z <= 0:
-            raise ValueError("running normalizer must be positive")
+        if self.z is not None and not (math.isfinite(self.z) and self.z > 0):
+            raise ValueError("running normalizer must be finite and positive")
 
     def step_weights(self, losses: np.ndarray, t: int):
         """z <- beta * z + (1 - beta) * mean(exp(lam * loss)); w = exp(lam * loss) / z."""

@@ -63,6 +63,16 @@ GRAD_TOL = 1e-5
 _DIVERGENCES = (Divergence.KL, Divergence.CHI2, Divergence.REVERSE_KL)
 
 
+def _fails(value: float, tol: float) -> bool:
+    """Every check's verdict: only a deviation <= tol passes, so a NaN fails."""
+    return not value <= tol
+
+
+def _worse(worst: float, value: float) -> float:
+    """``max(worst, value)``, except that a NaN, once in, stays the worst."""
+    return value if value > worst or value != value else worst
+
+
 def _certify(inst, where: str):
     """Solve ``inst`` with its divergence's solver and check D(q || p) <= rho,
     the tilting form and strong duality; returns (solution, duality gap, form
@@ -77,13 +87,13 @@ def _certify(inst, where: str):
     sol = solvers[div](inst)
     failures = []
     dv = divergence_value(sol.worst_dist.probs, inst.base.probs, div)
-    if dv > inst.rho + 1e-9:
+    if _fails(dv, inst.rho + 1e-9):
         failures.append(f"{where}: constraint violated ({dv:.3e} > rho)")
     form = optimal_weight_form_check(inst, sol, FORM_TOL)
     if not form.passed:
         failures.append(f"{where}: {div.value} form deviation {form.max_rel_dev:.3e}")
     gap = abs(sol.value - sol.dual_value)
-    if gap > DUALITY_TOL:
+    if _fails(gap, DUALITY_TOL):
         failures.append(f"{where}: {div.value} duality gap {gap:.3e}")
     return sol, gap, form.max_rel_dev, failures
 
@@ -134,13 +144,13 @@ def dro_suite(
             key = "max_" if div is Divergence.KL else "max_variant_"
             sol, gap, dev, failures = _certify(inst, f"trial {trial}")
             report["failures"] += failures
-            report[key + "duality_gap"] = max(report[key + "duality_gap"], gap)
-            report[key + "form_dev"] = max(report[key + "form_dev"], dev)
+            report[key + "duality_gap"] = _worse(report[key + "duality_gap"], gap)
+            report[key + "form_dev"] = _worse(report[key + "form_dev"], dev)
             if gridded:
                 brute = simplex_bruteforce(inst, grid_points)
-                err = max(abs(sol.value - brute), abs(sol.dual_value - brute))
-                report[key + "grid_err"] = max(report[key + "grid_err"], err)
-                if err > grid_tol:
+                err = _worse(abs(sol.value - brute), abs(sol.dual_value - brute))
+                report[key + "grid_err"] = _worse(report[key + "grid_err"], err)
+                if _fails(err, grid_tol):
                     label = "" if div is Divergence.KL else f"{div.value} "
                     report["failures"].append(f"trial {trial}: {label}grid disagreement {err:.3e}")
     report["passed"] = not report["failures"]
@@ -206,8 +216,8 @@ def gradcheck_suite(trials: int = 50, seed: int = 0) -> dict:
                 numeric = finite_diff_grad(objective, model.theta)
             denom = max(float(np.linalg.norm(numeric)), 1e-10)
             rel = float(np.linalg.norm(analytic - numeric)) / denom
-            worst = max(worst, rel)
-            if rel > GRAD_TOL:
+            worst = _worse(worst, rel)
+            if _fails(rel, GRAD_TOL):
                 report["failures"].append(f"{kind.value} trial {trial}: rel err {rel:.3e}")
         report["max_rel_err"][kind.value] = worst
     report["passed"] = not report["failures"]

@@ -14,8 +14,8 @@ import pytest
 
 from reweightopt import datagen, dro, experiment
 from reweightopt.experiment import ConfigError, parse_trace
-from reweightopt.models import ModelState, random_state, zero_state
-from reweightopt.optim import BaselineState, TrainingDivergenceError
+from reweightopt.models import ModelState, param_count, random_state, zero_state
+from reweightopt.optim import BaselineState, TrainConfig, TrainingDivergenceError
 from reweightopt.weighting import Divergence
 
 
@@ -88,6 +88,37 @@ DIRECT = {
         TrainingDivergenceError, "training diverged at step 1: non-positive normalizer z=0.0"),
     "empty json trace": (
         _empty_json_trace, ValueError, "empty trace file "),
+    # a nan fails each range check, whose comparison it would pass unseen
+    "ma normalizer of nan": (
+        lambda _: BaselineState(1.0, 0.5, z=math.nan),
+        ValueError, "running normalizer must be finite and positive"),
+    "ma normalizer of inf": (
+        lambda _: BaselineState(1.0, 0.5, z=math.inf),
+        ValueError, "running normalizer must be finite and positive"),
+    "long tail of nan classes": (
+        lambda _: datagen.long_tailed_counts(math.nan, 10, 2.0),
+        ValueError, "need at least 2 classes"),
+    "long tail of a nan head": (
+        lambda _: datagen.long_tailed_counts(3, math.nan, 2.0),
+        ValueError, "n_max must be >= 1"),
+    "long tail of a nan imbalance": (
+        lambda _: datagen.long_tailed_counts(3, 10, math.nan),
+        ValueError, "imbalance factor must be >= 1"),
+    "train config of nan steps": (
+        lambda _: TrainConfig(steps=math.nan),
+        ValueError, "steps must be >= 0 and batch_size >= 1"),
+    "train config of a nan batch size": (
+        lambda _: TrainConfig(batch_size=math.nan),
+        ValueError, "steps must be >= 0 and batch_size >= 1"),
+    "model of a nan input": (
+        lambda _: param_count("linear", math.nan, 1, ()),
+        ValueError, "input_dim must be >= 1"),
+    "classifier of nan classes": (
+        lambda _: param_count("softmax", 4, math.nan, ()),
+        ValueError, "classifiers need num_classes >= 2"),
+    "hidden layer of a nan width": (
+        lambda _: param_count("mlp", 4, 3, (math.nan,)),
+        ValueError, "hidden widths must be >= 1"),
 }
 
 

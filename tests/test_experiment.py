@@ -311,8 +311,8 @@ def _build_case(generator, options, seed):
 
 
 class TestBuildDatasets:
-    """``_build_datasets`` selects rows by index and gathers the inputs once;
-    its splits equal those of the public datagen calls."""
+    """``_build_datasets`` composes each split's rows as indices and gathers
+    each split once; its splits equal those of the public datagen calls."""
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("generator, options", [
@@ -337,22 +337,6 @@ class TestBuildDatasets:
                 assert arr.tobytes() == ref_arr.tobytes()
                 assert not arr.flags.writeable
             assert list(ds.meta.items()) == list(ref.meta.items())
-
-    @pytest.mark.parametrize("options", [
-        ("subsample",), ("test", "flip"), ("test", "holdout", "flip"),
-        ("subsample", "holdout"),
-    ])
-    def test_splits_are_row_views_of_one_gather(self, options):
-        splits = experiment._build_datasets(_build_case("gaussian_mixture_classification", options, 5))
-        order = [name for name in ("train", "holdout", "test") if name in splits]
-        gathered = splits["train"].inputs.base
-        assert gathered is not None and not gathered.flags.writeable
-        assert all(splits[name].inputs.base is gathered for name in order)
-        # in trace order, one block of rows after another
-        assert np.array_equal(gathered, np.concatenate([splits[name].inputs for name in order]))
-        starts = [splits[name].inputs.ctypes.data for name in order]
-        sizes = [splits[name].inputs.nbytes for name in order]
-        assert starts == [gathered.ctypes.data + sum(sizes[:i]) for i in range(len(order))]
 
     def test_nothing_selected_keeps_the_generated_dataset(self):
         ds_cfg = _build_case("gaussian_mixture_classification", ("flip",), 2)

@@ -86,6 +86,42 @@ def test_every_divergence_gets_a_duality_certificate(monkeypatch):
     assert report["failures"] == ["instance 2: reverse_kl duality gap 1.000e-06"]
 
 
+def _nan_dual_bound_first(monkeypatch):
+    """Patch the kl solver so that its first solution's dual bound is NaN."""
+    exact, calls = verify.kl_dro_primal, []
+
+    def spoiled(inst):
+        calls.append(inst)
+        sol = exact(inst)
+        return replace(sol, dual_value=np.nan) if len(calls) == 1 else sol
+
+    monkeypatch.setattr(verify, "kl_dro_primal", spoiled)
+
+
+def test_a_nan_dual_bound_fails_dro_suite_and_stays_the_worst(monkeypatch):
+    _nan_dual_bound_first(monkeypatch)
+    report = verify.dro_suite(trials=3, n_max=3, seed=1, grid_points=101)
+    assert report["grid_checked"] == 3  # two finite trials follow the NaN one
+    assert report["failures"] == ["trial 0: kl duality gap nan", "trial 0: grid disagreement nan"]
+    assert not report["passed"]
+    assert np.isnan(report["max_duality_gap"]) and np.isnan(report["max_grid_err"])
+    assert report["max_variant_grid_err"] <= report["grid_tol"]
+
+
+def test_a_nan_duality_gap_fails_check_instances(monkeypatch):
+    _nan_dual_bound_first(monkeypatch)
+    report = verify.check_instances(_records()[:1])
+    assert np.isnan(report["results"][0]["duality_gap"])
+    assert report["failures"] == ["instance 0: kl duality gap nan"]
+    assert not report["passed"]
+
+
+def test_a_nan_divergence_fails_the_constraint(monkeypatch):
+    monkeypatch.setattr(verify, "divergence_value", lambda q, p, div: np.nan)
+    report = verify.check_instances(_records()[:1])
+    assert report["failures"] == ["instance 0: constraint violated (nan > rho)"]
+
+
 def _reference_gradcheck(trials, seed):
     """``gradcheck_suite``'s report through the checked route: every perturbed
     theta goes through ``with_theta``, ``per_sample_loss`` and
@@ -139,6 +175,22 @@ def test_gradcheck_suite_fails_a_wrong_gradient(monkeypatch):
     assert not report["passed"]
     for kind in ModelKind:
         assert any(f.startswith(f"{kind.value} trial 0: rel err") for f in report["failures"])
+
+
+def test_a_nan_gradient_fails_gradcheck_suite_and_stays_the_worst(monkeypatch):
+    exact, calls = verify.weighted_grad, []
+
+    def spoiled(model, batch, weights):  # all NaN in trial 0 of each kind only
+        calls.append(model.kind)
+        grad = exact(model, batch, weights)
+        return np.full_like(grad, np.nan) if len(calls) % 2 else grad
+
+    monkeypatch.setattr(verify, "weighted_grad", spoiled)
+    report = verify.gradcheck_suite(2, 0)
+    assert calls == [kind for kind in ModelKind for _ in range(2)]
+    assert report["failures"] == [f"{kind.value} trial 0: rel err nan" for kind in ModelKind]
+    assert not report["passed"]
+    assert all(np.isnan(worst) for worst in report["max_rel_err"].values())
 
 
 def _recorded(monkeypatch, name, spoil=None, at=0):
