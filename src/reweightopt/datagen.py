@@ -8,9 +8,7 @@ run by the generators, is the one check of the rows.  The datasets
 derived from them are stored unchecked, with a label range bounding theirs.
 
 ``subsample_long_tailed`` and ``split`` choose their rows with one seeded
-index helper and then gather them (``_take``).  ``experiment`` composes a
-run's splits from the same helpers (``_subsample_rows``, ``_split_rows``)
-as row indices of the generated dataset, and gathers each split once.
+index helper (``_cut``) and then gather them (``_take``).
 """
 
 from __future__ import annotations
@@ -126,9 +124,9 @@ def gaussian_mixture_classification(
     The rows come class by class: one draw of every class's normals, to
     which each class's mean row is added in place.
     """
-    if num_classes < 2 or n_per_class < 1:
+    if not (num_classes >= 2 and n_per_class >= 1):  # each check written so that nan fails it
         raise ValueError("need num_classes >= 2 and n_per_class >= 1")
-    if dim < num_classes:
+    if not dim >= num_classes:
         raise ValueError("dim must be >= num_classes so each mean gets its own axis")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((num_classes * n_per_class, dim))
@@ -183,21 +181,15 @@ def subsample_long_tailed(dataset: Dataset, counts, seed: int) -> Dataset:
     counts = [int(c) for c in counts]
     if len(counts) != num_classes:
         raise ValueError(f"{len(counts)} counts for {num_classes} classes")
-    return _take(dataset, *_subsample_rows(dataset.targets, dataset.meta, counts, seed))
-
-
-def _subsample_rows(targets: np.ndarray, meta: dict, counts: list, seed: int):
-    """The rows ``subsample_long_tailed`` keeps of a dataset with these
-    targets and metadata, and the subsample's metadata."""
 
     def k_of(c, size):
         if size < counts[c]:
             raise ValueError(f"class {c} has {size} samples, need {counts[c]}")
         return counts[c]
 
-    keep = _cut(targets, len(counts), seed, k_of)[0]
-    return keep, _own(meta, subsample_seed=int(seed), class_counts=counts,
-                      imbalance_factor=max(counts) / min(counts))
+    keep = _cut(dataset.targets, num_classes, seed, k_of)[0]
+    return _take(dataset, keep, _own(dataset.meta, subsample_seed=int(seed), class_counts=counts,
+                                     imbalance_factor=max(counts) / min(counts)))
 
 
 def flip_labels(dataset: Dataset, fraction: float, seed: int) -> Dataset:
@@ -227,23 +219,17 @@ def flip_labels(dataset: Dataset, fraction: float, seed: int) -> Dataset:
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded holdout split; stratified per class for classification."""
-    num_classes = dataset.num_classes if dataset.is_classification else None
-    parts = _split_rows(dataset.targets, dataset.meta, num_classes, train_fraction, seed)
-    return tuple(_take(dataset, rows, meta) for rows, meta in parts)
-
-
-def _split_rows(targets: np.ndarray, meta: dict, num_classes, train_fraction: float, seed: int):
-    """The (rows, metadata) of ``split``'s train and other parts of a dataset
-    with these targets and metadata; num_classes is None for regression."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie strictly between 0 and 1")
-    parts = _cut(targets, num_classes, seed, lambda c, size: int(round(train_fraction * size)))
+    num_classes = dataset.num_classes if dataset.is_classification else None
+    parts = _cut(dataset.targets, num_classes, seed,
+                 lambda c, size: int(round(train_fraction * size)))
     if parts[0].size == 0 or parts[1].size == 0:
         raise ValueError(f"degenerate split sizes {parts[0].size}/{parts[1].size}")
 
-    def part_meta(rows, name):
+    def part(rows, name):
         counts = {} if num_classes is None else {
-            "class_counts": _class_counts(targets[rows], num_classes)}
-        return _own(meta, split=name, split_seed=int(seed), **counts)
+            "class_counts": _class_counts(dataset.targets[rows], num_classes)}
+        return _take(dataset, rows, _own(dataset.meta, split=name, split_seed=int(seed), **counts))
 
-    return (parts[0], part_meta(parts[0], "train")), (parts[1], part_meta(parts[1], "other"))
+    return part(parts[0], "train"), part(parts[1], "other")

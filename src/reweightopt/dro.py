@@ -419,7 +419,7 @@ def simplex_bruteforce(inst: DroInstance, grid_points: int = 2001, return_dist: 
     """
     if inst.n > 4:
         raise ValueError("brute force limited to n <= 4")
-    if grid_points < 2:
+    if not grid_points >= 2:  # written so that nan fails it
         raise ValueError("need at least 2 grid points per edge")
     p = inst.base.probs
     # q must vanish where p does, so the lattice spans the base's support only

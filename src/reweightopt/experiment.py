@@ -313,49 +313,34 @@ def validate_config(config: dict) -> dict:
 
 def _build_datasets(ds_cfg: dict) -> dict:
     """The splits of a dataset section, keyed train, test, holdout (those
-    present, in that order).
-
-    Each split equals what the public ``datagen`` calls give: the generator,
-    ``subsample_long_tailed``, ``split`` with the test fraction (seed), then
-    ``split`` of the rest with the holdout fraction (seed + 1), and
-    ``flip_labels`` on the train split.  Here each split's rows of the
-    generated dataset are composed as indices, so that each split gathers
-    its rows once (``datagen._take``) and no row is gathered twice.
-    """
+    present, in that order): the generator, ``subsample_long_tailed``,
+    ``split`` with the test fraction (seed), then ``split`` of the rest with
+    the holdout fraction (seed + 1), and ``flip_labels`` on the train split."""
     with _config_errors("dataset.params"):
-        full = getattr(datagen, ds_cfg["generator"])(**ds_cfg["params"])
-    rows, meta = np.arange(full.n), full.meta  # the rows of full selected so far
+        train = getattr(datagen, ds_cfg["generator"])(**ds_cfg["params"])
     if "subsample" in ds_cfg:
         sub = ds_cfg["subsample"]
         with _config_errors("dataset.subsample"):
             counts = datagen.long_tailed_counts(
-                full.num_classes, sub["n_max"], sub["imbalance_factor"]
+                train.num_classes, sub["n_max"], sub["imbalance_factor"]
             )
-            rows, meta = datagen._subsample_rows(full.targets, meta, counts, sub["seed"])
-    selected = {"train": (rows, meta)}
+            train = datagen.subsample_long_tailed(train, counts, sub["seed"])
+    splits = {}  # test and holdout; no name keeps a dataset after its cut, which frees it
     if "split" in ds_cfg:
         sp = ds_cfg["split"]
         test_frac = float(sp.get("test_fraction", 0.0))
         holdout_frac = float(sp.get("holdout_fraction", 0.0))
-        cuts = []
-        if test_frac > 0:
-            cuts.append(("test", 1.0 - test_frac, sp["seed"]))
-        if holdout_frac > 0:
-            cuts.append(("holdout", 1.0 - holdout_frac / (1.0 - test_frac), sp["seed"] + 1))
-        num_classes = full.num_classes if full.is_classification else None
-        for name, train_frac, seed in cuts:
-            rows, meta = selected["train"]
-            with _config_errors("dataset.split"):
-                train, other = datagen._split_rows(
-                    full.targets[rows], meta, num_classes, train_frac, seed
+        with _config_errors("dataset.split"):
+            if test_frac > 0:
+                train, splits["test"] = datagen.split(train, 1.0 - test_frac, sp["seed"])
+            if holdout_frac > 0:
+                train, splits["holdout"] = datagen.split(
+                    train, 1.0 - holdout_frac / (1.0 - test_frac), sp["seed"] + 1
                 )
-            selected["train"] = rows[train[0]], train[1]
-            selected[name] = rows[other[0]], other[1]
-    splits = {name: datagen._take(full, rows, meta) for name, (rows, meta) in selected.items()}
     if "flip_train" in ds_cfg:
         fl = ds_cfg["flip_train"]
-        splits["train"] = datagen.flip_labels(splits["train"], fl["fraction"], fl["seed"])
-    return splits
+        train = datagen.flip_labels(train, fl["fraction"], fl["seed"])
+    return {"train": train, **splits}
 
 
 @_config_errors("model")
@@ -386,7 +371,11 @@ def _build_weighter(method_cfg: dict):
 
 
 def minibatch_stream(n: int, batch_size: int, steps: int, seed: int):
-    """Yield `steps` index arrays; epoch-shuffled sampling w/o replacement."""
+    """Yield `steps` index arrays; epoch-shuffled sampling w/o replacement
+    of n >= 1 samples in batches of batch_size >= 1."""
+    for name, value in (("n", n), ("batch_size", batch_size)):
+        if not value >= 1:  # written so that nan fails it
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
     rng = np.random.default_rng(seed)
     produced = 0
     while produced < steps:

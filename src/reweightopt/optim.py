@@ -54,7 +54,7 @@ from .models import (
 )
 from .numerics import _all_finite, clip, logsumexp
 # batch_weights is bound here only for the benchmark's layer_targets()
-from .weighting import WeightingRule, batch_weights  # noqa: F401
+from .weighting import WeightingRule, as_loss_vector, batch_weights  # noqa: F401
 
 __all__ = [
     "Schedule",
@@ -144,7 +144,7 @@ class OptimizerState:
     v: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.t < 0:
+        if not self.t >= 0:  # written so that nan fails it
             raise ValueError("step counter must be >= 0")
         for name in ("m", "v"):
             vec = getattr(self, name)
@@ -195,7 +195,10 @@ class BaselineState:
         return e, _unchecked(BaselineState, lam=self.lam, beta_ma=self.beta_ma, z=z)
 
     def report(self, losses):
-        losses = np.asarray(losses, dtype=np.float64)
+        return self._report(as_loss_vector(losses))
+
+    def _report(self, losses: np.ndarray):
+        """``report`` of a float64 vector of finite losses, unchecked."""
         # each mean is np.mean's: the same sum over the size, bit for bit
         with np.errstate(over="ignore"):
             e = np.exp(self.lam * losses)
@@ -208,8 +211,6 @@ class BaselineState:
         with np.errstate(over="ignore"):
             w[over] = np.exp(self.lam * losses[over] - math.log(z))
         return float(losses.sum()) / losses.size, w, 0.0
-
-    _report = report  # it checks nothing, so it is its own unchecked core
 
 
 @dataclass(frozen=True)
@@ -229,10 +230,11 @@ class Tilt:
         return p, self
 
     def report(self, losses):
-        ell = np.asarray(losses, dtype=np.float64).reshape(-1)
-        return self._objective(ell), self._probs(ell), 0.0
+        return self._report(as_loss_vector(losses))
 
-    _report = report  # it checks nothing, so it is its own unchecked core
+    def _report(self, ell: np.ndarray):
+        """``report`` of a float64 vector of finite losses, unchecked."""
+        return self._objective(ell), self._probs(ell), 0.0
 
     def _objective(self, ell: np.ndarray) -> float:
         """``term_objective`` of the float64 vector ``ell`` at this tilt."""
@@ -387,13 +389,15 @@ def rgd_step(state: OptimizerState, batch: Batch, weighter, config: TrainConfig)
 
 
 def term_objective(losses, t_tilt: float) -> float:
-    """Tilted batch objective (1/t) * log mean exp(t * loss); ``Tilt`` checks t."""
-    return Tilt(t_tilt)._objective(np.asarray(losses, dtype=np.float64).reshape(-1))
+    """Tilted batch objective (1/t) * log mean exp(t * loss); ``Tilt`` checks t,
+    ``as_loss_vector`` the losses."""
+    return Tilt(t_tilt)._objective(as_loss_vector(losses))
 
 
 def term_weights(losses, t_tilt: float) -> np.ndarray:
-    """Softmax weights p_i = exp(t*l_i) / sum_j exp(t*l_j), summing to 1; ``Tilt`` checks t."""
-    return Tilt(t_tilt)._probs(np.asarray(losses, dtype=np.float64).reshape(-1))
+    """Softmax weights p_i = exp(t*l_i) / sum_j exp(t*l_j), summing to 1; ``Tilt``
+    checks t, ``as_loss_vector`` the losses."""
+    return Tilt(t_tilt)._probs(as_loss_vector(losses))
 
 
 def term_step(state: OptimizerState, batch: Batch, t_tilt: float, config: TrainConfig):

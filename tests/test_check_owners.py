@@ -15,7 +15,9 @@ import pytest
 from reweightopt import datagen, dro, experiment
 from reweightopt.experiment import ConfigError, parse_trace
 from reweightopt.models import ModelState, param_count, random_state, zero_state
-from reweightopt.optim import BaselineState, TrainConfig, TrainingDivergenceError
+from reweightopt.optim import (
+    BaselineState, OptimizerState, TrainConfig, TrainingDivergenceError,
+)
 from reweightopt.weighting import Divergence
 
 
@@ -119,6 +121,21 @@ DIRECT = {
     "hidden layer of a nan width": (
         lambda _: param_count("mlp", 4, 3, (math.nan,)),
         ValueError, "hidden widths must be >= 1"),
+    "optimizer state at a nan step": (
+        lambda _: OptimizerState(zero_state("linear", 2, 1), t=math.nan),
+        ValueError, "step counter must be >= 0"),
+    "mixture of nan classes": (
+        lambda _: _mixture(num_classes=math.nan),
+        ValueError, "need num_classes >= 2 and n_per_class >= 1"),
+    "mixture of nan rows per class": (
+        lambda _: _mixture(n_per_class=math.nan),
+        ValueError, "need num_classes >= 2 and n_per_class >= 1"),
+    "mixture of a nan dim": (
+        lambda _: datagen.gaussian_mixture_classification(3, 20, math.nan, 3.0, 0),
+        ValueError, "dim must be >= num_classes so each mean gets its own axis"),
+    "grid of nan points": (
+        lambda _: dro.simplex_bruteforce(_chi2_instance(), math.nan),
+        ValueError, "need at least 2 grid points per edge"),
 }
 
 

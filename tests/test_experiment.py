@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reweightopt import datagen, experiment, models, weighting
+from reweightopt import datagen, experiment, models, optim, weighting
 from reweightopt.datagen import gaussian_mixture_classification, rare_feature_regression
 from reweightopt.experiment import (
     ConfigError,
@@ -311,8 +311,8 @@ def _build_case(generator, options, seed):
 
 
 class TestBuildDatasets:
-    """``_build_datasets`` composes each split's rows as indices and gathers
-    each split once; its splits equal those of the public datagen calls."""
+    """``_build_datasets`` is the public datagen chain with the config's
+    error contexts; its splits equal those of the chain's reference."""
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("generator, options", [
@@ -365,6 +365,18 @@ class TestMinibatchStream:
         a = [b.tolist() for b in minibatch_stream(20, 7, 10, seed=5)]
         b = [b.tolist() for b in minibatch_stream(20, 7, 10, seed=5)]
         assert a == b
+
+    @pytest.mark.parametrize("n, batch_size, message", [
+        (0, 4, "n must be >= 1, got 0"),
+        (math.nan, 4, "n must be >= 1, got nan"),
+        (5, 0, "batch_size must be >= 1, got 0"),
+        (5, -1, "batch_size must be >= 1, got -1"),
+        (5, math.nan, "batch_size must be >= 1, got nan"),
+    ])
+    def test_refuses_an_epoch_of_no_batch(self, n, batch_size, message):
+        # an empty range(0, n, batch_size) would make the stream spin forever
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            next(minibatch_stream(n, batch_size, 3, seed=0))
 
 
 class TestRunExperiment:
@@ -426,6 +438,18 @@ class TestRunExperiment:
 
         monkeypatch.setattr(weighting, "as_loss_vector", second_check)
         trace, _ = run_experiment(mixture_config(steps=30))
+        assert {r.step for r in trace.records} == {0, 25, 30}
+
+    @pytest.mark.parametrize("method", [
+        {"name": "term", "t_tilt": 1.0}, {"name": "ma", "lam": 1.0, "beta_ma": 0.5},
+    ], ids=["term", "ma"])
+    def test_term_and_ma_eval_losses_are_checked_once(self, monkeypatch, method):
+        # the Tilt and BaselineState report cores, like the rule's, take them unscanned
+        def second_check(values):
+            raise AssertionError("eval losses checked twice")
+
+        monkeypatch.setattr(optim, "as_loss_vector", second_check)
+        trace, _ = run_experiment(mixture_config(method=method, steps=30))
         assert {r.step for r in trace.records} == {0, 25, 30}
 
     def test_build_is_read_only(self):

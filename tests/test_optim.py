@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -390,6 +391,21 @@ class TestWeighters:
             _, w, _ = BaselineState(400.0, 0.5, z=z).report(losses)
         assert np.array_equal(w[:2], np.exp(400.0 * losses[:2]) / z)
         assert w[2] == pytest.approx(math.exp(200.0), rel=1e-12)
+
+    @pytest.mark.parametrize("call", [
+        lambda ell: Tilt(1.0).report(ell),
+        lambda ell: BaselineState(1.0, 0.5).report(ell),
+        lambda ell: term_objective(ell, 1.0),
+        lambda ell: term_weights(ell, 1.0),
+    ], ids=["tilt_report", "ma_report", "term_objective", "term_weights"])
+    @pytest.mark.parametrize("losses, message", [
+        ([0.5, math.nan, 1.0], "non-finite loss values at indices [1]"),
+        ([0.5, math.inf], "non-finite loss values at indices [1]"),
+        ([], "loss vector must contain at least one entry"),
+    ], ids=["nan", "inf", "empty"])
+    def test_losses_are_checked_as_batch_weights_checks_them(self, call, losses, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            call(losses)
 
     @pytest.mark.parametrize("t_tilt", [0.0, -1.0])
     def test_tilt_rejects_nonpositive(self, t_tilt):
