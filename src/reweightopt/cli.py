@@ -22,10 +22,10 @@ import sys
 from pathlib import Path
 
 from .experiment import (
-    _SPLITS, ConfigError, _build, _check_section, _checked, _config_errors, _seed, _trace_format,
-    _train, export_trace, parse_trace, validate_config,
+    _SPLITS, _build, _checked, _trace_format, _train, export_trace, parse_trace, validate_config,
 )
 from .optim import TrainingDivergenceError
+from .schema import ConfigError, check_section, config_errors, seed
 from .sweep import _sweep, validate_sweep_spec
 from .verify import (
     DUALITY_TOL, GRAD_TOL, _range_error, check_instances, dro_suite, gradcheck_suite,
@@ -47,7 +47,7 @@ def _load_json(path: str) -> dict:
 def _cmd_train(args) -> int:
     config, weighter, train_config = _checked(_load_json(args.config))
     if args.seed is not None:
-        _seed(args.seed, "train.seed")
+        seed(args.seed, "train.seed")
         train_config = dataclasses.replace(train_config, seed=args.seed)
     if args.output:
         _trace_format(args.output, "--output")
@@ -64,10 +64,10 @@ def _cmd_train(args) -> int:
 def _cmd_sweep(args) -> int:
     payload = _load_json(args.spec)
     # the file: a base config and a spec, which the two validators check
-    _check_section(payload, "sweep", ({"base": None, "select": None}, {"grid": None}))
+    check_section(payload, "sweep", ({"base": None, "select": None}, {"grid": None}))
     base = validate_config(payload.pop("base"))
     if args.seed is not None:
-        _seed(args.seed, "train.seed")
+        seed(args.seed, "train.seed")
         base["train"]["seed"] = args.seed
     spec = validate_sweep_spec(payload, base)
     best, results = _sweep(spec, base)
@@ -154,7 +154,7 @@ def _cmd_report(args) -> int:
     rows = []
     metric_names: list[str] = []
     for path in args.traces:
-        with _config_errors(path):
+        with config_errors(path):
             trace = parse_trace(path)
         for m in trace.metric_names:
             if m not in metric_names:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .experiment import _check_section, _config_errors, _list, _number
+from .schema import check_section, config_errors, list_of, number
 from .weighting import Divergence
 
 # bound here only so that the benchmark's layer_targets() can count its calls
@@ -100,6 +100,9 @@ class DiscreteDistribution:
 
 
 def uniform(n: int) -> DiscreteDistribution:
+    """Equal mass on each of ``n`` >= 1 atoms."""
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     return DiscreteDistribution(np.full(n, 1.0 / n))
 
 
@@ -510,14 +513,14 @@ def instance_to_json(inst: DroInstance) -> dict:
     }
 
 
-# The schema of an instance record (see experiment._SCHEMA); DroInstance checks the rest
-_RECORD = ({"losses": _list, "probs": _list, "rho": _number, "divergence": None}, {})
+# The schema of an instance record (see schema); DroInstance checks the rest
+_RECORD = ({"losses": list_of, "probs": list_of, "rho": number, "divergence": None}, {})
 
 
 def instance_from_json(obj: dict, where: str = "instance") -> DroInstance:
     """An instance from a wire-format record; a fault is a ConfigError naming ``where``."""
-    with _config_errors(where):
-        _check_section(obj, where, _RECORD)
+    with config_errors(where):
+        check_section(obj, where, _RECORD)
         return DroInstance(obj["losses"], DiscreteDistribution(obj["probs"]), float(obj["rho"]),
                            obj["divergence"])
 

@@ -14,13 +14,9 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +25,10 @@ from .datagen import Dataset
 from .models import ModelKind, ModelState, random_state, zero_state
 from .optim import (
     BaselineState, OptimizerState, Tilt, TrainConfig, TrainingDivergenceError, init_state, rgd_step,
+)
+from .schema import (
+    Choice, ConfigError, at_least, check_section, config_errors, finite, fraction, integer, list_of,
+    number, one_of, positive, seed, string,
 )
 from .weighting import WeightingRule
 
@@ -49,10 +49,6 @@ __all__ = [
     "export_trace",
     "parse_trace",
 ]
-
-
-class ConfigError(ValueError):
-    """Malformed experiment config; message names the offending key path."""
 
 
 # +1 means larger is better; used for best-holdout tracking and sweeps
@@ -92,66 +88,6 @@ class Trace:
         return [r for r in self.records if split is None or r.split == split]
 
 
-@contextmanager
-def _config_errors(path: str):
-    """Re-raise a KeyError/TypeError/ValueError from building the input
-    section ``path`` into objects as a ConfigError naming that section."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ConfigError(f"{path}: {detail}") from None
-
-
-# the kinds of the schema's keys, each a check of a present value that
-# names its key path ``where`` in the first fault it finds
-def _number(value, where: str, types=(int, float), what="a number"):
-    """A JSON number of ``types``: not a bool or a string, and if an
-    integer, within the float range that a run's arithmetic needs."""
-    if type(value) not in types:
-        raise ConfigError(f"{where}: expected {what}, got {value!r}")
-    if type(value) is int and not -sys.float_info.max <= value <= sys.float_info.max:
-        raise ConfigError(f"{where}: expected a number within the float range, got a larger one")
-
-
-def _integer(value, where: str):
-    _number(value, where, (int,), "an integer")
-
-
-def _finite(value, where: str):
-    _number(value, where)
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-
-
-def _at_least(low, what: str, kind=_integer):
-    """The kind of a value of ``kind`` that is at least ``low`` (a nan is not)."""
-
-    def check(value, where: str):
-        kind(value, where)
-        if not value >= low:
-            raise ConfigError(f"{where}: expected {what}, got {value!r}")
-
-    return check
-
-
-_seed = _at_least(0, "a non-negative integer")  # the only seeds numpy's generators take
-_positive = _at_least(1, "a positive integer")
-
-
-def _fraction(value, where: str, interval="[0, 1)"):
-    _number(value, where)
-    if not (0.0 <= value < 1.0 or interval == "[0, 1]" and value == 1.0):
-        raise ConfigError(f"{where}: expected a number in {interval}, got {value!r}")
-
-
-def _string(value, where: str):
-    if type(value) is not str:
-        raise ConfigError(f"{where}: expected a string, got {value!r}")
-
-
 def _trace_format(path, where: str) -> str:
     """The format ``export_trace`` writes to ``path``, as its suffix says in any
     case (csv without one); another suffix is a fault of ``where``."""
@@ -162,49 +98,24 @@ def _trace_format(path, where: str) -> str:
 
 
 def _trace_path(value, where: str):
-    _string(value, where)
+    string(value, where)
     _trace_format(value, where)
-
-
-def _name(value, where: str, names):
-    """One of ``names``, a string (a list is never looked up)."""
-    if type(value) is not str or value not in names:
-        raise ConfigError(f"{where}: expected {'|'.join(names)}, got {value!r}")
-
-
-def _list(value, where: str, kind=_number, what="a list of numbers", lengths=None):
-    if type(value) is not list or lengths is not None and len(value) not in lengths:
-        raise ConfigError(f"{where}: expected {what}, got {value!r}")
-    # floats are numbers, so a list of them is checked whole: a record's losses may number 10^5
-    if kind is not _number or set(map(type, value)) - {float}:
-        for item in value:
-            kind(item, where)
 
 
 def _metrics(value, where: str):
     """Distinct metric names: a trace has one column per name."""
-    _list(value, where, lambda v, where: _name(v, where, METRIC_DIRECTIONS),
-          "a list of metric names")
+    list_of(value, where, lambda v, where: one_of(v, where, METRIC_DIRECTIONS),
+            "a list of metric names")
     if len(set(value)) < len(value):
         raise ConfigError(f"{where}: expected distinct metric names, got {value!r}")
 
 
-class _Choice(NamedTuple):
-    """A section whose table is chosen by the value of its key ``key``."""
-
-    key: str
-    tables: dict
-
-
-# The config schema.  A table is a pair of dicts, its section's required
-# and its optional keys, from key to kind: a check above, a nested table,
-# a _Choice of tables, or None for a value that a _Choice or the object
-# built from it checks.
+# The config schema, in the table language of ``schema``.
 _GENERATORS = {  # the tables of dataset.params
-    "rare_feature_regression": ({"seed": _seed}, {}),
+    "rare_feature_regression": ({"seed": seed}, {}),
     "gaussian_mixture_classification": (
-        {"num_classes": _at_least(2, "an integer >= 2"), "n_per_class": _positive,
-         "dim": _positive, "separation": _finite, "seed": _seed},
+        {"num_classes": at_least(2, "an integer >= 2"), "n_per_class": positive,
+         "dim": positive, "separation": finite, "seed": seed},
         {},
     ),
 }
@@ -213,77 +124,49 @@ _REGRESSION = {"rare_feature_regression", "linear", "mse", "rare_l2", "frequent_
 _MODELS = {
     "linear": ({"kind": None}, {}),
     "softmax": ({"kind": None}, {}),
-    "mlp": ({"kind": None, "init_seed": _seed,
-             "hidden": lambda v, where: _list(v, where, _positive, "1 or 2 integers", (1, 2))},
-            {"init_scale": _finite}),
+    "mlp": ({"kind": None, "init_seed": seed,
+             "hidden": lambda v, where: list_of(v, where, positive, "1 or 2 integers", (1, 2))},
+            {"init_scale": finite}),
 }
 _METHODS = {
-    "rgd": ({"name": None, "rule": ({"divergence": None}, {"tau": _number})}, {}),
-    "term": ({"name": None, "t_tilt": _number}, {}),
-    "ma": ({"name": None, "lam": _number, "beta_ma": _number}, {}),
+    "rgd": ({"name": None, "rule": ({"divergence": None}, {"tau": number})}, {}),
+    "term": ({"name": None, "t_tilt": number}, {}),
+    "ma": ({"name": None, "lam": number, "beta_ma": number}, {}),
 }
 _STAGES = {
-    "subsample": ({"n_max": _positive, "imbalance_factor": _at_least(1, "a number >= 1", _number),
-                   "seed": _seed}, {}),
-    "split": ({"seed": _seed}, {"test_fraction": _fraction, "holdout_fraction": _fraction}),
-    "flip_train": ({"fraction": lambda v, where: _fraction(v, where, "[0, 1]"), "seed": _seed},
+    "subsample": ({"n_max": positive, "imbalance_factor": at_least(1, "a number >= 1", number),
+                   "seed": seed}, {}),
+    "split": ({"seed": seed}, {"test_fraction": fraction, "holdout_fraction": fraction}),
+    "flip_train": ({"fraction": lambda v, where: fraction(v, where, "[0, 1]"), "seed": seed},
                    {}),
 }
 _SCHEMA = (
     {
-        "dataset": _Choice("generator", {
+        "dataset": Choice("generator", {
             # subsample and flip_train draw per class, so regression data takes only a split
             name: ({"generator": None, "params": params},
                    {"split": _STAGES["split"]} if name in _REGRESSION else _STAGES)
             for name, params in _GENERATORS.items()
         }),
-        "model": _Choice("kind", _MODELS),
-        "method": _Choice("name", _METHODS),
+        "model": Choice("kind", _MODELS),
+        "method": Choice("name", _METHODS),
         "train": (
-            {"optimizer": None, "steps": _integer, "batch_size": _integer, "seed": _seed,
-             "lr_base": _number},
-            {"schedule": None, "beta1": _number, "beta2": _number, "eps": _number,
-             "box": lambda v, where: _list(v, where, _number, "a list of two numbers", (2,))},
+            {"optimizer": None, "steps": integer, "batch_size": integer, "seed": seed,
+             "lr_base": number},
+            {"schedule": None, "beta1": number, "beta2": number, "eps": number,
+             "box": lambda v, where: list_of(v, where, number, "a list of two numbers", (2,))},
         ),
     },
-    {"eval_every": _positive,
+    {"eval_every": positive,
      "metrics": _metrics, "output": _trace_path},
 )
 
 
-def _check_section(section, path: str, schema):
-    """Check a section (the whole config at path "config") against its
-    schema, a table or a _Choice: an object whose choosing key names one of
-    the choice's tables, without unknown or missing keys, each value of its kind."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path}: expected an object")
-    prefix, chosen = ("" if path == "config" else path + "."), ""
-    if type(schema) is _Choice:
-        key, tables = schema
-        if key not in section:
-            raise ConfigError(f"{path}: missing required key(s) {[key]}")
-        _name(section[key], prefix + key, tables)
-        schema, chosen = tables[section[key]], f" for {key} {section[key]!r}"
-    required, optional = schema
-    unknown = section.keys() - required.keys() - optional.keys()
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}{chosen}")
-    missing = required.keys() - section.keys()
-    if missing:
-        raise ConfigError(f"{path}: missing required key(s) {sorted(missing)}{chosen}")
-    for kinds in schema:
-        for key, kind in kinds.items():
-            if isinstance(kind, tuple) and key in section:
-                _check_section(section[key], prefix + key, kind)
-            elif kind is not None and key in section:
-                kind(section[key], prefix + key)
-
-
-@_config_errors("config")
+@config_errors("config")
 def _checked(config: dict):
     """``validate_config``'s result, with the weighter and ``TrainConfig`` built to check it."""
     cfg = json.loads(json.dumps(config))  # deep copy, also rejects non-JSON values
-    _check_section(cfg, "config", _SCHEMA)
+    check_section(cfg, "config", _SCHEMA)
     sp = cfg["dataset"].get("split", {})
     total = sp.get("test_fraction", 0.0) + sp.get("holdout_fraction", 0.0)
     if total >= 1.0:
@@ -293,7 +176,7 @@ def _checked(config: dict):
     cfg.setdefault("eval_every", 10)
     cfg.setdefault("metrics", [])
     weighter = _build_weighter(cfg["method"])
-    with _config_errors("train"):
+    with config_errors("train"):
         train_config = TrainConfig(**cfg["train"])
     data = "regression" if cfg["dataset"]["generator"] in _REGRESSION else "classification"
     pairs = [("model.kind", cfg["model"]["kind"])] + [("metrics", m) for m in cfg["metrics"]]
@@ -316,11 +199,11 @@ def _build_datasets(ds_cfg: dict) -> dict:
     present, in that order): the generator, ``subsample_long_tailed``,
     ``split`` with the test fraction (seed), then ``split`` of the rest with
     the holdout fraction (seed + 1), and ``flip_labels`` on the train split."""
-    with _config_errors("dataset.params"):
+    with config_errors("dataset.params"):
         train = getattr(datagen, ds_cfg["generator"])(**ds_cfg["params"])
     if "subsample" in ds_cfg:
         sub = ds_cfg["subsample"]
-        with _config_errors("dataset.subsample"):
+        with config_errors("dataset.subsample"):
             counts = datagen.long_tailed_counts(
                 train.num_classes, sub["n_max"], sub["imbalance_factor"]
             )
@@ -330,7 +213,7 @@ def _build_datasets(ds_cfg: dict) -> dict:
         sp = ds_cfg["split"]
         test_frac = float(sp.get("test_fraction", 0.0))
         holdout_frac = float(sp.get("holdout_fraction", 0.0))
-        with _config_errors("dataset.split"):
+        with config_errors("dataset.split"):
             if test_frac > 0:
                 train, splits["test"] = datagen.split(train, 1.0 - test_frac, sp["seed"])
             if holdout_frac > 0:
@@ -343,7 +226,7 @@ def _build_datasets(ds_cfg: dict) -> dict:
     return {"train": train, **splits}
 
 
-@_config_errors("model")
+@config_errors("model")
 def _build_model(model_cfg: dict, dataset: Dataset) -> ModelState:
     kind = ModelKind(model_cfg["kind"])
     num_classes = dataset.num_classes if dataset.is_classification else 1
@@ -362,7 +245,7 @@ def _build_model(model_cfg: dict, dataset: Dataset) -> ModelState:
 def _build_weighter(method_cfg: dict):
     """The method's weighter (see ``optim``); the one branch on its name."""
     name = method_cfg["name"]
-    with _config_errors({"rgd": "method.rule", "term": "method.t_tilt"}.get(name, "method")):
+    with config_errors({"rgd": "method.rule", "term": "method.t_tilt"}.get(name, "method")):
         if name == "rgd":
             return WeightingRule(**method_cfg["rule"])
         if name == "term":
@@ -388,11 +271,18 @@ def minibatch_stream(n: int, batch_size: int, steps: int, seed: int):
 
 
 def direction_l2(theta, theta_star, index_set) -> float:
-    """Euclidean distance to theta* restricted to the given coordinates."""
+    """Euclidean distance to theta* restricted to the given coordinates: integer
+    indices into theta and theta*, which have one length (no index gives 0.0)."""
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     theta_star = np.asarray(theta_star, dtype=np.float64).reshape(-1)
-    idx = np.asarray(list(index_set), dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= theta.size):
+    if theta.size != theta_star.size:
+        raise ValueError(f"length mismatch: {theta.size} theta vs {theta_star.size} theta* entries")
+    idx = np.asarray(list(index_set))
+    if not idx.size:
+        return 0.0
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"index set entries must be integers, got {idx.tolist()!r}")
+    if idx.min() < 0 or idx.max() >= theta.size:
         raise ValueError("index set outside parameter range")
     diff = theta[idx] - theta_star[idx]
     return float(np.sqrt(np.sum(diff**2)))

@@ -19,11 +19,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .experiment import METRIC_DIRECTIONS, ConfigError, _build, _checked, _train, validate_config
-from .experiment import _check_section, _finite, _list, _name, _string
+from .experiment import METRIC_DIRECTIONS, _build, _checked, _train, validate_config
 # bound here only for the benchmark, which reads and patches sweep.run_experiment
 from .experiment import run_experiment  # noqa: F401
 from .optim import TrainingDivergenceError
+from .schema import ConfigError, check_section, finite, list_of, one_of, string
 
 __all__ = ["SweepSpec", "GridResult", "sweep", "validate_sweep_spec"]
 
@@ -41,7 +41,7 @@ _DEFAULT_GRIDS = {
     "beta_ma": [0.25, 0.5, 0.75],
 }
 
-# The keys of a sweep file less its base config (see experiment._SCHEMA), per
+# The keys of a sweep file less its base config (see schema), per
 # base method; SweepSpec checks their values
 _SPECS = {
     method: ({"select": ({"metric": None}, {"split": None})},
@@ -61,11 +61,11 @@ class SweepSpec:
 
     def __post_init__(self):
         for name, values in self.axes.items():
-            _list(values, f"sweep.grid.{name}", _finite)
+            list_of(values, f"sweep.grid.{name}", finite)
         if not self.axes or not all(self.axes.values()):
             raise ConfigError("sweep grid must be nonempty on every axis")
-        _string(self.select_split, "sweep.select.split")
-        _name(self.select_metric, "sweep.select.metric", METRIC_DIRECTIONS)
+        string(self.select_split, "sweep.select.split")
+        one_of(self.select_metric, "sweep.select.metric", METRIC_DIRECTIONS)
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ def validate_sweep_spec(spec: dict, base_config: dict) -> SweepSpec:
     if not isinstance(base_config.get("method", {}), dict):
         raise ConfigError("base.method: expected an object")
     method = base_config.get("method", {}).get("name")
-    _name(method, "base.method.name", _SPECS)
-    _check_section(spec, "sweep", _SPECS[method])
+    one_of(method, "base.method.name", _SPECS)
+    check_section(spec, "sweep", _SPECS[method])
     grid, select = spec.get("grid", {}), spec["select"]
     axes = {a: grid[a] if a in grid else list(_DEFAULT_GRIDS[a]) for a in _METHOD_AXES[method]}
     return SweepSpec(axes, select["metric"], select.get("split", "holdout"))

@@ -116,14 +116,18 @@ def weighted_objective(losses, weights) -> float:
     """Mean of weight*loss with the weights held constant.
 
     This is the reported training objective; its gradient with frozen
-    weights equals the weighted mean of per-sample gradients.  When finite
-    losses overflow the plain sum, the mean is taken of the losses scaled
-    by max |loss|; it stays finite unless the mean itself overflows.
+    weights equals the weighted mean of per-sample gradients.  Losses and
+    weights must be finite and of one length.  When finite losses overflow
+    the plain sum, the mean is taken of the losses scaled by max |loss|; it
+    stays finite unless the mean itself overflows.
     """
     ell = as_loss_vector(losses)
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
     if w.shape != ell.shape:
         raise ValueError(f"length mismatch: {ell.size} losses vs {w.size} weights")
+    if not np.all(np.isfinite(w)):
+        bad = np.flatnonzero(~np.isfinite(w))
+        raise ValueError(f"non-finite weight values at indices {bad.tolist()}")
     return _objective(ell, w)
 
 

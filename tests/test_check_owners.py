@@ -18,7 +18,7 @@ from reweightopt.models import ModelState, param_count, random_state, zero_state
 from reweightopt.optim import (
     BaselineState, OptimizerState, TrainConfig, TrainingDivergenceError,
 )
-from reweightopt.weighting import Divergence
+from reweightopt.weighting import Divergence, weighted_objective
 
 
 def _mixture(num_classes=3, n_per_class=20):
@@ -136,6 +136,30 @@ DIRECT = {
     "grid of nan points": (
         lambda _: dro.simplex_bruteforce(_chi2_instance(), math.nan),
         ValueError, "need at least 2 grid points per edge"),
+    "uniform of no atom": (
+        lambda _: dro.uniform(0), ValueError, "n must be an integer >= 1, got 0"),
+    "uniform of a negative n": (
+        lambda _: dro.uniform(-1), ValueError, "n must be an integer >= 1, got -1"),
+    "uniform of a fractional n": (
+        lambda _: dro.uniform(2.5), ValueError, "n must be an integer >= 1, got 2.5"),
+    "direction of a fractional index": (
+        lambda _: experiment.direction_l2([1.0, 2.0], [0.0, 0.0], [0.5]),
+        ValueError, "index set entries must be integers, got [0.5]"),
+    "direction of a fractional index past the first": (
+        lambda _: experiment.direction_l2([1.0, 2.0], [0.0, 0.0], [1.9]),
+        ValueError, "index set entries must be integers, got [1.9]"),
+    "direction of a string index": (
+        lambda _: experiment.direction_l2([1.0, 2.0], [0.0, 0.0], ["1"]),
+        ValueError, "index set entries must be integers, got ['1']"),
+    "direction to a shorter theta*": (
+        lambda _: experiment.direction_l2([1.0, 2.0], [0.0], [0]),
+        ValueError, "length mismatch: 2 theta vs 1 theta* entries"),
+    "objective of a nan weight": (
+        lambda _: weighted_objective([1.0, 2.0], [math.nan, 1.0]),
+        ValueError, "non-finite weight values at indices [0]"),
+    "objective of an inf weight": (
+        lambda _: weighted_objective([1.0, 2.0], [1.0, math.inf]),
+        ValueError, "non-finite weight values at indices [1]"),
 }
 
 

@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 from reweightopt import datagen
 from reweightopt.cli import build_parser, cli_main
 from reweightopt.dro import _RECORD
-from reweightopt.experiment import _GENERATORS, _METHODS, _MODELS, _SCHEMA, _Choice
+from reweightopt.experiment import _GENERATORS, _METHODS, _MODELS, _SCHEMA
+from reweightopt.schema import Choice as _Choice
 from reweightopt.sweep import _SPECS
 
 FILE = "input.json"  # the file each case writes and the CLI reads

@@ -724,6 +724,10 @@ class TestMetrics:
         with pytest.raises(ValueError):
             direction_l2(theta, theta_star, [10])
 
+    def test_direction_l2_of_no_index_is_zero(self):
+        assert direction_l2(np.arange(3.0), np.zeros(3), []) == 0.0
+        assert direction_l2(np.arange(3.0), np.zeros(3), np.array([], dtype=np.int64)) == 0.0
+
     def test_accuracy_perfect_and_chance(self):
         ds = gaussian_mixture_classification(4, 10, 5, 50.0, seed=1)
         # well-separated blobs: unit weight on each mean axis classifies perfectly

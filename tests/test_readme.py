@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from reweightopt.dro import _RECORD
-from reweightopt.experiment import _GENERATORS, _METHODS, _MODELS, _SCHEMA, _Choice
+from reweightopt.experiment import _GENERATORS, _METHODS, _MODELS, _SCHEMA
+from reweightopt.schema import Choice as _Choice
 from reweightopt.sweep import _SPECS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
