@@ -38,7 +38,6 @@ from .optim import ma_exp_step, term_step  # noqa: F401
 from .weighting import batch_weights  # noqa: F401
 
 __all__ = [
-    "ConfigError",
     "TraceRecord",
     "Trace",
     "validate_config",
@@ -465,15 +464,17 @@ def parse_trace(path) -> Trace:
     with open(path, newline="") as fh:
         if path.suffix.lower() == ".json":
             rows = json.load(fh)
-            if not rows:
-                raise ValueError(f"empty trace file {path}")
-            columns = tuple(rows[0])
+            if type(rows) is not list or not all(type(row) is dict for row in rows):
+                raise ValueError(f"expected a JSON list of trace rows in {path}")
+            columns = tuple(rows[0]) if rows else ()
         else:
             reader = csv.reader(fh)
-            columns = tuple(next(reader))
-            if columns[:3] != _FIXED_COLUMNS or columns[-4:] != _STAT_COLUMNS:
-                raise ValueError(f"unrecognized trace header in {path}")
+            columns = tuple(next(reader, ()))
             rows = [dict(zip(columns, row)) for row in reader]
+    if not columns:
+        raise ValueError(f"empty trace file {path}")
+    if columns[:3] != _FIXED_COLUMNS or columns[-4:] != _STAT_COLUMNS:
+        raise ValueError(f"unrecognized trace header in {path}")
     metric_names = tuple(c for c in columns if c not in _FIXED_COLUMNS + _STAT_COLUMNS)
     trace = Trace(metric_names)
     for row in rows:

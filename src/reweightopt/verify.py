@@ -40,6 +40,7 @@ from .dro import (
 )
 from .models import Batch, ModelKind, _trial_losses, finite_diff_grad, random_state, weighted_grad
 from .numerics import _all_finite
+from .schema import ConfigError
 from .weighting import _weighted_mean, as_loss_vector
 
 # bound here only so that the benchmark's layer_targets() can trace them
@@ -161,8 +162,11 @@ def check_instances(records: list[dict]) -> dict:
     """Solve user-supplied JSON instance records and certify the solutions.
 
     Each record is solved and checked like a ``dro_suite`` trial: the
-    constraint, the tilting form and strong duality.
+    constraint, the tilting form and strong duality.  An empty list is a
+    ConfigError, since it would certify nothing.
     """
+    if not records:
+        raise ConfigError("expected at least one instance, got an empty list")
     report = {"checked": 0, "results": [], "failures": []}
     for i, record in enumerate(records):
         inst = instance_from_json(record, f"instance {i}")

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from reweightopt import datagen, dro, experiment
-from reweightopt.experiment import ConfigError, parse_trace
+from reweightopt.experiment import parse_trace
 from reweightopt.models import ModelState, param_count, random_state, zero_state
 from reweightopt.optim import (
     BaselineState, OptimizerState, TrainConfig, TrainingDivergenceError,
 )
+from reweightopt.schema import ConfigError
 from reweightopt.weighting import Divergence, weighted_objective
 
 

@@ -1,4 +1,3 @@
-import importlib
 import json
 import subprocess
 import sys
@@ -8,6 +7,7 @@ import numpy as np
 import pytest
 
 from reweightopt import cli, datagen, experiment, verify
+from reweightopt import sweep as sweep_module
 from reweightopt.cli import cli_main
 from reweightopt.sweep import sweep
 
@@ -382,6 +382,15 @@ def test_oracle_malformed_instance_exits_2(tmp_path, capsys, record):
     assert "config error: instance 0" in capsys.readouterr().err
 
 
+def test_oracle_empty_instance_list_exits_2(tmp_path, capsys):
+    path = tmp_path / "instances.json"
+    path.write_text("[]")
+    assert cli_main(["oracle", "--instances", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: expected at least one instance, got an empty list\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "--trials", "1", "--n", "1"],
     ["oracle", "--trials", "1", "--grid", "1"],
@@ -433,11 +442,19 @@ def test_a_suites_internal_error_is_not_a_config_error(monkeypatch, capsys, argv
     assert "config error" not in capsys.readouterr().err
 
 
-def test_report_malformed_trace_exits_2(tmp_path, capsys):
-    path = tmp_path / "notes.csv"
-    path.write_text("hello,world\n1,2\n")
+@pytest.mark.parametrize("name, text, message", [
+    ("notes.csv", "hello,world\n1,2\n", "unrecognized trace header"),
+    ("empty.csv", "", "empty trace file"),
+    ("object.json", '{"step": 0}', "expected a JSON list of trace rows"),
+    ("numbers.json", "[1, 2]", "expected a JSON list of trace rows"),
+    ("notes.json", '[{"hello": 1, "world": 2}]', "unrecognized trace header"),
+])
+def test_report_malformed_trace_exits_2(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
     assert cli_main(["report", str(path)]) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and message in err
 
 
 def test_internal_error_is_not_a_config_error(tmp_path, monkeypatch, capsys):
@@ -516,7 +533,6 @@ def test_sweep_checks_its_base_once(tmp_path, monkeypatch, seed):
     spec_path.write_text(json.dumps({
         "base": base, "grid": {"tau": [0.25, 0.5], "lr_mult": [1.0]}, "select": {"metric": "mse"},
     }))
-    sweep_module = importlib.import_module("reweightopt.sweep")  # the package binds sweep()
     calls = _count(monkeypatch, "_checked", experiment, cli, sweep_module)
     assert cli_main(["sweep", str(spec_path), *seed]) == 0
     assert len(calls) == 3  # the base, then each of the 2 points

@@ -4,10 +4,15 @@ Modules read each other's private names at most ``MAX_PRIVATE_READS``
 times, so a new read must be paid for by removing another.  A read is
 ``from .m import _x`` or ``m._x`` for a sibling module ``m`` bound by
 ``from . import m``.  The checker of the JSON inputs (``schema``) needs no
-package module, and the exact DRO solvers need no trainer module.
+package module, and the exact DRO solvers need no trainer module.  The
+package root binds no library name, so a fresh interpreter that imports
+one module loads only the modules that it imports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +102,28 @@ def test_schema_imports_no_package_module():
 def test_dro_imports_no_trainer_module():
     graph = _graph()
     assert not _reached(graph, "dro") & TRAINER, sorted(_reached(graph, "dro"))
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("dro", {"dro", "numerics", "schema", "weighting"}),
+    ("schema", {"schema"}),
+])
+def test_importing_a_module_loads_only_what_it_imports(module, loaded):
+    script = (f"import sys, reweightopt.{module}\n"
+              "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'reweightopt'))")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent) + (os.pathsep + path if path else "")}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == sorted({"reweightopt"} | {f"reweightopt.{m}" for m in loaded})
+
+
+def test_the_package_root_binds_only_its_modules():
+    import reweightopt
+    from reweightopt import sweep
+
+    assert sweep is sys.modules["reweightopt.sweep"]
+    bound = {name: type(value).__name__ for name, value in vars(reweightopt).items()
+             if not name.startswith("_")}
+    assert set(bound.values()) <= {"module"}, bound

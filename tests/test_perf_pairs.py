@@ -1,7 +1,9 @@
 """tools/perf_pairs.py summarizes paired benchmark results per end-to-end
-metric; these tests give it synthetic results and run no benchmark."""
+metric and runs both sides from copies; these tests give it synthetic
+results and a throwaway repository, and run no benchmark."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,39 @@ def test_one_pair_is_its_own_quartiles(tool):
 ])
 def test_a_run_result_is_its_last_line(tool, stdout, result):
     assert tool.last_result(stdout) == result
+
+
+def _git(repo, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                          cwd=repo, check=True, capture_output=True, text=True).stdout
+
+
+def test_the_change_side_is_a_copy_of_the_working_tree(tool, tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "kept.txt").write_text("committed\n")
+    (repo / "edited.txt").write_text("committed\n")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "base")
+    (repo / "edited.txt").write_text("uncommitted edit\n")
+    (repo / "staged.txt").write_text("staged\n")
+    _git(repo, "add", "staged.txt")
+    (repo / "untracked.txt").write_text("untracked\n")
+    (repo / "run.log").write_text("ignored\n")
+    before = [_git(repo, *args) for args in (["status", "--porcelain"], ["diff", "--cached"],
+                                             ["stash", "list"], ["ls-files", "--stage"])]
+
+    copy = tmp_path / "copy"
+    tool.extract(repo, tool.working_tree(repo), copy)
+
+    files = {path.name: path.read_text() for path in copy.iterdir()}
+    assert files == {".gitignore": "*.log\n", "kept.txt": "committed\n",
+                     "edited.txt": "uncommitted edit\n", "staged.txt": "staged\n",
+                     "untracked.txt": "untracked\n"}
+    after = [_git(repo, *args) for args in (["status", "--porcelain"], ["diff", "--cached"],
+                                            ["stash", "list"], ["ls-files", "--stage"])]
+    assert after == before
+    assert (repo / "edited.txt").read_text() == "uncommitted edit\n"
+    assert (repo / "run.log").read_text() == "ignored\n"

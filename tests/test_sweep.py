@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from reweightopt import datagen, experiment
-from reweightopt.experiment import ConfigError, run_experiment
+from reweightopt.experiment import run_experiment
 from reweightopt.optim import TrainingDivergenceError
+from reweightopt.schema import ConfigError
 from reweightopt.sweep import GridResult, SweepSpec, sweep, validate_sweep_spec
 
 

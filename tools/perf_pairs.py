@@ -3,20 +3,25 @@
     python tools/perf_pairs.py --base REF --workload W [--pairs N --seconds S --seed K]
 
 Runs ``perfbench/run.py --workload W --seed K --seconds S`` N times on a
-``git archive`` copy of REF, made in a temporary directory, and N times on
-the working tree, in pairs, flipping which side runs first every pair (the
-base runs first in pair 0).  Each run's result is the JSON object on the
-last line of its standard output.  For each end-to-end metric named in
-``BENCHMARK.json``, prints each side's median and quartiles, the ratio of
-the change's median to the base's, and how many pairs each side won by the
-metric's ``better`` (a tie counts for neither).  Exits 1 as soon as a run
-is incorrect or exits non-zero.  Uses the standard library only.
+``git archive`` copy of REF and N times on a copy of the working tree
+(its tracked and untracked files, not the ignored ones), each made in a
+temporary directory so that both sides run from alike locations, in
+pairs, flipping which side runs first every pair (the base runs first in
+pair 0).  The working tree is read through a temporary index: the
+repository's index, stash and files stay as they were.  Each run's
+result is the JSON object on the last line of its standard output.  For
+each end-to-end metric named in ``BENCHMARK.json``, prints each side's
+median and quartiles, the ratio of the change's median to the base's,
+and how many pairs each side won by the metric's ``better`` (a tie
+counts for neither).  Exits 1 as soon as a run is incorrect or exits
+non-zero.  Uses the standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -64,6 +69,26 @@ def last_result(stdout: str) -> dict | None:
     return result if isinstance(result, dict) else None
 
 
+def working_tree(repo: Path) -> str:
+    """The id of a git tree of ``repo``'s working tree: its tracked and
+    untracked files, not the ignored ones.  Writes objects but leaves the
+    index, the stash and the files as they are."""
+    with tempfile.TemporaryDirectory(prefix="perf_pairs-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        subprocess.run(["git", "add", "-A"], cwd=repo, env=env, check=True)
+        return subprocess.run(["git", "write-tree"], cwd=repo, env=env, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+
+def extract(repo: Path, tree: str, dest: Path) -> None:
+    """Write the files of ``tree`` (a commit, ref or tree of ``repo``) into
+    the new directory ``dest``."""
+    dest.mkdir()
+    archive = subprocess.run(["git", "archive", tree], cwd=repo, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
 def run(root: Path, args) -> tuple[subprocess.CompletedProcess, dict | None]:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
@@ -86,10 +111,9 @@ def main(argv=None) -> int:
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     results = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="perf_pairs-") as tmp:
-        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        roots = {"base": Path(tmp), "change": ROOT}
+        roots = {side: Path(tmp) / side for side in SIDES}
+        for side, tree in zip(SIDES, (args.base, working_tree(ROOT))):
+            extract(ROOT, tree, roots[side])
         for pair in range(args.pairs):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                 proc, result = run(roots[side], args)
@@ -101,7 +125,7 @@ def main(argv=None) -> int:
                 shown = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.6g}"
                                  for m in end_to_end)
                 print(f"pair {pair} {side:<6} {shown}", flush=True)
-    print(f"{args.workload}: {args.base} (base) against the working tree (change), "
+    print(f"{args.workload}: {args.base} (base) against a copy of the working tree (change), "
           f"{args.pairs} pairs of {args.seconds:g} s, seed {args.seed}")
     for row in summarize(end_to_end, results["base"], results["change"]):
         sides = "  ".join("{} {:.6g} [{:.6g}, {:.6g}]".format(side, row[side][1], row[side][0],
